@@ -3,8 +3,11 @@
 Numeric bounds are plain records; empirically inconsistent inputs produce
 flagged results rather than exceptions, because the same engine runs on model
 data where a tripped flag is the interesting output.  Polytope norms are kept
-in exact vertex form (rationals), so the duality checks below are limited only
-by the LP/hull tolerances of the oracles, not by the representation.
+in exact vertex form (rationals).  Their facet inequalities are found once per
+norm, exactly, by double description in integer arithmetic; the gauge is then
+max_i a_i.x over the facets and the dual norm max_j v_j.psi over the
+vertices, so the only rounding is in those final float dot products.  The same
+exact routine gives the vertices of the sup ball of a family of norms.
 
 The sup-norm factor has two regimes split at inj = mu/2 (default mu = 0.29,
 which needs positive first Betti number): an embedded ball of radius inj for
@@ -18,14 +21,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from .radial import nu
 
@@ -78,6 +79,10 @@ class NormDatum:
     tol: float = 1e-9
 
     def __post_init__(self):
+        for name in ("vol", "inj", "thurston", "harmonic"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.vol <= 0:
             raise ValueError(f"volume must be positive, got {self.vol}")
         if self.inj <= 0:
@@ -100,18 +105,15 @@ class NormDatum:
 def thm_main_bounds(d: NormDatum) -> MainBounds:
     """Two-sided comparison pi th/sqrt(vol) <= ||phi|| <= 10 pi th/sqrt(inj).
 
-    flagged signals lower > upper, which happens exactly when inj > 100 vol;
-    no hyperbolic manifold does that, so a tripped flag means the input datum
-    is not geometric.
+    flagged signals lower > upper, which happens exactly when inj > 100 vol,
+    up to rounding at inj = 100 vol; no hyperbolic manifold does that, so a
+    tripped flag means the input datum is not geometric.
     """
     if d.thurston <= 0:
         raise ValueError("thm_main_bounds needs a nonzero class (thurston > 0)")
     lower = math.pi * d.thurston / math.sqrt(d.vol)
     upper = 10.0 * math.pi * d.thurston / math.sqrt(d.inj)
-    flagged = lower > upper
-    if d.inj <= 100.0 * d.vol:
-        assert not flagged
-    return MainBounds(lower, upper, flagged)
+    return MainBounds(lower, upper, lower > upper)
 
 
 def bsv_bounds(d: NormDatum, C1: float, C2: float) -> Bracket:
@@ -192,10 +194,116 @@ def _as_fraction_vector(v) -> tuple[Fraction, ...]:
         if isinstance(c, (Rational, int, str)):
             out.append(Fraction(c))
         elif isinstance(c, float):
+            if not math.isfinite(c):
+                raise ValueError(f"vertex coordinate {c!r} is not finite")
             out.append(Fraction(c))  # exact binary value
         else:
             raise TypeError(f"vertex coordinate {c!r} is not rational-convertible")
     return tuple(out)
+
+
+def _integer_row(v: tuple[Fraction, ...]) -> tuple[int, ...]:
+    """The rational point v as integers (q_1, ..., q_d, m) with v = q/m, m > 0."""
+    m = math.lcm(*(c.denominator for c in v))
+    return tuple(c.numerator * (m // c.denominator) for c in v) + (m,)
+
+
+def _dot(a, b) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _float_rows(rows) -> np.ndarray:
+    """Integer rows (q..., m) as the float points q/m, each correctly rounded."""
+    return np.array([[c / r[-1] for c in r[:-1]] for r in rows])
+
+
+def _initial_cone(rows: list[tuple[int, ...]]) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The first n independent rows B and the extreme rays of {y : B y <= 0}.
+
+    Ray i is the integer multiple of -(B^-1 e_i): tight on every chosen row
+    but row i.  Raises ValueError when the rows span less than the space.
+    """
+    n = len(rows[0])
+    chosen: list[int] = []
+    echelon: list[tuple[int, list[Fraction]]] = []
+    for k, row in enumerate(rows):
+        r = [Fraction(c) for c in row]
+        for pivot, e in echelon:
+            if r[pivot]:
+                f = r[pivot] / e[pivot]
+                r = [a - f * b for a, b in zip(r, e)]
+        pivot = next((j for j, c in enumerate(r) if c), None)
+        if pivot is not None:
+            chosen.append(k)
+            echelon.append((pivot, r))
+            if len(chosen) == n:
+                break
+    else:
+        raise ValueError("the points do not span the space, so their polar is unbounded")
+    # Gauss-Jordan on [B | -I] leaves [I | -B^-1], whose columns are the rays
+    a = [[Fraction(c) for c in rows[k]] + [Fraction(-(i == j)) for j in range(n)]
+         for i, k in enumerate(chosen)]
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if a[i][col])
+        a[col], a[pivot] = a[pivot], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for i in range(n):
+            if i != col and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    rays = []
+    for j in range(n, 2 * n):
+        col = [a[i][j] for i in range(n)]
+        m = math.lcm(*(c.denominator for c in col))
+        ray = [c.numerator * (m // c.denominator) for c in col]
+        g = math.gcd(*ray)
+        rays.append(tuple(c // g for c in ray))
+    return chosen, rays
+
+
+def _polar_vertices(points: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Vertices of the polar {a : p.a <= 1 for every point p}, exactly.
+
+    Points and vertices are integer rows (q..., m) standing for q/m, m > 0.
+    The points must be centrally symmetric and span the space, so that the
+    polar is a bounded polytope; ValueError when they do not span.  The
+    polar is the slice t = 1 of the cone {(a, t) : q.a <= m t, t >= 0},
+    whose extreme rays come from double description (Motzkin et al. 1953):
+    insert one inequality at a time, keep the rays on its feasible side, and
+    join each adjacent pair it separates.  Two rays are adjacent exactly
+    when no third ray is tight on every inequality tight at both (Fukuda and
+    Prodon 1996); tight sets are bitmasks over the inequalities.  The facets
+    of the hull of the points are the polar's vertices, and the vertices of
+    an intersection of such hulls are the polar of the union of their facets.
+    """
+    n = len(points[0])
+    rows = [(0,) * (n - 1) + (-1,)] + [p[:-1] + (-p[-1],) for p in points]
+    chosen, rays = _initial_cone(rows)
+    masks = [sum(1 << k for k in chosen if k != chosen[i]) for i in range(n)]
+    done = set(chosen)
+    for k, h in enumerate(rows):
+        if k in done:
+            continue
+        bit = 1 << k
+        vals = [_dot(h, r) for r in rays]
+        pos = [i for i, v in enumerate(vals) if v > 0]
+        neg = [i for i, v in enumerate(vals) if v < 0]
+        joined, joined_masks = [], []
+        for i in pos:
+            for j in neg:
+                common = masks[i] & masks[j]
+                if common.bit_count() < n - 2 or any(
+                    masks[l] & common == common for l in range(len(rays)) if l != i and l != j
+                ):
+                    continue
+                ray = tuple(vals[i] * b - vals[j] * a for a, b in zip(rays[i], rays[j]))
+                g = math.gcd(*ray)
+                joined.append(tuple(c // g for c in ray))
+                joined_masks.append(common | bit)
+        keep = [i for i, v in enumerate(vals) if v <= 0]
+        rays = [rays[i] for i in keep] + joined
+        masks = [masks[i] | bit if vals[i] == 0 else masks[i] for i in keep] + joined_masks
+    return rays
 
 
 @dataclass(frozen=True)
@@ -204,10 +312,16 @@ class PolytopeNorm:
 
     The vertex set must be centrally symmetric, span the space, and consist
     of genuine unit vectors of the induced gauge (no vertex strictly inside
-    the hull of the others); all three are validated on construction.
+    the hull of the others); all three are validated on construction.  The
+    constructor also finds the facets a_i.x <= 1 of the ball exactly, and
+    checks that every listed vertex has gauge max_i a_i.v exactly 1.
+    Equality and hashing go by the vertices alone.
     """
 
     vertices: tuple[tuple[Fraction, ...], ...]
+    _facets: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _facet_array: np.ndarray = field(init=False, repr=False, compare=False)
+    _vertex_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __init__(self, vertices):
         vecs = tuple(_as_fraction_vector(v) for v in vertices)
@@ -221,60 +335,53 @@ class PolytopeNorm:
         for v in vecs:
             if tuple(-c for c in v) not in vset:
                 raise ValueError(f"vertex set not centrally symmetric: missing -{v}")
-        arr = self.float_vertices()
-        if np.linalg.matrix_rank(arr) < dim:
-            raise ValueError("vertices do not span the space")
-        for i, v in enumerate(arr):
-            g = _gauge_lp(arr, v)
-            if abs(g - 1.0) > 1e-9:
-                raise ValueError(
-                    f"listed vertex {vecs[i]} has gauge {g}, not on the unit sphere"
-                )
+        unique = list(dict.fromkeys(vecs))
+        points = [_integer_row(v) for v in unique]
+        facets = tuple(_polar_vertices(points))
+        for v, (*q, m) in zip(unique, points):
+            # gauge(v) = max over facets of a.q / (t m), exactly 1 iff this max is 0
+            if max(_dot(a, q) - a[-1] * m for a in facets) != 0:
+                g = max(Fraction(_dot(a, q), a[-1] * m) for a in facets)
+                raise ValueError(f"listed vertex {v} has gauge {g}, not on the unit sphere")
+        facet_array = _float_rows(facets)
+        vertex_array = np.array([[float(c) for c in v] for v in vecs])
+        facet_array.flags.writeable = vertex_array.flags.writeable = False
+        object.__setattr__(self, "_facets", facets)
+        object.__setattr__(self, "_facet_array", facet_array)
+        object.__setattr__(self, "_vertex_array", vertex_array)
 
     @property
     def dim(self) -> int:
         return len(self.vertices[0])
 
     def float_vertices(self) -> np.ndarray:
-        return np.array([[float(c) for c in v] for v in self.vertices], dtype=float)
+        return self._vertex_array.copy()
 
 
-def _gauge_lp(vertex_array: np.ndarray, x: np.ndarray) -> float:
-    # gauge(x) = min sum(lam) s.t. V^T lam = x, lam >= 0
-    n = vertex_array.shape[0]
-    res = linprog(
-        c=np.ones(n),
-        A_eq=vertex_array.T,
-        b_eq=np.asarray(x, dtype=float),
-        bounds=(0.0, None),
-        method="highs",
-    )
-    if not res.success:
-        raise ValueError(f"gauge LP failed for x={x}: {res.message}")
-    return float(res.fun)
-
-
-def polytope_gauge(p: PolytopeNorm, x) -> float:
-    """The norm of x under p (Minkowski gauge of the unit ball)."""
+def _max_dot(p: PolytopeNorm, rows: np.ndarray, x) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (p.dim,):
         raise ValueError(f"vector of dimension {x.shape} against {p.dim}-dim norm")
-    return _gauge_lp(p.float_vertices(), x)
+    if not all(map(math.isfinite, x.tolist())):
+        raise ValueError(f"vector must be finite, got {x}")
+    return float((rows @ x).max())
+
+
+def polytope_gauge(p: PolytopeNorm, x) -> float:
+    """The norm of x under p (Minkowski gauge of the unit ball): max over facets of a_i.x."""
+    return _max_dot(p, p._facet_array, x)
 
 
 def dual_norm(p: PolytopeNorm, psi) -> float:
     """sup over the unit ball of <psi, .>, attained at a vertex."""
-    psi = np.asarray(psi, dtype=float)
-    if psi.shape != (p.dim,):
-        raise ValueError(f"vector of dimension {psi.shape} against {p.dim}-dim norm")
-    return float(np.max(p.float_vertices() @ psi))
+    return _max_dot(p, p._vertex_array, psi)
 
 
 def _sup_ball_vertices(norms: Sequence[PolytopeNorm]) -> np.ndarray:
-    # unit ball of sup_n x_n = intersection of the unit balls
-    halfspaces = np.vstack([ConvexHull(p.float_vertices()).equations for p in norms])
-    hs = HalfspaceIntersection(halfspaces, np.zeros(norms[0].dim))
-    return hs.intersections
+    # unit ball of sup_n x_n = intersection of the unit balls, cut out by
+    # every facet of every norm; its vertices are the polar of those facets
+    facets = list(dict.fromkeys(a for p in norms for a in p._facets))
+    return _float_rows(_polar_vertices(facets))
 
 
 def inf_of_duals_check(
@@ -282,18 +389,17 @@ def inf_of_duals_check(
 ) -> bool:
     """Does (sup_n x_n)* equal inf_n x_n* on the given test vectors?
 
-    The left side is computed from the vertex description of the sup-norm
-    unit ball (halfspace intersection of the family's balls).  The answer is
-    reported honestly: the identity can genuinely fail pointwise (the inf of
-    duals need not be convex), and False is a meaningful result, not an error.
+    The left side is computed from the exact vertex description of the
+    sup-norm unit ball (the intersection of the family's balls).  The answer
+    is reported honestly: the identity can genuinely fail pointwise (the inf
+    of duals need not be convex), and False is a meaningful result, not an
+    error.
     """
     if len(norms) == 0:
         raise ValueError("need at least one norm in the family")
     dim = norms[0].dim
     if any(p.dim != dim for p in norms):
         raise ValueError("all norms must share one dimension")
-    if dim < 2:
-        raise ValueError("halfspace machinery needs dimension >= 2")
     ball = _sup_ball_vertices(norms)
     for psi in test_vectors:
         psi = np.asarray(psi, dtype=float)

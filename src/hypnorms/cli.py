@@ -92,7 +92,7 @@ def _parse_grid(text: str, *, integer: bool = False, log: bool = False) -> list:
                 vals = np.geomspace(lo, hi, _GRID_POINTS)
             elif integer:
                 step = max(1, (hi - lo) // _GRID_POINTS)
-                vals = np.arange(lo, hi + 1, step) if hi - lo + 1 > _GRID_POINTS else np.arange(lo, hi + 1)
+                vals = np.append(np.arange(lo, hi, step), hi)
             else:
                 vals = np.linspace(lo, hi, _GRID_POINTS)
             if integer:

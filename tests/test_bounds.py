@@ -1,8 +1,11 @@
 """Bounds engine: sandwich records, branch constants, exact polytope duality.
 
-The polytope-duality oracles here deliberately avoid the vertex-max shortcut
-that dual_norm itself uses: boundary points are produced by the gauge LP in
-sampled directions, so agreement is evidence and not circularity.
+polytope_gauge reads the facets that the exact double description finds;
+dual_norm takes the max over the vertices.  The polytope-duality oracles here
+deliberately avoid that vertex-max shortcut: boundary points are produced by
+the facet-form gauge in sampled directions, so agreement is evidence and not
+circularity.  The HiGHS gauge LP and the qhull hulls appear only here, as
+independent oracles for the facet form and the sup ball.
 """
 
 import math
@@ -11,7 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from scipy.optimize import linprog
+from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from hypnorms.bounds import (
     Bracket,
@@ -69,9 +74,6 @@ def sampled_dual(p, psi, n=720):
 
 def facet_dual(p, psi):
     """Dual norm as an LP over the H-representation of the ball (facet form)."""
-    from scipy.optimize import linprog
-    from scipy.spatial import ConvexHull
-
     eq = ConvexHull(p.float_vertices()).equations
     res = linprog(
         c=-np.asarray(psi, dtype=float),
@@ -92,8 +94,6 @@ def conditioned_polytope(rng, dim, count):
     polytopes (arbitrarily thin cones) are exercised against the facet LP
     oracle instead.
     """
-    from scipy.spatial import ConvexHull
-
     if dim == 2:
         angles = np.linspace(0, math.pi, count, endpoint=False) + rng.uniform(
             -0.1, 0.1, size=count
@@ -112,6 +112,48 @@ def conditioned_polytope(rng, dim, count):
         tuple(Fraction(round(c * 10**6), 10**6) for c in sym[i]) for i in hull.vertices
     ]
     return PolytopeNorm(verts)
+
+
+def _gauge_lp(vertex_array, x):
+    """gauge(x) = min sum(lam) s.t. V^T lam = x, lam >= 0, by HiGHS.
+
+    HiGHS drops components below its feasibility tolerance (about 1e-6), so
+    the oracle is trusted only on vectors whose components all exceed 1e-3.
+    """
+    res = linprog(
+        c=np.ones(vertex_array.shape[0]),
+        A_eq=vertex_array.T,
+        b_eq=np.asarray(x, dtype=float),
+        bounds=(0.0, None),
+        method="highs",
+    )
+    assert res.success, res.message
+    return float(res.fun)
+
+
+def hull_sup_support(norms, psi):
+    """Support function of the sup ball, from a qhull halfspace intersection."""
+    halfspaces = np.vstack([ConvexHull(p.float_vertices()).equations for p in norms])
+    ball = HalfspaceIntersection(halfspaces, np.zeros(norms[0].dim)).intersections
+    return float(np.max(ball @ np.asarray(psi, dtype=float)))
+
+
+@st.composite
+def integer_hulls(draw, dim):
+    """Symmetric hull of a few spanning integer points in [-5, 5]^dim."""
+    count = draw(st.integers(dim, dim + 4))
+    coord = st.integers(-5, 5)
+    pts = np.array(draw(st.lists(st.tuples(*[coord] * dim), min_size=count, max_size=count)))
+    assume(np.linalg.matrix_rank(pts) == dim)
+    sym = np.vstack([pts, -pts])
+    return PolytopeNorm([tuple(int(c) for c in sym[i]) for i in ConvexHull(sym).vertices])
+
+
+def query_vectors(dim):
+    """Vectors of random sign whose components all have size in [1e-3, 10]."""
+    comp = st.builds(lambda sign, size: sign * size, st.sampled_from((1.0, -1.0)),
+                     st.floats(min_value=1e-3, max_value=10.0))
+    return st.lists(comp, min_size=dim, max_size=dim)
 
 
 class TestNormDatum:
@@ -137,6 +179,14 @@ class TestNormDatum:
         d = NormDatum(1.0, 1.0, 1.0, harmonic=100.0, check_consistency=False)
         assert d.harmonic == 100.0
 
+    @pytest.mark.parametrize("field", ["vol", "inj", "thurston", "harmonic"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_rejected(self, field, bad):
+        fields = dict(vol=1.0, inj=1.0, thurston=1.0, harmonic=None, check_consistency=False)
+        fields[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            NormDatum(**fields)
+
 
 class TestMainBounds:
     def test_unit_inputs(self):
@@ -157,6 +207,13 @@ class TestMainBounds:
     def test_zero_class_rejected(self):
         with pytest.raises(ValueError):
             thm_main_bounds(NormDatum(1.0, 1.0, 0.0))
+
+    def test_rounding_at_inj_equal_100_vol(self):
+        # inj = 100 vol in floats, and rounding puts lower one ulp above upper
+        d = NormDatum(vol=76.37982415147164, inj=7637.982415147164, thurston=2.6251833548202748)
+        got = thm_main_bounds(d)
+        assert got.flagged == (got.lower > got.upper)
+        assert got.lower == pytest.approx(got.upper, rel=1e-15)
 
     @given(
         vol=st.floats(min_value=1e-3, max_value=1e4),
@@ -362,6 +419,26 @@ class TestPolytopeNorm:
         assert polytope_gauge(p, [0.5, 0.5]) == pytest.approx(1.0, rel=1e-9)
         assert polytope_gauge(p, [3.0, -4.0]) == pytest.approx(7.0, rel=1e-9)
 
+    def test_gauge_keeps_small_components(self):
+        # the gauge LP dropped the 2.2e-07 component, below its feasibility
+        # tolerance, and came back 8e-8 relative too small
+        scale = (Fraction(1, 4), Fraction(6, 5), Fraction(3))
+        cross = PolytopeNorm([tuple(sign * s if j == i else 0 for j in range(3))
+                              for i, s in enumerate(scale) for sign in (1, -1)])
+        x = (-0.45185812212845794, 0.035372658639590715, 2.2e-07)
+        exact = float(sum(abs(Fraction(c)) / s for c, s in zip(x, scale)))
+        assert abs(polytope_gauge(cross, x) - exact) <= 1e-15 * exact
+
+    def test_nonfinite_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            PolytopeNorm([(math.inf, 0.0), (-math.inf, 0.0), (0, 1), (0, -1)])
+        p = PolytopeNorm(DIAMOND)
+        for bad in ([math.nan, 1.0], [1.0, math.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                polytope_gauge(p, bad)
+            with pytest.raises(ValueError, match="finite"):
+                dual_norm(p, bad)
+
     def test_dual_of_dual_recovers_norm(self):
         # polar of the L1 ball is the sup ball; bipolar gives L1 back
         p = PolytopeNorm(DIAMOND)
@@ -405,8 +482,6 @@ class TestPolytopeNorm:
         # sharp-vertex integer polytopes, where sampling is cone-limited but
         # the facet LP is exact: the stronger route check, rel 1e-9
         rng = np.random.default_rng(31)
-        from scipy.spatial import ConvexHull
-
         for dim in (2, 4):
             for _ in range(3):
                 pts = rng.integers(-5, 6, size=(dim + 4, dim))
@@ -417,6 +492,40 @@ class TestPolytopeNorm:
                 p = PolytopeNorm(verts)
                 psi = rng.normal(size=dim)
                 assert dual_norm(p, psi) == pytest.approx(facet_dual(p, psi), rel=1e-9)
+
+
+class TestFacetFormAgainstOracles:
+    """Random symmetric integer hulls in dimensions 2 to 4."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.sampled_from((2, 3, 4)), data=st.data())
+    def test_gauge_matches_lp_oracle(self, dim, data):
+        p = data.draw(integer_hulls(dim))
+        x = data.draw(query_vectors(dim))
+        assert polytope_gauge(p, x) == pytest.approx(_gauge_lp(p.float_vertices(), x), rel=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.sampled_from((2, 3, 4)), data=st.data())
+    def test_gauge_is_a_norm(self, dim, data):
+        p = data.draw(integer_hulls(dim))
+        x = np.array(data.draw(query_vectors(dim)))
+        y = np.array(data.draw(query_vectors(dim)))
+        # scales that keep c * x clear of the subnormal range
+        c = data.draw(st.sampled_from((1.0, -1.0))) * data.draw(st.floats(min_value=1e-6, max_value=1e3))
+        gx, gy = polytope_gauge(p, x), polytope_gauge(p, y)
+        assert gx > 0.0
+        assert polytope_gauge(p, c * x) == pytest.approx(abs(c) * gx, rel=1e-12)
+        assert polytope_gauge(p, x + y) <= (gx + gy) * (1 + 1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.sampled_from((2, 3, 4)), data=st.data())
+    def test_inf_of_duals_matches_hull_oracle(self, dim, data):
+        norms = data.draw(st.lists(integer_hulls(dim), min_size=2, max_size=3))
+        psi = data.draw(query_vectors(dim))
+        rhs = min(dual_norm(p, psi) for p in norms)
+        gap = abs(hull_sup_support(norms, psi) - rhs) / rhs
+        assume(not 1e-10 < gap < 1e-8)  # too close to the 1e-9 line for qhull to decide
+        assert inf_of_duals_check(norms, [psi]) == (gap <= 1e-9)
 
 
 class TestInfOfDuals:
@@ -446,6 +555,11 @@ class TestInfOfDuals:
             lhs = max(lhs, float(np.array([1.0, 0.2]) @ (u / g)))
         rhs = min(dual_norm(diamond, [1.0, 0.2]), dual_norm(square, [1.0, 0.2]))
         assert lhs < rhs - 0.05
+
+    def test_one_dimensional_family(self):
+        wide = PolytopeNorm([(2,), (-2,)])
+        narrow = PolytopeNorm([(Fraction(1, 3),), (Fraction(-1, 3),)])
+        assert inf_of_duals_check([wide, narrow], [[1.0], [-2.5]])
 
     def test_crossing_family_true_on_symmetric_vectors(self):
         diamond = PolytopeNorm(DIAMOND)

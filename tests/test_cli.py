@@ -60,6 +60,13 @@ class TestGridParsing:
         grid = _parse_grid("1..100", integer=True)
         assert grid[0] == 1 and grid[-1] == 100
 
+    @pytest.mark.parametrize("text, lo, hi", [("10..1000", 10, 1000), ("1..102", 1, 102)])
+    def test_int_range_keeps_endpoint_off_step(self, text, lo, hi):
+        # the step does not divide hi - lo here
+        grid = _parse_grid(text, integer=True)
+        assert grid[0] == lo and grid[-1] == hi
+        assert grid == sorted(set(grid))
+
     def test_log_range_unique_ints(self):
         grid = _parse_grid("100..1000000", integer=True, log=True)
         assert grid[0] == 100 and grid[-1] == 1000000
