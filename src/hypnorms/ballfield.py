@@ -20,24 +20,27 @@ with N_lm = sqrt((2l+1)/(4 pi) * (l-m)!/(l+m)!) and
 Pbar_l^m(x) = (1-x^2)^(m/2) d^m P_l/dx^m (all positive near x = 1; this is
 (-1)^m times scipy's lpmv).  Only orthonormality is contractual.
 
-Angular derivatives avoid pole division where an exact rewrite exists:
-Pbar_l^1(cos phi)/sin(phi) = P_l'(cos phi) identically, and
-d/dphi Pbar_l^1 = cos(phi) P_l'(cos phi) - sin^2(phi) P_l''(cos phi); for
-m >= 2 both dY/dphi and (1/sin phi) dY/dtheta vanish at the poles and the
-generic recurrence is guarded there.  At exact poles the (phi, theta) frame
-itself is singular; components are returned as the fixed-theta limits.
+Pbar_l^m comes from the standard upward recurrence in l, started at
+Pbar_m^m = (2m-1)!! sin^m(phi).  Angular derivatives never divide by
+sin(phi); they use the exact rewrites
+
+    d/dphi Pbar_l^0      = -Pbar_l^1,
+    d/dphi Pbar_l^m      = ((l+m)(l-m+1) Pbar_l^(m-1) - Pbar_l^(m+1)) / 2,
+    Pbar_l^m / sin(phi)  = (Pbar_(l-1)^(m+1) + (l+m-1)(l+m) Pbar_(l-1)^(m-1)) / (2m)
+
+for m >= 1, so every value is accurate up to and at the poles.  At exact
+poles the (phi, theta) frame itself is singular; components are returned as
+the fixed-theta limits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
-from scipy.special import lpmv
 
 from .radial import dpsi, mode_norm, nu, psi
 
@@ -60,9 +63,6 @@ __all__ = [
     "sph_harm_dphi",
     "sph_harm_dtheta_over_sin",
 ]
-
-_POLE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class BallPoint:
@@ -131,15 +131,18 @@ def _norm_const(ell: int, m: int) -> float:
 
 
 def _assoc(ell: int, m: int, x):
-    # Condon-Shortley-free associated Legendre, m >= 0
-    return (-1.0) ** m * lpmv(m, ell, x)
-
-
-def _leg_derivs(ell: int, x):
-    c = np.zeros(ell + 1)
-    c[ell] = 1.0
-    series = npleg.Legendre(c)
-    return series.deriv(1)(x), series.deriv(2)(x)
+    """Pbar_ell^m(x), m >= 0, without the Condon-Shortley phase; 0 for m > ell."""
+    x = np.asarray(x, dtype=float)
+    if m > ell:
+        return np.zeros_like(x)
+    # (2m-1)!! (1 - x^2)^(m/2), with 1 - x^2 factored to keep digits near x = +-1
+    p_prev = float(math.prod(range(1, 2 * m, 2))) * np.sqrt((1.0 - x) * (1.0 + x)) ** m
+    if ell == m:
+        return p_prev
+    p = (2 * m + 1) * x * p_prev
+    for n in range(m + 2, ell + 1):
+        p, p_prev = ((2 * n - 1) * x * p - (n + m - 1) * p_prev) / (n - m), p
+    return p
 
 
 def _trig(m: int, theta):
@@ -180,19 +183,13 @@ def sph_harm_dphi(ell: int, m: int, phi, theta):
     if abs(m) > ell:
         raise ValueError(f"need |m| <= ell, got (ell, m) = ({ell}, {m})")
     am = abs(m)
-    phi_arr = np.asarray(phi, dtype=float)
-    x = np.cos(phi_arr)
-    s = np.sin(phi_arr)
+    x = np.cos(np.asarray(phi, dtype=float))
     if am == 0:
-        dP, _ = _leg_derivs(ell, x)
-        dfac = -s * dP
-    elif am == 1:
-        dP, ddP = _leg_derivs(ell, x)
-        dfac = x * dP - s * s * ddP
+        dfac = -_assoc(ell, 1, x)
     else:
-        # (x^2 - 1) dP/dx = ell x P_ell - (ell+m) P_{ell-1}, then d/dphi = -s d/dx
-        num = ell * x * _assoc(ell, am, x) - (ell + am) * _assoc(ell - 1, am, x)
-        dfac = np.where(s < _POLE_TOL, 0.0, num / np.where(s < _POLE_TOL, 1.0, s))
+        dfac = 0.5 * (
+            (ell + am) * (ell - am + 1) * _assoc(ell, am - 1, x) - _assoc(ell, am + 1, x)
+        )
     val = _norm_const(ell, m) * dfac * _trig(m, theta)
     return _maybe_scalar(val, phi, theta)
 
@@ -207,13 +204,9 @@ def sph_harm_dtheta_over_sin(ell: int, m: int, phi, theta):
         val = np.zeros(np.broadcast(phi_arr, np.asarray(theta, dtype=float)).shape)
         return _maybe_scalar(val, phi, theta)
     x = np.cos(phi_arr)
-    s = np.sin(phi_arr)
-    if am == 1:
-        dP, _ = _leg_derivs(ell, x)
-        over_sin = dP  # Pbar^1 = sin(phi) P', exactly
-    else:
-        P = _assoc(ell, am, x)
-        over_sin = np.where(s < _POLE_TOL, 0.0, P / np.where(s < _POLE_TOL, 1.0, s))
+    over_sin = (
+        _assoc(ell - 1, am + 1, x) + (ell + am - 1) * (ell + am) * _assoc(ell - 1, am - 1, x)
+    ) / (2 * am)
     val = _norm_const(ell, m) * over_sin * _dtrig(m, theta)
     return _maybe_scalar(val, phi, theta)
 
@@ -415,11 +408,6 @@ class DfBoundReport:
     ratio: float
 
 
-@lru_cache(maxsize=None)
-def _mode_norm_cached(ell: int, r: float) -> float:
-    return mode_norm(ell, r)
-
-
 def check_df_bound(expansion: HarmonicExpansion, r: float) -> DfBoundReport:
     """Sharp gradient bound at the ball center for a harmonic expansion.
 
@@ -438,7 +426,7 @@ def check_df_bound(expansion: HarmonicExpansion, r: float) -> DfBoundReport:
     )
     df_at_center = math.sqrt(df_sq / (3.0 * math.pi))
     l2_sq = sum(
-        a * a * _mode_norm_cached(ell, r) for (ell, _), a in expansion.items() if ell >= 1
+        a * a * mode_norm(ell, r) for (ell, _), a in expansion.items() if ell >= 1
     )
     l2_norm = math.sqrt(l2_sq)
     if l2_norm == 0.0:

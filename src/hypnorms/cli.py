@@ -38,7 +38,7 @@ from .verify import SUITES, Check, run_suite
 
 __all__ = ["RunConfig", "main", "cmd_nu", "cmd_verify", "cmd_family"]
 
-_GRID_POINTS = 25  # resolution of a..b range grids
+_GRID_POINTS = 25  # points of a float a..b range; integer ranges step by (b - a) // 25
 
 
 class UsageError(Exception):
@@ -75,7 +75,14 @@ def _parse_tols(pairs: list[str] | None) -> dict[str, float]:
 
 
 def _parse_grid(text: str, *, integer: bool = False, log: bool = False) -> list:
-    """Comma list or a..b range; ranges carry 25 points (all ints for n-grids)."""
+    """Comma list or a..b range.
+
+    Float ranges carry 25 points, evenly or (log) geometrically spaced.  An
+    integer range steps by max(1, (b - a) // 25) and always ends at b, so it
+    holds every integer when b - a < 50 (1..50 gives 50 points) and 26 to 38
+    points beyond; an integer log range rounds 25 geometric points and drops
+    duplicates.
+    """
     text = (text or "").strip()
     if not text:
         raise UsageError("empty grid")
@@ -136,8 +143,8 @@ def _emit(command: str, rows: list[dict], checks: list[Check], fmt: str) -> None
 
 def cmd_nu(grid: list[float], config: RunConfig) -> tuple[list[dict], list[Check]]:
     """Norm-density table plus the two branch-constant checks."""
-    if any(r <= 0 for r in grid):
-        raise UsageError("nu table needs strictly positive radii")
+    if not all(math.isfinite(r) and r > 0 for r in grid):
+        raise UsageError("nu table needs finite, strictly positive radii")
     rows = []
     for r in grid:
         v = nu(r)

@@ -17,17 +17,14 @@ ball of radius r is
                          + ell(ell+1) psi_ell(rho)^2 ] d rho,
 
 and the sharp constant in the pointwise gradient bound for harmonic functions
-is nu(r) = 3 pi N_1(r), computed here from the expanded integrand
+is nu(r) = 3 pi N_1(r).  Because psi_ell Y is harmonic, Green's identity
+collapses N_ell to boundary flux, N_ell(r) = psi_ell(r) psi_ell'(r) sinh^2(r),
+which yields the closed form
 
-    nu(r) = 6 pi int_0^r [ coth^2 + 2 csch^2 - 6 rho coth csch^2
-                           + rho^2 csch^2 (2 coth^2 + csch^2) ] d rho.
+    nu(r) = 6 pi (coth r - r csch^2 r)(r coth r - 1).
 
-Because psi_ell Y is harmonic, Green's identity collapses N_ell to boundary
-flux, N_ell(r) = psi_ell(r) psi_ell'(r) sinh^2(r), which yields the closed form
-
-    nu(r) = 6 pi (coth r - r csch^2 r)(r coth r - 1)
-
-shipped as nu_closed() and cross-checked against the quadrature definition.
+Both are evaluated here in closed form; the quadrature definitions are
+kept in the test suite as oracles.
 
 Numerical notes.  The hypergeometric series converges like k^-3 tanh^(2k)(r/2),
 fast for r <= 2 but uselessly slow near r = 10; for r >= 2 evaluation switches
@@ -35,12 +32,13 @@ to an exact elementary route: with x = coth r the radial ODE becomes
 u'' = ell(ell+1)/(x^2-1) u, whose regular solution is (1-x^2) Q_ell'(x), and
 log((x+1)/(x-1)) = 2r makes the Legendre Q_ell elementary.  That route
 cancels catastrophically as r -> 0 (terms ~ r^-ell), so it is used only at
-large r; conversely the raw hyperbolic expressions for psi_1, psi_1' and the
-nu integrand lose ~2 log10(1/rho) digits to csch^2 cancellation as rho -> 0
-and are replaced below TAYLOR_SWITCH by 5-term Taylor polynomials (exact
-rational coefficients; error at the switch ~ 4e-12 relative, while the raw
-forms are still good to ~3e-13 there, so both sides of the switch stay well
-inside the 1e-10 cross-check tolerances).
+large r; conversely the raw hyperbolic expressions for psi_1, psi_1' and nu
+lose ~2 log10(1/r) digits to csch^2 cancellation as r -> 0 and are replaced
+below TAYLOR_SWITCH by 5-term Taylor polynomials (exact rational
+coefficients; error at the switch ~ 4e-12 relative, while the raw forms are
+still good to ~3e-13 there, so both sides of the switch stay well inside
+the 1e-10 cross-check tolerances).  nu writes coth and csch^2 through
+exp(-2r), so it stays finite past the overflow of sinh^2 near r = 355.
 """
 
 from __future__ import annotations
@@ -49,17 +47,13 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from scipy.integrate import quad
-
 __all__ = [
     "RadialMode",
     "TAYLOR_SWITCH",
     "dpsi",
     "mode_norm",
-    "mode_norm_flux",
     "nu",
     "nu_closed",
-    "nu_integrand",
     "psi",
     "psi_series",
     "dpsi_series",
@@ -67,7 +61,8 @@ __all__ = [
 
 # Exact Taylor coefficients (sympy-derived, frozen).  psi_1 on odd powers
 # r, r^3, ..., r^9; its derivative on even powers 1, r^2, ..., r^8; the
-# 6pi-normalized nu integrand on rho^2, ..., rho^10.
+# 6pi-normalized nu integrand on rho^2, ..., rho^10 (nu is its termwise
+# integral).
 _PSI1_TAYLOR = (2 / 3, -4 / 45, 4 / 315, -8 / 4725, 4 / 18711, -5528 / 212837625)
 _DPSI1_TAYLOR = (2 / 3, -4 / 15, 4 / 63, -8 / 675, 4 / 2079, -5528 / 19348875)
 _NU_INTEGRAND_TAYLOR = (2 / 3, -2 / 9, 4 / 75, -2 / 189, 2764 / 1488375, -4 / 13365)
@@ -80,12 +75,10 @@ TAYLOR_SWITCH = 0.15
 # needs ~60 terms here, the Legendre route has no cancellation this far out.
 _SERIES_MAX_R = 2.0
 
-_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-10, limit=200)
-
 
 def _require_nonneg(r: float) -> None:
-    if r < 0:
-        raise ValueError(f"radius must be nonnegative, got {r}")
+    if not (math.isfinite(r) and r >= 0):
+        raise ValueError(f"radius must be finite and nonnegative, got {r}")
 
 
 def psi_series(ell: int, r: float, max_terms: int = 500) -> float:
@@ -275,43 +268,17 @@ class RadialMode:
 def mode_norm(ell: int, r: float) -> float:
     """Squared L^2(B_r) norm N_ell(r) of the unit degree-ell gradient field.
 
-    Adaptive quadrature of (psi')^2 sinh^2 + ell(ell+1) psi^2; this is the
-    contractual definition.  mode_norm_flux is the independent closed form.
+    Closed form: by Green's identity (the degree-ell field is the
+    differential of a harmonic function) the integral of
+    (psi')^2 sinh^2 + ell(ell+1) psi^2 over [0, r] is the boundary flux
+    psi_ell(r) psi_ell'(r) sinh^2(r).
     """
     if ell < 1:
         raise ValueError("mode_norm needs ell >= 1; the ell = 0 field vanishes")
-    if r <= 0:
-        raise ValueError(f"radius must be positive, got {r}")
-    ll1 = ell * (ell + 1)
-
-    def integrand(rho: float) -> float:
-        return dpsi(ell, rho) ** 2 * math.sinh(rho) ** 2 + ll1 * psi(ell, rho) ** 2
-
-    val, _ = quad(integrand, 0.0, r, **_QUAD_OPTS)
-    return val
-
-
-def mode_norm_flux(ell: int, r: float) -> float:
-    """N_ell(r) as boundary flux, psi_ell(r) psi_ell'(r) sinh^2(r).
-
-    Equal to mode_norm by Green's identity (the degree-ell field is the
-    differential of a harmonic function); kept as a separate route so the
-    quadrature definition has an exact oracle.
-    """
-    if ell < 1:
-        raise ValueError("mode_norm_flux needs ell >= 1")
-    if r <= 0:
+    _require_nonneg(r)
+    if r == 0:
         raise ValueError(f"radius must be positive, got {r}")
     return psi(ell, r) * dpsi(ell, r) * math.sinh(r) ** 2
-
-
-def nu_integrand(rho: float) -> float:
-    """The 6pi-normalized integrand of nu (Taylor branch below TAYLOR_SWITCH)."""
-    if rho < TAYLOR_SWITCH:
-        return _poly_eval_even(_NU_INTEGRAND_TAYLOR, rho, 2)
-    c = 1.0 / math.tanh(rho)
-    s = 1.0 / math.sinh(rho) ** 2
-    return c * c + 2.0 * s - 6.0 * rho * c * s + rho * rho * s * (2.0 * c * c + s)
 
 
 def _nu_taylor_integral(r: float) -> float:
@@ -321,33 +288,28 @@ def _nu_taylor_integral(r: float) -> float:
 
 
 def nu(r: float) -> float:
-    """The sharp gradient-bound constant nu(r), by quadrature.
+    """The sharp gradient-bound constant nu(r) = 3 pi N_1(r), in closed form.
 
-    nu(0) = 0; strictly increasing; ~ 4 pi r^3 / 3 as r -> 0 and
-    ~ 6 pi r (with additive offset -6 pi) as r -> infinity.  The integral is
-    split at TAYLOR_SWITCH: polynomial part integrated exactly, remainder by
-    adaptive quadrature of the raw integrand, so no branch point sits inside
-    the adaptive interval.
-    """
-    _require_nonneg(r)
-    if r == 0.0:
-        return 0.0
-    if r <= TAYLOR_SWITCH:
-        return 6.0 * math.pi * _nu_taylor_integral(r)
-    head = _nu_taylor_integral(TAYLOR_SWITCH)
-    tail, _ = quad(nu_integrand, TAYLOR_SWITCH, r, **_QUAD_OPTS)
-    return 6.0 * math.pi * (head + tail)
-
-
-def nu_closed(r: float) -> float:
-    """Antiderivative form nu(r) = 6 pi (coth r - r csch^2 r)(r coth r - 1).
-
-    Derived from the boundary-flux identity nu = 3 pi N_1; matches the
-    quadrature definition to rel <= 1e-10 everywhere (asserted in tests).
+    nu(r) = 6 pi (coth r - r csch^2 r)(r coth r - 1), the boundary flux of
+    the degree-one mode; below TAYLOR_SWITCH the termwise integral of the
+    integrand's Taylor polynomial.  nu(0) = 0; strictly increasing;
+    ~ 4 pi r^3 / 3 as r -> 0 and 6 pi (r - 1) + o(1) as r -> infinity.
+    With q = exp(-2r), coth r = (1 + q)/(1 - q) and csch^2 r = 4q/(1 - q)^2,
+    so the value is finite for every r up to ~9e306, where 6 pi r leaves
+    the float range and ValueError is raised.
     """
     _require_nonneg(r)
     if r < TAYLOR_SWITCH:
         return 6.0 * math.pi * _nu_taylor_integral(r)
-    c = 1.0 / math.tanh(r)
-    s = 1.0 / math.sinh(r) ** 2
-    return 6.0 * math.pi * (c - r * s) * (r * c - 1.0)
+    q = math.exp(-2.0 * r)
+    one_minus_q = -math.expm1(-2.0 * r)
+    c = (1.0 + q) / one_minus_q
+    s = 4.0 * q / one_minus_q**2
+    value = 6.0 * math.pi * (c - r * s) * (r * c - 1.0)
+    if math.isinf(value):
+        raise ValueError(f"nu({r}) exceeds the float range")
+    return value
+
+
+# Kept for callers that name the closed form explicitly (benchmark/fields.py).
+nu_closed = nu

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import lpmv
 
 from hypnorms.ballfield import (
     BallField,
@@ -31,6 +32,7 @@ from hypnorms.ballfield import (
     sph_harm_dtheta_over_sin,
 )
 from hypnorms.radial import dpsi, mode_norm, nu, psi
+from quad_oracles import mode_norm_quad, nu_quad
 
 THREE_PI = 3.0 * math.pi
 
@@ -83,6 +85,45 @@ class TestSphHarm:
             for ell, m in mode_indices(4):
                 assert math.isfinite(sph_harm_dphi(ell, m, phi, 0.7))
                 assert math.isfinite(sph_harm_dtheta_over_sin(ell, m, phi, 0.7))
+
+    def test_against_lpmv_up_to_degree_40(self):
+        # scipy's lpmv carries the Condon-Shortley phase; the derivative
+        # references use pole-free identities, and away from the poles also
+        # the division forms d/dphi Pbar^m = m cot(phi) Pbar^m - Pbar^(m+1)
+        # and Pbar^m / sin(phi).  Errors are relative to the max over the grid.
+        pole = np.array([0.0, 1e-12, 1e-8, 1e-5, 1e-3])
+        phi = np.concatenate([pole, np.linspace(0.01, math.pi - 0.01, 157), math.pi - pole[::-1]])
+        x, s = np.cos(phi), np.sin(phi)
+        away = s >= 0.1
+
+        def pbar(ell, m):
+            if m > ell:
+                return np.zeros_like(x)
+            return (-1.0) ** m * lpmv(m, ell, x)
+
+        def close(got, ref, mask=slice(None)):
+            return np.max(np.abs(got - ref)[mask]) <= 1e-12 * np.max(np.abs(ref))
+
+        for ell in range(41):
+            for m in range(ell + 1):
+                scale = math.sqrt((2 * ell + 1) / (4 * math.pi) * math.factorial(ell - m)
+                                  / math.factorial(ell + m)) * (math.sqrt(2.0) if m else 1.0)
+                assert close(sph_harm(ell, m, phi, 0.0), scale * pbar(ell, m)), (ell, m)
+                dphi = sph_harm_dphi(ell, m, phi, 0.0)
+                if m == 0:
+                    ref = -scale * pbar(ell, 1)
+                else:
+                    ref = 0.5 * scale * ((ell + m) * (ell - m + 1) * pbar(ell, m - 1)
+                                         - pbar(ell, m + 1))
+                    over_sin = sph_harm_dtheta_over_sin(ell, -m, phi, 0.0) / m
+                    over_ref = scale * (pbar(ell - 1, m + 1) + (ell + m - 1) * (ell + m)
+                                        * pbar(ell - 1, m - 1)) / (2 * m)
+                    assert close(over_sin, over_ref), (ell, m)
+                    assert close(over_sin, scale * pbar(ell, m) / np.where(away, s, 1.0), away)
+                if ell:
+                    assert close(dphi, ref), (ell, m)
+                    div = scale * (m * x * pbar(ell, m) / np.where(away, s, 1.0) - pbar(ell, m + 1))
+                    assert close(dphi, div, away), (ell, m)
 
     def test_vectorized_matches_scalar(self):
         phi = np.array([0.3, 1.2, 2.9])
@@ -278,9 +319,10 @@ class TestDfBound:
         exp = HarmonicExpansion({(1, 0): 1.0, (2, 0): 2.0}, truncation=2)
         rep = check_df_bound(exp, 1.5)
         assert rep.df_at_center == pytest.approx(1.0 / math.sqrt(THREE_PI), rel=1e-14)
-        l2 = math.sqrt(mode_norm(1, 1.5) + 4.0 * mode_norm(2, 1.5))
-        assert rep.l2_norm == pytest.approx(l2, rel=1e-12)
-        assert rep.ratio == pytest.approx(rep.df_at_center * math.sqrt(nu(1.5)) / l2, rel=1e-12)
+        # against the quadrature definitions of N_ell and nu
+        l2 = math.sqrt(mode_norm_quad(1, 1.5) + 4.0 * mode_norm_quad(2, 1.5))
+        assert rep.l2_norm == pytest.approx(l2, rel=1e-10)
+        assert rep.ratio == pytest.approx(rep.df_at_center * math.sqrt(nu_quad(1.5)) / l2, rel=1e-10)
 
     def test_df_at_center_ignores_higher_modes(self):
         a = check_df_bound(HarmonicExpansion({(1, 1): 2.0}, truncation=1), 1.0)

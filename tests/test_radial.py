@@ -5,24 +5,25 @@ expansion, finite differences, termwise-integrated series) before the module
 under test existed; they are not regression snapshots.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypnorms.cli import main as cli_main
 from hypnorms.radial import (
     RadialMode,
     dpsi,
     dpsi_series,
     mode_norm,
-    mode_norm_flux,
     nu,
     nu_closed,
-    nu_integrand,
     psi,
     psi_series,
 )
+from quad_oracles import mode_norm_quad, nu_integrand, nu_quad
 
 SIX_PI = 6.0 * math.pi
 
@@ -142,17 +143,18 @@ class TestModeNorm:
     def test_quadrature_equals_flux_identity(self):
         # Green's identity: the interior integral collapses to boundary flux
         for ell in (1, 2, 3, 5):
-            for r in (0.5, 1.0, 1.7, 3.0, 6.0):
-                assert rel_err(mode_norm(ell, r), mode_norm_flux(ell, r)) < 1e-9
+            for r in (0.05, 0.5, 1.0, 1.7, 3.0, 6.0):
+                assert rel_err(mode_norm(ell, r), mode_norm_quad(ell, r)) < 1e-10
 
     def test_degree_one_carries_nu(self):
         for r in (0.5, 1.0, 2.0, 5.0):
-            assert rel_err(3.0 * math.pi * mode_norm(1, r), nu(r)) < 1e-10
+            assert rel_err(3.0 * math.pi * mode_norm(1, r), nu(r)) < 1e-12
+            assert rel_err(3.0 * math.pi * mode_norm_quad(1, r), nu(r)) < 1e-10
 
     def test_small_ball_vanishing_order(self):
         # N_ell ~ c r^(2 ell + 1); doubling the radius scales by 2^(2 ell + 1)
         for ell in (1, 2, 3):
-            ratio = mode_norm_flux(ell, 0.2) / mode_norm_flux(ell, 0.1)
+            ratio = mode_norm(ell, 0.2) / mode_norm(ell, 0.1)
             assert abs(ratio / 2 ** (2 * ell + 1) - 1.0) < 0.05
 
     def test_large_ball_linear_growth(self):
@@ -165,9 +167,9 @@ class TestModeNorm:
         with pytest.raises(ValueError):
             mode_norm(1, 0.0)
         with pytest.raises(ValueError):
-            mode_norm_flux(0, 1.0)
+            mode_norm(0, 1.0)
         with pytest.raises(ValueError):
-            mode_norm_flux(1, -2.0)
+            mode_norm(1, -2.0)
 
     @given(
         ell=st.integers(min_value=1, max_value=6),
@@ -177,10 +179,10 @@ class TestModeNorm:
     @settings(deadline=None, max_examples=40)
     def test_positive_and_increasing(self, ell, r1, r2):
         lo, hi = sorted((r1, r2))
-        a = mode_norm_flux(ell, lo)
+        a = mode_norm(ell, lo)
         assert a > 0.0
         if hi > lo:
-            assert mode_norm_flux(ell, hi) >= a
+            assert mode_norm(ell, hi) >= a
 
 
 class TestNu:
@@ -190,7 +192,7 @@ class TestNu:
 
     def test_quadrature_agrees_with_antiderivative(self):
         for r in np.geomspace(1e-3, 30.0, 40):
-            assert rel_err(nu(r), nu_closed(r)) < 1e-10
+            assert rel_err(nu(r), nu_quad(r)) < 1e-10
 
     def test_integrand_identity(self):
         # 2 * nu_integrand = (psi_1')^2 sinh^2 + 2 psi_1^2, the degree-one
@@ -228,6 +230,22 @@ class TestNu:
         with pytest.raises(ValueError):
             nu(-0.1)
 
+    @pytest.mark.parametrize("r", [400.0, 710.0, 1000.0, 1e6, 1e300])
+    def test_finite_past_sinh_overflow(self, r):
+        # coth r = 1 and r csch^2 r = 0 to double precision here, so the
+        # closed form 6 pi (coth r - r csch^2 r)(r coth r - 1) is 6 pi (r - 1)
+        assert rel_err(nu(r), SIX_PI * (r - 1.0)) < 1e-15
+
+    def test_value_past_float_range_raises(self):
+        with pytest.raises(ValueError, match="float range"):
+            nu(1e308)
+
+    def test_cli_table_past_sinh_overflow(self, capsys):
+        assert cli_main(["nu", "--r", "1,400"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [row["r"] for row in rows] == [1.0, 400.0]
+        assert rel_err(rows[1]["nu"], SIX_PI * 399.0) < 1e-15
+
     @given(
         r1=st.floats(min_value=1e-3, max_value=30.0),
         r2=st.floats(min_value=1e-3, max_value=30.0),
@@ -237,6 +255,30 @@ class TestNu:
         lo, hi = sorted((r1, r2))
         if hi > lo:
             assert nu_closed(hi) > nu_closed(lo)
+
+
+NONFINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonfiniteRadius:
+    """Every public radial entry rejects nan and +-inf with ValueError."""
+
+    @pytest.mark.parametrize("r", NONFINITE)
+    def test_nu(self, r):
+        with pytest.raises(ValueError, match="finite"):
+            nu(r)
+
+    @pytest.mark.parametrize("r", NONFINITE)
+    @pytest.mark.parametrize("fn", [psi, dpsi, psi_series, dpsi_series, mode_norm])
+    @pytest.mark.parametrize("ell", [1, 2, 5])
+    def test_mode_functions(self, fn, ell, r):
+        with pytest.raises(ValueError, match="finite"):
+            fn(ell, r)
+
+    @pytest.mark.parametrize("text", ["nan", "1,inf", "0.5,nan"])
+    def test_cli_table_is_a_usage_error(self, capsys, text):
+        assert cli_main(["nu", "--r", text]) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestBranchConstants:
