@@ -1,9 +1,9 @@
 """Search for homology classes of the five twist curves.
 
-The composed twist word  t_a t_d^-1 t_c t_b^-1 t_d t_c^-1 t_e^-1  must act on
-H_1 of the genus-2 surface as the matrix B below.  The figure the word comes
-from does not pin down orientations, twist handedness, or the composition
-order, so we search:
+The composed twist word  t_a t_d^-1 t_c t_b^-1 t_d t_c^-1 t_e^-1  (homalg's
+TWIST_WORD) must act on H_1 of the genus-2 surface as the matrix MONODROMY.
+The figure the word comes from does not pin down orientations, twist
+handedness, or the composition order, so we search:
 
   * class vectors for a..e with entries in {-1, 0, 1} (a transvection does
     not see the sign of its curve class, so vectors are enumerated up to
@@ -19,37 +19,21 @@ Writes every solution found to stdout; the first one is frozen into
 src/hypnorms/data/twist_classes.txt by hand.  If the chain search found
 nothing we would fall back to an unconstrained meet-in-the-middle sweep,
 but it does not come to that (see output).
+
+Run from the repository root with the package importable:
+
+    PYTHONPATH=src python scripts/derive_twist_classes.py
 """
 
+from functools import cache
 from itertools import product
 
-J = ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0))
-B = ((3, 0, 1, 0), (1, 0, 0, -1), (-1, 0, 0, 0), (1, 1, 1, 3))
-
-IDENT = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+from hypnorms.homalg import MONODROMY, SYMPLECTIC_FORM, TWIST_WORD, IntMat, transvection
 
 
-def mat_mul(X, Y):
-    return tuple(
-        tuple(sum(X[i][k] * Y[k][j] for k in range(4)) for j in range(4))
-        for i in range(4)
-    )
-
-
-def mat_vec(X, v):
-    return tuple(sum(X[i][k] * v[k] for k in range(4)) for i in range(4))
-
-
+@cache
 def pairing(x, y):
-    return sum(x[i] * J[i][j] * y[j] for i in range(4) for j in range(4))
-
-
-def transvection(gamma, sign):
-    jg = mat_vec(J, gamma)
-    return tuple(
-        tuple(IDENT[i][j] + sign * gamma[i] * jg[j] for j in range(4))
-        for i in range(4)
-    )
+    return sum(a * b for a, b in zip(x, SYMPLECTIC_FORM.vec(y)))
 
 
 def candidates():
@@ -65,15 +49,16 @@ def candidates():
 
 CANDS = list(candidates())
 
-# word letters as (curve index, exponent); curves indexed a=0 .. e=4
-WORD = ((0, +1), (3, -1), (2, +1), (1, -1), (3, +1), (2, -1), (4, -1))
+# the search composes the same 80 (class, sign) transvections over and over
+twist = cache(transvection)
 
 
 def compose(classes, handedness, reverse):
-    word = WORD[::-1] if reverse else WORD
-    M = IDENT
-    for idx, expo in word:
-        M = mat_mul(M, transvection(classes[idx], handedness * expo))
+    named = dict(zip("abcde", classes))
+    word = TWIST_WORD[::-1] if reverse else TWIST_WORD
+    M = IntMat.identity(4)
+    for name, expo in word:
+        M = M @ twist(named[name], handedness * expo)
     return M
 
 
@@ -108,7 +93,7 @@ def main():
     for classes in chain_tuples:
         for handedness in (+1, -1):
             for reverse in (False, True):
-                if compose(classes, handedness, reverse) == B:
+                if compose(classes, handedness, reverse) == MONODROMY:
                     solutions.append((classes, handedness, reverse))
     print(f"solutions: {len(solutions)}")
     for classes, handedness, reverse in solutions[:20]:

@@ -36,8 +36,8 @@ the fixed-theta limits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple
+from dataclasses import dataclass
+from typing import Mapping, NamedTuple
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -73,8 +73,8 @@ class BallPoint:
     theta: float
 
     def __post_init__(self):
-        if self.r < 0:
-            raise ValueError(f"radius must be nonnegative, got {self.r}")
+        if not (math.isfinite(self.r) and self.r >= 0):
+            raise ValueError(f"radius must be finite and nonnegative, got {self.r}")
         if not 0.0 <= self.phi <= math.pi:
             raise ValueError(f"colatitude must lie in [0, pi], got {self.phi}")
         if not 0.0 <= self.theta < 2.0 * math.pi:
@@ -96,8 +96,9 @@ class CovectorFrame(NamedTuple):
 class HarmonicExpansion:
     """Truncated coefficient table a_lm of a harmonic function on a ball.
 
-    coefficients maps (ell, m) to a real a_lm; every stored index must satisfy
-    |m| <= ell <= truncation.  Tail estimation is the caller's business.
+    coefficients maps (ell, m) to a finite real a_lm; every stored index must
+    satisfy |m| <= ell <= truncation.  Tail estimation is the caller's
+    business.
     """
 
     coefficients: Mapping[tuple[int, int], float]
@@ -107,9 +108,11 @@ class HarmonicExpansion:
         if self.truncation < 0:
             raise ValueError("truncation must be nonnegative")
         object.__setattr__(self, "coefficients", dict(self.coefficients))
-        for (ell, m) in self.coefficients:
+        for (ell, m), a in self.coefficients.items():
             if not (0 <= ell <= self.truncation and abs(m) <= ell):
                 raise ValueError(f"index ({ell}, {m}) violates |m| <= ell <= {self.truncation}")
+            if not math.isfinite(a):
+                raise ValueError(f"coefficient a_({ell},{m}) must be finite, got {a}")
 
     def coefficient(self, ell: int, m: int) -> float:
         return self.coefficients.get((ell, m), 0.0)
@@ -247,9 +250,8 @@ def eval_omega(ell: int, m: int, p: BallPoint) -> CovectorFrame:
 class BallField:
     """The differential of a finite harmonic expansion, as a covector field.
 
-    Callable point by point; the quadrature below also uses the vectorized
-    grid evaluation, which exploits that every mode separates into a radial
-    profile times an angular factor.
+    Callable point by point; ball_l2_norm_sq integrates it through the Gram
+    matrix of its modes.
     """
 
     def __init__(self, expansion: HarmonicExpansion):
@@ -266,28 +268,6 @@ class BallField:
             ctheta += a * f.c_theta
         return CovectorFrame(cr, cphi, ctheta)
 
-    def _frame_grid(self, r_nodes, phi_nodes, theta_nodes):
-        shape = (len(r_nodes), len(phi_nodes), len(theta_nodes))
-        cr = np.zeros(shape)
-        cphi = np.zeros(shape)
-        ctheta = np.zeros(shape)
-        phi2, theta2 = np.meshgrid(phi_nodes, theta_nodes, indexing="ij")
-        sinh_r = np.sinh(r_nodes)
-        for (ell, m), a in self.expansion.items():
-            if a == 0.0 or ell == 0:
-                continue
-            dpsi_vec = np.array([dpsi(ell, r) for r in r_nodes])
-            over_sinh = np.array(
-                [psi(ell, r) / sh if r > 0 else dpsi(ell, r) for r, sh in zip(r_nodes, sinh_r)]
-            )
-            Y = sph_harm(ell, m, phi2, theta2)
-            dY = sph_harm_dphi(ell, m, phi2, theta2)
-            G = sph_harm_dtheta_over_sin(ell, m, phi2, theta2)
-            cr += a * dpsi_vec[:, None, None] * Y[None, :, :]
-            cphi += a * over_sinh[:, None, None] * dY[None, :, :]
-            ctheta += a * over_sinh[:, None, None] * G[None, :, :]
-        return cr, cphi, ctheta
-
 
 def omega_field(ell: int, m: int) -> BallField:
     """The single-mode field omega_lm."""
@@ -301,8 +281,8 @@ def expansion_field(expansion: HarmonicExpansion) -> BallField:
 def _quad_nodes(r: float, order: int):
     if order < 4:
         raise ValueError(f"quadrature order must be >= 4, got {order}")
-    if r <= 0:
-        raise ValueError(f"ball radius must be positive, got {r}")
+    if not (math.isfinite(r) and r > 0):
+        raise ValueError(f"ball radius must be finite and positive, got {r}")
     xr, wr = npleg.leggauss(order)
     r_nodes = 0.5 * r * (xr + 1.0)
     r_weights = 0.5 * r * wr
@@ -313,48 +293,6 @@ def _quad_nodes(r: float, order: int):
     theta_nodes = np.arange(n_theta) * (2.0 * math.pi / n_theta)
     theta_weight = 2.0 * math.pi / n_theta
     return r_nodes, r_weights, phi_nodes, phi_weights, theta_nodes, theta_weight
-
-
-def ball_l2_norm_sq(
-    field: Callable[[BallPoint], CovectorFrame], r: float, order: int = 48
-) -> float:
-    """integral over B_r of |field|^2 dVol, by tensor-product quadrature.
-
-    Gauss-Legendre in r and phi, uniform (trapezoid on the periodic circle)
-    in theta with 2*order points.  BallField instances are evaluated on the
-    whole grid at once; any other callable is sampled point by point.
-    """
-    r_nodes, r_w, phi_nodes, phi_w, theta_nodes, theta_w = _quad_nodes(r, order)
-    if isinstance(field, BallField):
-        cr, cphi, ctheta = field._frame_grid(r_nodes, phi_nodes, theta_nodes)
-        sq = cr * cr + cphi * cphi + ctheta * ctheta
-        bad = ~np.isfinite(sq)
-        if bad.any():
-            i, j, k = np.argwhere(bad)[0]
-            raise ValueError(
-                "nonfinite field sample at "
-                f"BallPoint(r={r_nodes[i]}, phi={phi_nodes[j]}, theta={theta_nodes[k]})"
-            )
-        weight = (
-            (r_w * np.sinh(r_nodes) ** 2)[:, None, None]
-            * (phi_w * np.sin(phi_nodes))[None, :, None]
-            * theta_w
-        )
-        return float(np.sum(sq * weight))
-    total = 0.0
-    for i, ri in enumerate(r_nodes):
-        wi = r_w[i] * math.sinh(ri) ** 2
-        for j, phij in enumerate(phi_nodes):
-            wj = phi_w[j] * math.sin(phij)
-            for thetak in theta_nodes:
-                f = field(BallPoint(ri, phij, thetak))
-                sq = f.c_r**2 + f.c_phi**2 + f.c_theta**2
-                if not math.isfinite(sq):
-                    raise ValueError(
-                        f"nonfinite field sample at BallPoint(r={ri}, phi={phij}, theta={thetak})"
-                    )
-                total += wi * wj * theta_w * sq
-    return total
 
 
 def _angular_tables(modes, phi_nodes, theta_nodes):
@@ -383,9 +321,8 @@ def psi_gram(lmax: int, r: float, order: int = 48):
     return modes, R * A
 
 
-def omega_gram(lmax: int, r: float, order: int = 48):
-    """Gram matrix of the omega_lm, 1 <= ell <= lmax, in L^2 Omega^1(B_r)."""
-    modes = mode_indices(lmax, lmin=1)
+def _omega_gram(modes, r: float, order: int):
+    # Gram matrix of the omega_lm over the given (ell, m), all ell >= 1
     r_nodes, r_w, phi_nodes, phi_w, theta_nodes, theta_w = _quad_nodes(r, order)
     Y, dY, G = _angular_tables(modes, phi_nodes, theta_nodes)
     wang = (phi_w * np.sin(phi_nodes))[:, None] * theta_w
@@ -396,7 +333,36 @@ def omega_gram(lmax: int, r: float, order: int = 48):
     wrad_sinh = r_w * np.sinh(r_nodes) ** 2
     R1 = np.einsum("ak,bk,k->ab", dpsi_vals, dpsi_vals, wrad_sinh)
     R0 = np.einsum("ak,bk,k->ab", psi_vals, psi_vals, r_w)
-    return modes, R1 * A + R0 * B
+    return R1 * A + R0 * B
+
+
+def omega_gram(lmax: int, r: float, order: int = 48):
+    """Gram matrix of the omega_lm, 1 <= ell <= lmax, in L^2 Omega^1(B_r)."""
+    modes = mode_indices(lmax, lmin=1)
+    return modes, _omega_gram(modes, r, order)
+
+
+def ball_l2_norm_sq(field: BallField, r: float, order: int = 48) -> float:
+    """integral over B_r of |field|^2 dVol, by tensor-product quadrature.
+
+    Gauss-Legendre in r and phi, uniform (trapezoid on the periodic circle)
+    in theta with 2*order points.  The integral is the quadratic form
+    a^T G a of the expansion's nonzero coefficients a_lm (ell >= 1) in the
+    Gram matrix G of their modes on that grid; a nonfinite result raises
+    ValueError.
+    """
+    if not isinstance(field, BallField):
+        raise TypeError(f"ball_l2_norm_sq needs a BallField, got {type(field).__name__}")
+    terms = [((ell, m), a) for (ell, m), a in field.expansion.items() if a != 0.0 and ell >= 1]
+    if not terms:
+        _quad_nodes(r, order)  # validates r and order
+        return 0.0
+    modes = [mode for mode, _ in terms]
+    coeffs = np.array([a for _, a in terms])
+    value = float(coeffs @ _omega_gram(modes, r, order) @ coeffs)
+    if not math.isfinite(value):
+        raise ValueError(f"nonfinite L2 norm {value} on B_{r} at quadrature order {order}")
+    return value
 
 
 @dataclass(frozen=True)

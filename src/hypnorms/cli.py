@@ -265,12 +265,9 @@ def _gluing_rows(n_grid: list[int], config: RunConfig) -> tuple[list[dict], list
             }
         )
     t_ln = config.tol.get("gluing-rate-ln", 0.002)
-    t_pp = config.tol.get("gluing-rate-paper", 0.001)
     checks = [
         Check("gluing-rate-ln", "log_th_lower/vol near ln(lam)/vol_block at the last n",
               last.rate_ln, t_ln, abs(last.rate_ln - 0.128) <= t_ln),
-        Check("gluing-rate-paper", "displayed rate lam/vol_block",
-              last.rate_paper, t_pp, abs(last.rate_paper - 0.348) <= t_pp),
     ]
     return rows, checks
 

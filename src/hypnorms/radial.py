@@ -37,18 +37,17 @@ lose ~2 log10(1/r) digits to csch^2 cancellation as r -> 0 and are replaced
 below TAYLOR_SWITCH by 5-term Taylor polynomials (exact rational
 coefficients; error at the switch ~ 4e-12 relative, while the raw forms are
 still good to ~3e-13 there, so both sides of the switch stay well inside
-the 1e-10 cross-check tolerances).  nu writes coth and csch^2 through
-exp(-2r), so it stays finite past the overflow of sinh^2 near r = 355.
+the 1e-10 cross-check tolerances).  Every closed form writes coth and
+csch^2 through q = exp(-2r), coth r = (1+q)/(1-q) and csch^2 r =
+4q/(1-q)^2, and mode_norm never forms sinh^2 past r = 2, so psi, dpsi,
+mode_norm and nu all stay finite past the overflow of sinh^2 near r = 355.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Literal
 
 __all__ = [
-    "RadialMode",
     "TAYLOR_SWITCH",
     "dpsi",
     "mode_norm",
@@ -149,26 +148,37 @@ def _legendre_trio(ell: int, x: float) -> tuple[list, list, list]:
     return P, dP, ddP
 
 
+def _coth_csch2(r: float) -> tuple[float, float]:
+    # coth r = (1 + q)/(1 - q) and csch^2 r = 4q/(1 - q)^2 with q = exp(-2r):
+    # finite for every r > 0, where sinh(r)**2 overflows near r = 355
+    q = math.exp(-2.0 * r)
+    one_minus_q = -math.expm1(-2.0 * r)
+    return (1.0 + q) / one_minus_q, 4.0 * q / one_minus_q**2
+
+
 def _psi_large(ell: int, r: float) -> float:
     # psi_ell = P_ell(coth r) - csch^2 r (r P_ell'(coth r) - W'(coth r)),
     # W = sum_{k=1}^{ell} P_{k-1} P_{ell-k} / k  (the polynomial part of Q_ell).
-    x = 1.0 / math.tanh(r)
-    s = 1.0 / math.sinh(r) ** 2
+    x, s = _coth_csch2(r)
     P, dP, _ = _legendre_trio(ell, x)
     Wp = sum((dP[k - 1] * P[ell - k] + P[k - 1] * dP[ell - k]) / k for k in range(1, ell + 1))
     return P[ell] - s * (r * dP[ell] - Wp)
 
 
-def _dpsi_large(ell: int, r: float) -> float:
-    x = 1.0 / math.tanh(r)
-    s = 1.0 / math.sinh(r) ** 2
+def _flux_large(ell: int, r: float) -> float:
+    # sinh^2(r) psi_ell'(r) = -2 P' + 2x (r P' - W') + csch^2 r (r P'' - W'')
+    x, s = _coth_csch2(r)
     P, dP, ddP = _legendre_trio(ell, x)
     Wp = sum((dP[k - 1] * P[ell - k] + P[k - 1] * dP[ell - k]) / k for k in range(1, ell + 1))
     Wpp = sum(
         (ddP[k - 1] * P[ell - k] + 2 * dP[k - 1] * dP[ell - k] + P[k - 1] * ddP[ell - k]) / k
         for k in range(1, ell + 1)
     )
-    return -2 * s * dP[ell] + 2 * s * x * (r * dP[ell] - Wp) + s * s * (r * ddP[ell] - Wpp)
+    return -2.0 * dP[ell] + 2.0 * x * (r * dP[ell] - Wp) + s * (r * ddP[ell] - Wpp)
+
+
+def _dpsi_large(ell: int, r: float) -> float:
+    return _coth_csch2(r)[1] * _flux_large(ell, r)
 
 
 def _poly_eval_odd(coeffs, r: float) -> float:
@@ -192,13 +202,15 @@ def _poly_eval_even(coeffs, r: float, lead_power: int) -> float:
 def _psi1_closed(r: float) -> float:
     if r < TAYLOR_SWITCH:
         return _poly_eval_odd(_PSI1_TAYLOR, r)
-    return 1.0 / math.tanh(r) - r / math.sinh(r) ** 2
+    c, s = _coth_csch2(r)
+    return c - r * s
 
 
 def _dpsi1_closed(r: float) -> float:
     if r < TAYLOR_SWITCH:
         return _poly_eval_even(_DPSI1_TAYLOR, r, 0)
-    return 2.0 * (r / math.tanh(r) - 1.0) / math.sinh(r) ** 2
+    c, s = _coth_csch2(r)
+    return 2.0 * (r * c - 1.0) * s
 
 
 def psi(ell: int, r: float) -> float:
@@ -235,34 +247,14 @@ def dpsi(ell: int, r: float) -> float:
     return _dpsi_large(ell, r)
 
 
-@dataclass(frozen=True)
-class RadialMode:
-    """A radial mode index plus a pinned evaluation path.
-
-    eval_path "series" forces the hypergeometric sum; "closed_form" is only
-    available for ell in {0, 1} where an elementary expression exists.
-    """
-
-    ell: int
-    eval_path: Literal["series", "closed_form"] = "series"
-
-    def __post_init__(self):
-        if self.ell < 0:
-            raise ValueError(f"mode index must be nonnegative, got {self.ell}")
-        if self.eval_path not in ("series", "closed_form"):
-            raise ValueError(f"unknown eval_path {self.eval_path!r}")
-        if self.eval_path == "closed_form" and self.ell not in (0, 1):
-            raise ValueError("closed_form is only available for ell in {0, 1}")
-
-    def psi(self, r: float) -> float:
-        if self.eval_path == "series":
-            return psi_series(self.ell, r)
-        return 1.0 if self.ell == 0 else _psi1_closed(r)
-
-    def dpsi(self, r: float) -> float:
-        if self.eval_path == "series":
-            return dpsi_series(self.ell, r)
-        return 0.0 if self.ell == 0 else _dpsi1_closed(r)
+def _flux(ell: int, r: float) -> float:
+    # sinh^2(r) psi_ell'(r); past the Taylor and series ranges in the
+    # closed forms, which never form sinh^2
+    if ell == 1 and r >= TAYLOR_SWITCH:
+        return 2.0 * (r * _coth_csch2(r)[0] - 1.0)
+    if ell >= 2 and r >= _SERIES_MAX_R:
+        return _flux_large(ell, r)
+    return dpsi(ell, r) * math.sinh(r) ** 2
 
 
 def mode_norm(ell: int, r: float) -> float:
@@ -271,14 +263,16 @@ def mode_norm(ell: int, r: float) -> float:
     Closed form: by Green's identity (the degree-ell field is the
     differential of a harmonic function) the integral of
     (psi')^2 sinh^2 + ell(ell+1) psi^2 over [0, r] is the boundary flux
-    psi_ell(r) psi_ell'(r) sinh^2(r).
+    psi_ell(r) psi_ell'(r) sinh^2(r).  psi_ell' sinh^2 is evaluated in a
+    form without sinh^2, so N_ell(r) ~ ell(ell+1) r stays finite past the
+    overflow of sinh^2 near r = 355.
     """
     if ell < 1:
         raise ValueError("mode_norm needs ell >= 1; the ell = 0 field vanishes")
     _require_nonneg(r)
     if r == 0:
         raise ValueError(f"radius must be positive, got {r}")
-    return psi(ell, r) * dpsi(ell, r) * math.sinh(r) ** 2
+    return psi(ell, r) * _flux(ell, r)
 
 
 def _nu_taylor_integral(r: float) -> float:
@@ -301,10 +295,7 @@ def nu(r: float) -> float:
     _require_nonneg(r)
     if r < TAYLOR_SWITCH:
         return 6.0 * math.pi * _nu_taylor_integral(r)
-    q = math.exp(-2.0 * r)
-    one_minus_q = -math.expm1(-2.0 * r)
-    c = (1.0 + q) / one_minus_q
-    s = 4.0 * q / one_minus_q**2
+    c, s = _coth_csch2(r)
     value = 6.0 * math.pi * (c - r * s) * (r * c - 1.0)
     if math.isinf(value):
         raise ValueError(f"nu({r}) exceeds the float range")

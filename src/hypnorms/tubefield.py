@@ -10,22 +10,20 @@ volume element is sinh(r) cosh(r) dr dtheta dz.  The unique invariant harmonic
     |omega|(r)     = 1/(epsilon cosh r), maximal at the core.
 
 tube_lower_bound returns ||omega|| as the minimum over closed-and-coclosed
-competitors with the same period, and rechecks minimality numerically on the
-perturbation family dz/epsilon + s d(bump(r) g(z)): the cross term integrates
-to zero over a z-period, so the squared norm can only gain s^2 times a
-positive amount.  The bump sin^3(pi (r - 0.1 R)/(0.8 R)) is C^2 and vanishes
-near the core and the boundary, exercising both boundary conditions of the
-averaging argument without implementing the averaging itself.
-
-theta0 (the twist angle of the chart) affects no integral computed here and
-is carried only so charts round-trip through constructors faithfully.
+competitors with the same period, and on every call checks minimality
+numerically on the perturbation family dz/epsilon + s d(bump(r) g(z)): the
+cross term integrates to zero over a z-period, so the squared norm can only
+gain s^2 times a positive amount.  The bump sin^3(pi (r - 0.1 R)/(0.8 R)) is
+C^2 and vanishes near the core and the boundary, exercising both boundary
+conditions of the averaging argument without implementing the averaging
+itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -34,8 +32,6 @@ __all__ = [
     "TubeChart",
     "RemarkRatio",
     "competitor_norm_sq",
-    "core_period",
-    "harmonic_residuals",
     "remark_ratio",
     "tube_form_norm",
     "tube_l2_norm_sq",
@@ -46,19 +42,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TubeChart:
-    """Cylindrical chart of a tube: core length, depth, twist angle."""
+    """Cylindrical chart of a tube: core length and depth."""
 
     epsilon: float
     R: float
-    theta0: float = 0.0
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError(f"core length must be positive, got {self.epsilon}")
-        if self.R <= 0:
-            raise ValueError(f"tube depth must be positive, got {self.R}")
-        if not 0.0 <= self.theta0 < 2.0 * math.pi:
-            raise ValueError(f"twist angle must lie in [0, 2 pi), got {self.theta0}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"core length must be finite and positive, got {self.epsilon}")
+        if not (math.isfinite(self.R) and self.R > 0):
+            raise ValueError(f"tube depth must be finite and positive, got {self.R}")
 
 
 def tube_volume(t: TubeChart) -> float:
@@ -141,88 +134,24 @@ def competitor_norm_sq(t: TubeChart, s: float, order: int = 48) -> float:
     return 2.0 * math.pi * float(np.sum(sq * weight))
 
 
-def tube_lower_bound(t: TubeChart, *, order: int = 48, recheck: bool = True) -> float:
+def tube_lower_bound(t: TubeChart, *, order: int = 48) -> float:
     """Certified lower bound for the tube norm of any unit-period competitor.
 
-    Equals tube_form_norm(t); with recheck on (the default), the perturbed
-    family s in {+-0.1, +-0.01} is integrated and any apparent decrease below
-    the bound raises, guarding the quadrature and the sign conventions.
+    Equals tube_form_norm(t).  Every call integrates the perturbed family
+    s in {+-0.1, +-0.01} at the given quadrature order and raises if any
+    competitor comes out below the bound, guarding the quadrature and the
+    sign conventions.
     """
     base = tube_form_norm(t)
-    if recheck:
-        base_sq = base * base
-        for s in (0.1, -0.1, 0.01, -0.01):
-            perturbed = competitor_norm_sq(t, s, order=order)
-            if perturbed < base_sq * (1.0 - 1e-9):
-                raise RuntimeError(
-                    f"competitor s={s} fell below the certified bound: "
-                    f"{perturbed} < {base_sq}"
-                )
+    base_sq = base * base
+    for s in (0.1, -0.1, 0.01, -0.01):
+        perturbed = competitor_norm_sq(t, s, order=order)
+        if perturbed < base_sq * (1.0 - 1e-9):
+            raise RuntimeError(
+                f"competitor s={s} fell below the certified bound: "
+                f"{perturbed} < {base_sq}"
+            )
     return base
-
-
-def core_period(t: TubeChart, order: int = 16) -> float:
-    """integral of dz/epsilon along the core circle; 1 by construction."""
-    z_nodes, z_w = _gl(0.0, t.epsilon, order)
-    return float(np.sum(z_w / t.epsilon))
-
-
-class _Residuals(NamedTuple):
-    closed: float
-    coclosed: float
-
-
-def harmonic_residuals(t: TubeChart, n: int = 5, h: float = 1e-5) -> _Residuals:
-    """Max mixed-partial residuals certifying d(omega) = 0 and d(*omega) = 0.
-
-    omega = dz/epsilon has coordinate components (0, 0, 1/epsilon) and
-    *omega = tanh(r)/epsilon dr wedge dtheta; both exterior derivatives vanish
-    identically, and this function renders that as central finite differences
-    on an interior grid of the chart.
-    """
-    eps = t.epsilon
-
-    def w_r(r, theta, z):
-        return 0.0
-
-    def w_theta(r, theta, z):
-        return 0.0
-
-    def w_z(r, theta, z):
-        return 1.0 / eps
-
-    def sigma_rtheta(r, theta, z):
-        return math.tanh(r) / eps
-
-    def sigma_rz(r, theta, z):
-        return 0.0
-
-    def sigma_thetaz(r, theta, z):
-        return 0.0
-
-    def d(f, axis, r, theta, z):
-        deltas = [(h, 0, 0), (0, h, 0), (0, 0, h)][axis]
-        return (
-            f(r + deltas[0], theta + deltas[1], z + deltas[2])
-            - f(r - deltas[0], theta - deltas[1], z - deltas[2])
-        ) / (2 * h)
-
-    closed = coclosed = 0.0
-    for r in np.linspace(0.1 * t.R, 0.9 * t.R, n):
-        for theta in np.linspace(0.0, 2.0 * math.pi, n, endpoint=False):
-            for z in np.linspace(0.1 * eps, 0.9 * eps, n):
-                at = (r, theta, z)
-                closed = max(
-                    closed,
-                    abs(d(w_theta, 0, *at) - d(w_r, 1, *at)),
-                    abs(d(w_z, 0, *at) - d(w_r, 2, *at)),
-                    abs(d(w_z, 1, *at) - d(w_theta, 2, *at)),
-                )
-                coclosed = max(
-                    coclosed,
-                    abs(d(sigma_thetaz, 0, *at) - d(sigma_rz, 1, *at) + d(sigma_rtheta, 2, *at)),
-                )
-    return _Residuals(closed, coclosed)
 
 
 @dataclass(frozen=True)

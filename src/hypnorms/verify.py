@@ -105,12 +105,18 @@ def suite_ball(order: int = 24, seed: int = 0, tol: dict | None = None) -> list[
 
 
 def suite_tube(order: int = 24, seed: int = 0, tol: dict | None = None) -> list[Check]:
-    """Closed tube forms against 3D quadrature, and the competitor margin."""
+    """Closed tube forms against 3D quadrature, and the competitor margin.
+
+    The competitors also run on the charts of the filling family,
+    eps = 2/n^2 and R = asinh n, which is what certifies its harmonic
+    lower bounds.
+    """
     charts = [
         TubeChart(epsilon=e, R=R)
         for e in (0.05, 0.3, 1.0)
         for R in (0.4, 1.2, 2.5)
     ]
+    filling = [TubeChart(epsilon=2.0 / n**2, R=math.asinh(n)) for n in (10, 10**3, 10**6)]
     vol_err = 0.0
     norm_err = 0.0
     margin = math.inf
@@ -120,6 +126,7 @@ def suite_tube(order: int = 24, seed: int = 0, tol: dict | None = None) -> list[
         core = lambda r, th, z: (0.0, 0.0, 1.0 / t_.epsilon)
         q = math.sqrt(tube_l2_norm_sq(t_, core, order=order))
         norm_err = max(norm_err, abs(q / tube_form_norm(t_) - 1.0))
+    for t_ in charts + filling:
         base_sq = tube_form_norm(t_) ** 2
         for s in (0.1, -0.1, 0.01, -0.01):
             margin = min(margin, (competitor_norm_sq(t_, s) - base_sq) / base_sq)

@@ -30,6 +30,7 @@ from hypnorms.ballfield import (
     sph_harm,
     sph_harm_dphi,
     sph_harm_dtheta_over_sin,
+    _quad_nodes,
 )
 from hypnorms.radial import dpsi, mode_norm, nu, psi
 from quad_oracles import mode_norm_quad, nu_quad
@@ -40,6 +41,18 @@ THREE_PI = 3.0 * math.pi
 def random_expansion(rng, lmax, lmin=1):
     coeffs = {idx: rng.normal() for idx in mode_indices(lmax, lmin=lmin)}
     return HarmonicExpansion(coeffs, truncation=lmax)
+
+
+def pointwise_l2_norm_sq(field, r, order):
+    """Oracle for ball_l2_norm_sq: the same tensor grid, sampled point by point."""
+    r_nodes, r_w, phi_nodes, phi_w, theta_nodes, theta_w = _quad_nodes(r, order)
+    total = 0.0
+    for ri, wr in zip(r_nodes, r_w):
+        for phij, wphi in zip(phi_nodes, phi_w):
+            weight = wr * math.sinh(ri) ** 2 * wphi * math.sin(phij) * theta_w
+            for thetak in theta_nodes:
+                total += weight * field(BallPoint(ri, phij, thetak)).norm() ** 2
+    return total
 
 
 class TestSphHarm:
@@ -143,6 +156,14 @@ class TestBallPoint:
             BallPoint(1.0, 0.5, 6.5)
         BallPoint(0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_nonfinite_coordinates(self, slot, bad):
+        coords = [1.0, 0.5, 0.5]
+        coords[slot] = bad
+        with pytest.raises(ValueError):
+            BallPoint(*coords)
+
     def test_frame_norm(self):
         assert CovectorFrame(3.0, 4.0, 0.0).norm() == 5.0
 
@@ -155,6 +176,11 @@ class TestExpansion:
             HarmonicExpansion({(3, 0): 1.0}, truncation=2)
         with pytest.raises(ValueError):
             HarmonicExpansion({}, truncation=-1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_coefficient(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            HarmonicExpansion({(1, 0): 1.0, (2, 1): bad}, truncation=2)
 
     def test_coefficient_lookup(self):
         e = HarmonicExpansion({(1, -1): 2.5}, truncation=3)
@@ -239,8 +265,17 @@ class TestQuadrature:
     def test_grid_and_pointwise_paths_agree(self):
         f = omega_field(2, 1)
         fast = ball_l2_norm_sq(f, 0.8, order=8)
-        slow = ball_l2_norm_sq(lambda p: f(p), 0.8, order=8)
+        slow = pointwise_l2_norm_sq(f, 0.8, order=8)
         assert fast == pytest.approx(slow, rel=1e-13)
+
+    def test_mixed_expansion_matches_pointwise_oracle(self):
+        # cross terms between modes of different degree, the ell = 0 term
+        # (no differential) and a zero coefficient all pass through the Gram form
+        exp = HarmonicExpansion({(0, 0): 5.0, (1, -1): 0.7, (2, 0): 0.0, (2, 2): -1.3,
+                                 (3, 1): 0.4}, truncation=3)
+        f = expansion_field(exp)
+        fast = ball_l2_norm_sq(f, 1.1, order=6)
+        assert fast == pytest.approx(pointwise_l2_norm_sq(f, 1.1, order=6), rel=1e-13)
 
     def test_parseval(self):
         rng = np.random.default_rng(3)
@@ -262,18 +297,27 @@ class TestQuadrature:
         assert norm_f == pytest.approx(mode_norm(1, 1.0), rel=1e-9)
         assert ball_l2_norm_sq(g, 1.0) == pytest.approx(mode_norm(2, 1.0), rel=1e-9)
 
-    def test_nonfinite_sample_reports_point(self):
-        def bad(p):
-            if p.r > 0.5:
-                return CovectorFrame(math.nan, 0.0, 0.0)
-            return CovectorFrame(1.0, 0.0, 0.0)
+    def test_nonfinite_norm_raises(self):
+        # sinh^2 overflows at the outer radial nodes, so the Gram form is not finite
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="nonfinite L2 norm"):
+            ball_l2_norm_sq(omega_field(1, 0), 800.0, order=4)
 
-        with pytest.raises(ValueError, match="nonfinite field sample at BallPoint"):
-            ball_l2_norm_sq(bad, 1.0, order=4)
+    def test_rejects_plain_callable(self):
+        f = omega_field(1, 0)
+        with pytest.raises(TypeError):
+            ball_l2_norm_sq(lambda p: f(p), 1.0, order=4)
+
+    def test_zero_expansion(self):
+        assert ball_l2_norm_sq(expansion_field(HarmonicExpansion({(0, 0): 1.0}, 1)), 1.0) == 0.0
+        with pytest.raises(ValueError):
+            ball_l2_norm_sq(expansion_field(HarmonicExpansion({}, 1)), 1.0, order=2)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             ball_l2_norm_sq(omega_field(1, 0), 0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                ball_l2_norm_sq(omega_field(1, 0), bad)
         with pytest.raises(ValueError):
             ball_l2_norm_sq(omega_field(1, 0), 1.0, order=2)
 
@@ -335,6 +379,11 @@ class TestDfBound:
     def test_zero_expansion(self):
         rep = check_df_bound(HarmonicExpansion({}, truncation=2), 1.0)
         assert rep == type(rep)(0.0, 0.0, 0.0)
+
+    def test_nonfinite_coefficient_raises(self):
+        # the expansion itself rejects it, so no ratio = nan comes back
+        with pytest.raises(ValueError):
+            check_df_bound(HarmonicExpansion({(1, 0): math.nan}, truncation=1), 1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

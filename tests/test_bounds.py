@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
@@ -220,11 +220,13 @@ class TestMainBounds:
         inj=st.floats(min_value=1e-4, max_value=10.0),
         th=st.floats(min_value=1e-6, max_value=1e6),
     )
+    # at inj = 100 vol rounding can put lower one ulp above upper
+    @example(vol=0.06550770429955353, inj=6.550770429955353, th=788723.3511357245)
     def test_ordered_whenever_geometric(self, vol, inj, th):
         got = thm_main_bounds(NormDatum(vol, inj, th))
+        assert got.flagged == (got.lower > got.upper)
         if inj <= 100.0 * vol:
-            assert got.lower <= got.upper
-            assert not got.flagged
+            assert got.lower <= got.upper * (1.0 + 1e-15)
 
 
 class TestBsv:

@@ -1,12 +1,20 @@
-"""Start-up cost: the package and its CLI load no scipy module.
+"""Imports: the package loads no scipy module, and every export resolves.
 
 scipy is a test-only dependency (the quadrature and lpmv oracles); a cold
 `hypnorms` process imports numpy and the standard library only.
 """
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
+
+import pytest
+
+import hypnorms
+
+SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(hypnorms.__path__))
 
 
 def test_cli_import_loads_no_scipy():
@@ -20,3 +28,14 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_submodules_found():
+    assert {"radial", "ballfield", "tubefield", "families", "cli", "verify"} <= set(SUBMODULES)
+
+
+@pytest.mark.parametrize("name", ["__init__"] + SUBMODULES)
+def test_every_export_resolves(name):
+    module = hypnorms if name == "__init__" else importlib.import_module(f"hypnorms.{name}")
+    missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+    assert missing == []

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from hypnorms.cli import main as cli_main
 from hypnorms.radial import (
-    RadialMode,
     dpsi,
     dpsi_series,
     mode_norm,
@@ -115,28 +114,6 @@ class TestPsi:
     def test_monotone_property(self, ell, r1, r2):
         lo, hi = sorted((r1, r2))
         assert psi(ell, lo) <= psi(ell, hi)
-
-
-class TestRadialMode:
-    def test_closed_form_restricted_to_low_degree(self):
-        RadialMode(0, "closed_form")
-        RadialMode(1, "closed_form")
-        with pytest.raises(ValueError):
-            RadialMode(2, "closed_form")
-
-    def test_paths_match_module_functions(self):
-        m = RadialMode(1, "closed_form")
-        assert m.psi(1.3) == psi(1, 1.3)
-        assert m.dpsi(1.3) == dpsi(1, 1.3)
-        s = RadialMode(3, "series")
-        assert s.psi(0.9) == psi(3, 0.9)
-        assert s.dpsi(0.9) == dpsi(3, 0.9)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RadialMode(-1)
-        with pytest.raises(ValueError):
-            RadialMode(2, "magic")
 
 
 class TestModeNorm:
@@ -255,6 +232,28 @@ class TestNu:
         lo, hi = sorted((r1, r2))
         if hi > lo:
             assert nu_closed(hi) > nu_closed(lo)
+
+
+class TestPastSinhOverflow:
+    """sinh(r)**2 overflows near r = 355; psi, dpsi and mode_norm stay finite."""
+
+    @pytest.mark.parametrize("r", [400.0, 700.0, 1000.0])
+    @pytest.mark.parametrize("ell", [1, 3])
+    def test_psi_saturates(self, ell, r):
+        # 1 - psi_ell and psi_ell' are ~ r e^(-2r), below the float range here
+        assert psi(ell, r) == 1.0
+        assert dpsi(ell, r) == 0.0
+
+    @pytest.mark.parametrize("r0, r1", [(300.0, 350.0), (400.0, 700.0)])
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    def test_mode_norm_slope(self, ell, r0, r1):
+        # N_ell(r) = ell(ell+1) r + const + O(r e^(-2r)), on either side of the overflow
+        slope = ell * (ell + 1)
+        assert rel_err(mode_norm(ell, r1) - mode_norm(ell, r0), (r1 - r0) * slope) < 1e-13
+
+    @pytest.mark.parametrize("r", [400.0, 1000.0])
+    def test_degree_one_carries_nu(self, r):
+        assert rel_err(3.0 * math.pi * mode_norm(1, r), nu(r)) < 1e-12
 
 
 NONFINITE = [math.nan, math.inf, -math.inf]

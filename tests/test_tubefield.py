@@ -9,8 +9,6 @@ from hypothesis import given, settings, strategies as st
 from hypnorms.tubefield import (
     TubeChart,
     competitor_norm_sq,
-    core_period,
-    harmonic_residuals,
     remark_ratio,
     tube_form_norm,
     tube_l2_norm_sq,
@@ -31,15 +29,13 @@ class TestChart:
             TubeChart(0.0, 1.0)
         with pytest.raises(ValueError):
             TubeChart(1.0, -0.2)
-        with pytest.raises(ValueError):
-            TubeChart(1.0, 1.0, theta0=7.0)
 
-    def test_twist_angle_is_inert(self):
-        plain = TubeChart(0.3, 1.1)
-        twisted = TubeChart(0.3, 1.1, theta0=1.234)
-        assert tube_volume(plain) == tube_volume(twisted)
-        assert tube_form_norm(plain) == tube_form_norm(twisted)
-        assert tube_lower_bound(plain) == tube_lower_bound(twisted)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_arguments(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            TubeChart(bad, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            TubeChart(0.1, bad)
 
 
 class TestVolume:
@@ -88,7 +84,9 @@ class TestLowerBound:
 
     @pytest.mark.parametrize("s", [0.1, -0.1, 0.01, -0.01])
     def test_competitors_never_improve(self, s):
-        for t in (TubeChart(0.29, 2.0), TubeChart(0.01, 2.4311), TubeChart(1.0, 0.5)):
+        # the last three are filling-family charts, eps = 2/n^2 and R = asinh n
+        filling = [TubeChart(2.0 / n**2, math.asinh(n)) for n in (10, 10**3, 10**6)]
+        for t in [TubeChart(0.29, 2.0), TubeChart(0.01, 2.4311), TubeChart(1.0, 0.5)] + filling:
             base_sq = tube_form_norm(t) ** 2
             assert competitor_norm_sq(t, s) > base_sq
 
@@ -111,18 +109,6 @@ class TestLowerBound:
     def test_no_decrease_property(self, eps, R, s):
         t = TubeChart(eps, R)
         assert competitor_norm_sq(t, s) >= tube_form_norm(t) ** 2 * (1.0 - 1e-9)
-
-
-class TestHarmonicity:
-    def test_residuals_vanish(self):
-        for t in (TubeChart(0.5, 2.0), TubeChart(0.05, 0.9)):
-            res = harmonic_residuals(t)
-            assert res.closed <= 1e-10
-            assert res.coclosed <= 1e-10
-
-    def test_unit_period(self):
-        for t in (TubeChart(0.37, 1.0), TubeChart(2.0, 0.3)):
-            assert core_period(t) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestRemarkRatio:
