@@ -172,6 +172,20 @@ def _maybe_scalar(value, *inputs):
     return value
 
 
+def _dphi_factor(ell: int, am: int, x):
+    # d/dphi Pbar_ell^am(cos phi)
+    if am == 0:
+        return -_assoc(ell, 1, x)
+    return 0.5 * ((ell + am) * (ell - am + 1) * _assoc(ell, am - 1, x) - _assoc(ell, am + 1, x))
+
+
+def _over_sin_factor(ell: int, am: int, x):
+    # Pbar_ell^am(cos phi) / sin phi for am >= 1, without dividing by sin phi
+    return (
+        _assoc(ell - 1, am + 1, x) + (ell + am - 1) * (ell + am) * _assoc(ell - 1, am - 1, x)
+    ) / (2 * am)
+
+
 def sph_harm(ell: int, m: int, phi, theta):
     """Real orthonormal spherical harmonic (convention in module docstring)."""
     if abs(m) > ell:
@@ -185,15 +199,8 @@ def sph_harm_dphi(ell: int, m: int, phi, theta):
     """d Y_lm / d phi."""
     if abs(m) > ell:
         raise ValueError(f"need |m| <= ell, got (ell, m) = ({ell}, {m})")
-    am = abs(m)
     x = np.cos(np.asarray(phi, dtype=float))
-    if am == 0:
-        dfac = -_assoc(ell, 1, x)
-    else:
-        dfac = 0.5 * (
-            (ell + am) * (ell - am + 1) * _assoc(ell, am - 1, x) - _assoc(ell, am + 1, x)
-        )
-    val = _norm_const(ell, m) * dfac * _trig(m, theta)
+    val = _norm_const(ell, m) * _dphi_factor(ell, abs(m), x) * _trig(m, theta)
     return _maybe_scalar(val, phi, theta)
 
 
@@ -201,16 +208,12 @@ def sph_harm_dtheta_over_sin(ell: int, m: int, phi, theta):
     """(1/sin phi) dY_lm/dtheta, the theta frame factor; finite at the poles."""
     if abs(m) > ell:
         raise ValueError(f"need |m| <= ell, got (ell, m) = ({ell}, {m})")
-    am = abs(m)
     phi_arr = np.asarray(phi, dtype=float)
-    if am == 0:
+    if m == 0:
         val = np.zeros(np.broadcast(phi_arr, np.asarray(theta, dtype=float)).shape)
         return _maybe_scalar(val, phi, theta)
     x = np.cos(phi_arr)
-    over_sin = (
-        _assoc(ell - 1, am + 1, x) + (ell + am - 1) * (ell + am) * _assoc(ell - 1, am - 1, x)
-    ) / (2 * am)
-    val = _norm_const(ell, m) * over_sin * _dtrig(m, theta)
+    val = _norm_const(ell, m) * _over_sin_factor(ell, abs(m), x) * _dtrig(m, theta)
     return _maybe_scalar(val, phi, theta)
 
 
@@ -283,61 +286,105 @@ def _quad_nodes(r: float, order: int):
         raise ValueError(f"quadrature order must be >= 4, got {order}")
     if not (math.isfinite(r) and r > 0):
         raise ValueError(f"ball radius must be finite and positive, got {r}")
-    xr, wr = npleg.leggauss(order)
-    r_nodes = 0.5 * r * (xr + 1.0)
-    r_weights = 0.5 * r * wr
-    xphi, wphi = npleg.leggauss(order)
-    phi_nodes = 0.5 * math.pi * (xphi + 1.0)
-    phi_weights = 0.5 * math.pi * wphi
+    x, w = npleg.leggauss(order)
+    r_nodes = 0.5 * r * (x + 1.0)
+    r_weights = 0.5 * r * w
+    phi_nodes = 0.5 * math.pi * (x + 1.0)
+    phi_weights = 0.5 * math.pi * w
     n_theta = 2 * order
     theta_nodes = np.arange(n_theta) * (2.0 * math.pi / n_theta)
     theta_weight = 2.0 * math.pi / n_theta
     return r_nodes, r_weights, phi_nodes, phi_weights, theta_nodes, theta_weight
 
 
-def _angular_tables(modes, phi_nodes, theta_nodes):
-    phi2, theta2 = np.meshgrid(phi_nodes, theta_nodes, indexing="ij")
-    Y = np.array([sph_harm(ell, m, phi2, theta2) for ell, m in modes])
-    dY = np.array([sph_harm_dphi(ell, m, phi2, theta2) for ell, m in modes])
-    G = np.array([sph_harm_dtheta_over_sin(ell, m, phi2, theta2) for ell, m in modes])
-    return Y, dY, G
+def _weighted_gram(rows, weights):
+    # sum_k w_k rows[a, k] rows[b, k]
+    return (rows * weights) @ rows.T
+
+
+def _angular_grams(modes, phi_nodes, phi_w, theta_nodes, theta_w):
+    """Angular Gram matrices (A, B) of the modes on the (phi, theta) grid.
+
+    A_ab = int Y_a Y_b and B_ab = int (dY_a/dphi dY_b/dphi + (1/sin^2 phi)
+    dY_a/dtheta dY_b/dtheta) against sin(phi) dphi dtheta.  Each Y_lm is a
+    phi factor N_lm Pbar_l^|m| times a theta factor trig_m, so every
+    integral over the tensor grid is the entrywise product of a phi-Gram and
+    a theta-Gram; each table is built once per (ell, |m|) or per m.
+    """
+    x = np.cos(phi_nodes)
+    phi_tabs = {}
+    for ell, m in modes:
+        am = abs(m)
+        if (ell, am) not in phi_tabs:
+            n = _norm_const(ell, am)
+            over_sin = n * _over_sin_factor(ell, am, x) if am else np.zeros_like(x)
+            phi_tabs[ell, am] = (n * _assoc(ell, am, x), n * _dphi_factor(ell, am, x), over_sin)
+    theta_tabs = {m: (_trig(m, theta_nodes), _dtrig(m, theta_nodes)) for _, m in modes}
+    P, dP, S = (np.array([phi_tabs[ell, abs(m)][i] for ell, m in modes]) for i in range(3))
+    T, dT = (np.array([theta_tabs[m][i] for _, m in modes]) for i in range(2))
+    w_phi = phi_w * np.sin(phi_nodes)
+    theta_gram = _weighted_gram(T, theta_w)
+    A = _weighted_gram(P, w_phi) * theta_gram
+    B = (_weighted_gram(dP, w_phi) * theta_gram
+         + _weighted_gram(S, w_phi) * _weighted_gram(dT, theta_w))
+    return A, B
+
+
+def _radial_weights(r_nodes, r_w, r: float, order: int):
+    # volume weights r_w sinh^2; they overflow for r past ~355
+    with np.errstate(over="ignore"):
+        w_sinh = r_w * np.sinh(r_nodes) ** 2
+    if not np.all(np.isfinite(w_sinh)):
+        raise ValueError(
+            f"nonfinite L2 norm on B_{r} at quadrature order {order}: "
+            "the sinh^2 volume weights overflow"
+        )
+    return w_sinh
+
+
+def _radial_gram(profile, modes, r_nodes, weights):
+    # sum_k w_k profile(ell_a, r_k) profile(ell_b, r_k), one table row per ell
+    ells = sorted({ell for ell, _ in modes})
+    table = np.array([[profile(ell, rr) for rr in r_nodes] for ell in ells])
+    idx = np.searchsorted(ells, [ell for ell, _ in modes])
+    return _weighted_gram(table, weights)[np.ix_(idx, idx)]
 
 
 def psi_gram(lmax: int, r: float, order: int = 48):
     """Gram matrix of the Psi_lm, ell <= lmax, in L^2(B_r).
 
-    Returns (modes, matrix).  The tensor quadrature factors exactly through
-    the radial/angular separation of each mode, which is what is exploited
-    here; the arithmetic agrees with the full 3D sum.
+    Returns (modes, matrix).  On the tensor grid of ball_l2_norm_sq the
+    integral of Psi_a Psi_b separates into a radial Gram of psi_ell against
+    sinh^2 r dr (one profile table per ell) times the angular Gram of the
+    Y_lm.  Raises ValueError when the sinh^2 weights overflow (r past ~355).
     """
     modes = mode_indices(lmax)
     r_nodes, r_w, phi_nodes, phi_w, theta_nodes, theta_w = _quad_nodes(r, order)
-    Y, _, _ = _angular_tables(modes, phi_nodes, theta_nodes)
-    wang = (phi_w * np.sin(phi_nodes))[:, None] * theta_w
-    A = np.einsum("aij,bij,ij->ab", Y, Y, wang)
-    psi_vals = np.array([[psi(ell, rr) for rr in r_nodes] for ell, _ in modes])
-    wrad = r_w * np.sinh(r_nodes) ** 2
-    R = np.einsum("ak,bk,k->ab", psi_vals, psi_vals, wrad)
-    return modes, R * A
+    w_sinh = _radial_weights(r_nodes, r_w, r, order)
+    A, _ = _angular_grams(modes, phi_nodes, phi_w, theta_nodes, theta_w)
+    return modes, _radial_gram(psi, modes, r_nodes, w_sinh) * A
 
 
 def _omega_gram(modes, r: float, order: int):
     # Gram matrix of the omega_lm over the given (ell, m), all ell >= 1
     r_nodes, r_w, phi_nodes, phi_w, theta_nodes, theta_w = _quad_nodes(r, order)
-    Y, dY, G = _angular_tables(modes, phi_nodes, theta_nodes)
-    wang = (phi_w * np.sin(phi_nodes))[:, None] * theta_w
-    A = np.einsum("aij,bij,ij->ab", Y, Y, wang)
-    B = np.einsum("aij,bij,ij->ab", dY, dY, wang) + np.einsum("aij,bij,ij->ab", G, G, wang)
-    dpsi_vals = np.array([[dpsi(ell, rr) for rr in r_nodes] for ell, _ in modes])
-    psi_vals = np.array([[psi(ell, rr) for rr in r_nodes] for ell, _ in modes])
-    wrad_sinh = r_w * np.sinh(r_nodes) ** 2
-    R1 = np.einsum("ak,bk,k->ab", dpsi_vals, dpsi_vals, wrad_sinh)
-    R0 = np.einsum("ak,bk,k->ab", psi_vals, psi_vals, r_w)
+    w_sinh = _radial_weights(r_nodes, r_w, r, order)
+    A, B = _angular_grams(modes, phi_nodes, phi_w, theta_nodes, theta_w)
+    R1 = _radial_gram(dpsi, modes, r_nodes, w_sinh)
+    R0 = _radial_gram(psi, modes, r_nodes, r_w)
     return R1 * A + R0 * B
 
 
 def omega_gram(lmax: int, r: float, order: int = 48):
-    """Gram matrix of the omega_lm, 1 <= ell <= lmax, in L^2 Omega^1(B_r)."""
+    """Gram matrix of the omega_lm, 1 <= ell <= lmax, in L^2 Omega^1(B_r).
+
+    Returns (modes, matrix).  With the coframe components of omega_lm the
+    integrand separates, so the matrix is R1 * A + R0 * B: radial Grams of
+    psi_ell' against sinh^2 r dr and of psi_ell against dr, one profile
+    table per ell, times the angular Grams A of the Y_lm and B of their
+    gradients, each assembled from phi- and theta-factor Grams.  Raises
+    ValueError when the sinh^2 weights overflow (r past ~355).
+    """
     modes = mode_indices(lmax, lmin=1)
     return modes, _omega_gram(modes, r, order)
 
@@ -348,8 +395,9 @@ def ball_l2_norm_sq(field: BallField, r: float, order: int = 48) -> float:
     Gauss-Legendre in r and phi, uniform (trapezoid on the periodic circle)
     in theta with 2*order points.  The integral is the quadratic form
     a^T G a of the expansion's nonzero coefficients a_lm (ell >= 1) in the
-    Gram matrix G of their modes on that grid; a nonfinite result raises
-    ValueError.
+    Gram matrix G of their modes on that grid, assembled from per-ell radial
+    and per-factor angular Grams as in omega_gram; a nonfinite result
+    raises ValueError.
     """
     if not isinstance(field, BallField):
         raise TypeError(f"ball_l2_norm_sq needs a BallField, got {type(field).__name__}")
@@ -391,9 +439,9 @@ def check_df_bound(expansion: HarmonicExpansion, r: float) -> DfBoundReport:
         a * a for (ell, _), a in expansion.items() if ell == 1
     )
     df_at_center = math.sqrt(df_sq / (3.0 * math.pi))
-    l2_sq = sum(
-        a * a * mode_norm(ell, r) for (ell, _), a in expansion.items() if ell >= 1
-    )
+    terms = [(ell, a) for (ell, _), a in expansion.items() if ell >= 1]
+    norms = {ell: mode_norm(ell, r) for ell in {ell for ell, _ in terms}}
+    l2_sq = sum(a * a * norms[ell] for ell, a in terms)
     l2_norm = math.sqrt(l2_sq)
     if l2_norm == 0.0:
         return DfBoundReport(df_at_center, 0.0, 0.0)

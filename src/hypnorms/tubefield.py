@@ -54,14 +54,42 @@ class TubeChart:
             raise ValueError(f"tube depth must be finite and positive, got {self.R}")
 
 
+# Past this depth e^(-2R) is below an ulp, so cosh R and sinh R are e^R/2
+# to within one ulp; the closed forms switch there to expressions that stay
+# finite as e^R overflows.  Below it the direct forms are kept, because
+# R + log1p(e^(-2R)) - log 2 cancels at small R (1.6e-15 relative at 0.4).
+_DEEP = 20.0
+
+
 def tube_volume(t: TubeChart) -> float:
-    """pi epsilon sinh^2(R)."""
-    return math.pi * t.epsilon * math.sinh(t.R) ** 2
+    """pi epsilon sinh^2(R); ValueError once that leaves the float range."""
+    if t.R < _DEEP:
+        vol = math.pi * t.epsilon * math.sinh(t.R) ** 2
+    else:
+        # (sqrt(pi eps) e^R / 2)^2, with sqrt(eps) taken apart from pi so a
+        # subnormal eps keeps its digits and e^R split into two halves so each
+        # factor stays finite; capping the half only binds where vol overflows
+        half = math.exp(min(0.5 * t.R, 700.0))
+        root = 0.5 * math.sqrt(math.pi) * math.sqrt(t.epsilon) * half * half
+        vol = root * root
+    if not math.isfinite(vol):
+        raise ValueError(f"tube volume pi eps sinh^2 R leaves the float range at {t}")
+    return vol
 
 
 def tube_form_norm(t: TubeChart) -> float:
-    """L^2 norm of dz/epsilon over the tube: sqrt((2 pi/epsilon) log cosh R)."""
-    return math.sqrt(2.0 * math.pi / t.epsilon * math.log(math.cosh(t.R)))
+    """L^2 norm of dz/epsilon over the tube: sqrt((2 pi/epsilon) log cosh R).
+
+    Raises ValueError when the squared norm leaves the float range.
+    """
+    if t.R < _DEEP:
+        log_cosh = math.log(math.cosh(t.R))
+    else:
+        log_cosh = t.R + math.log1p(math.exp(-2.0 * t.R)) - math.log(2.0)
+    norm_sq = 2.0 * math.pi / t.epsilon * log_cosh
+    if not math.isfinite(norm_sq):
+        raise ValueError(f"tube form norm leaves the float range at {t}")
+    return math.sqrt(norm_sq)
 
 
 def _gl(a: float, b: float, order: int):
@@ -72,30 +100,34 @@ def _gl(a: float, b: float, order: int):
 
 def tube_l2_norm_sq(
     t: TubeChart,
-    field: Callable[[float, float, float], tuple[float, float, float]],
+    field: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple],
     order: int = 24,
 ) -> float:
     """integral over the tube of |field|^2 dVol, tensor Gauss-Legendre.
 
-    field(r, theta, z) returns coordinate components (w_r, w_theta, w_z);
-    the squared pointwise norm is w_r^2 + w_theta^2/sinh^2 + w_z^2/cosh^2.
-    Pointwise sampling; meant as an oracle for the closed forms, not for
-    bulk sweeps.
+    Gauss-Legendre in r and z with `order` nodes each, uniform in theta
+    with 2*order nodes.  field(r, theta, z) is called once, on broadcast
+    arrays of shapes (order, 1, 1), (1, 2*order, 1) and (1, 1, order), and
+    returns coordinate components (w_r, w_theta, w_z) that broadcast to the
+    grid; a constant such as 0.0 is fine, so field must use numpy
+    operations rather than math functions.  The squared pointwise norm is
+    w_r^2 + w_theta^2/sinh^2 + w_z^2/cosh^2.
     """
     r_nodes, r_w = _gl(0.0, t.R, order)
     z_nodes, z_w = _gl(0.0, t.epsilon, order)
     n_theta = 2 * order
     theta_nodes = np.arange(n_theta) * (2.0 * math.pi / n_theta)
     theta_w = 2.0 * math.pi / n_theta
-    total = 0.0
-    for r, wr in zip(r_nodes, r_w):
-        sh, ch = math.sinh(r), math.cosh(r)
-        for theta in theta_nodes:
-            for z, wz in zip(z_nodes, z_w):
-                a, b, c = field(r, theta, z)
-                sq = a * a + (b / sh) ** 2 + (c / ch) ** 2
-                total += wr * theta_w * wz * sq * sh * ch
-    return total
+    shape = (order, n_theta, order)
+    a, b, c = (
+        np.broadcast_to(np.asarray(w, dtype=float), shape)
+        for w in field(r_nodes[:, None, None], theta_nodes[None, :, None], z_nodes[None, None, :])
+    )
+    sh = np.sinh(r_nodes)[:, None, None]
+    ch = np.cosh(r_nodes)[:, None, None]
+    sq = a * a + (b / sh) ** 2 + (c / ch) ** 2
+    weight = (r_w * theta_w)[:, None, None] * z_w[None, None, :] * (sh * ch)
+    return float(np.sum(sq * weight))
 
 
 def _bump(r, R):

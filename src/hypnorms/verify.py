@@ -121,7 +121,7 @@ def suite_tube(order: int = 24, seed: int = 0, tol: dict | None = None) -> list[
     norm_err = 0.0
     margin = math.inf
     for t_ in charts:
-        unit = lambda r, th, z: (0.0, 0.0, math.cosh(r))
+        unit = lambda r, th, z: (0.0, 0.0, np.cosh(r))
         vol_err = max(vol_err, abs(tube_l2_norm_sq(t_, unit, order=order) / tube_volume(t_) - 1.0))
         core = lambda r, th, z: (0.0, 0.0, 1.0 / t_.epsilon)
         q = math.sqrt(tube_l2_norm_sq(t_, core, order=order))

@@ -1,15 +1,31 @@
-"""Quadrature definitions of nu and N_ell, kept as test oracles.
+"""Direct quadrature routes, kept as test oracles.
 
-The library evaluates both in closed form (Green's identity turns the
-interior integral into boundary flux).  These are the integrals themselves,
-by adaptive quadrature, so agreement tests compare two independent routes.
+The library evaluates nu and N_ell in closed form (Green's identity turns the
+interior integral into boundary flux).  nu_quad and mode_norm_quad are the
+integrals themselves, by adaptive quadrature, so agreement tests compare two
+independent routes.
+
+The library assembles its ball Gram matrices from factor Grams and
+evaluates tube fields on one broadcast grid.  full_mesh_psi_gram,
+full_mesh_omega_gram and pointwise_tube_l2_norm_sq sum the same tensor
+grids without any factoring: full (phi, theta) meshes with one radial
+profile row per mode, and one field call per tube node.
 """
 
 import math
 
+import numpy as np
 from scipy.integrate import quad
 
+from hypnorms.ballfield import (
+    _quad_nodes,
+    mode_indices,
+    sph_harm,
+    sph_harm_dphi,
+    sph_harm_dtheta_over_sin,
+)
 from hypnorms.radial import TAYLOR_SWITCH, dpsi, psi
+from hypnorms.tubefield import _gl
 
 QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-10, limit=200)
 
@@ -49,3 +65,57 @@ def mode_norm_quad(ell: int, r: float) -> float:
 
     val, _ = quad(integrand, 0.0, r, **QUAD_OPTS)
     return val
+
+
+def _mesh_tables(modes, phi_nodes, theta_nodes):
+    phi2, theta2 = np.meshgrid(phi_nodes, theta_nodes, indexing="ij")
+    Y = np.array([sph_harm(ell, m, phi2, theta2) for ell, m in modes])
+    dY = np.array([sph_harm_dphi(ell, m, phi2, theta2) for ell, m in modes])
+    G = np.array([sph_harm_dtheta_over_sin(ell, m, phi2, theta2) for ell, m in modes])
+    return Y, dY, G
+
+
+def full_mesh_psi_gram(lmax, r, order):
+    """Gram matrix of the Psi_lm, ell <= lmax, summed over the full 3-D grid."""
+    modes = mode_indices(lmax)
+    r_nodes, r_w, phi_nodes, phi_w, theta_nodes, theta_w = _quad_nodes(r, order)
+    Y, _, _ = _mesh_tables(modes, phi_nodes, theta_nodes)
+    wang = (phi_w * np.sin(phi_nodes))[:, None] * theta_w
+    A = np.einsum("aij,bij,ij->ab", Y, Y, wang)
+    psi_vals = np.array([[psi(ell, rr) for rr in r_nodes] for ell, _ in modes])
+    wrad = r_w * np.sinh(r_nodes) ** 2
+    R = np.einsum("ak,bk,k->ab", psi_vals, psi_vals, wrad)
+    return modes, R * A
+
+
+def full_mesh_omega_gram(modes, r, order):
+    """Gram matrix of the omega_lm over the given modes (ell >= 1), full 3-D grid."""
+    r_nodes, r_w, phi_nodes, phi_w, theta_nodes, theta_w = _quad_nodes(r, order)
+    Y, dY, G = _mesh_tables(modes, phi_nodes, theta_nodes)
+    wang = (phi_w * np.sin(phi_nodes))[:, None] * theta_w
+    A = np.einsum("aij,bij,ij->ab", Y, Y, wang)
+    B = np.einsum("aij,bij,ij->ab", dY, dY, wang) + np.einsum("aij,bij,ij->ab", G, G, wang)
+    dpsi_vals = np.array([[dpsi(ell, rr) for rr in r_nodes] for ell, _ in modes])
+    psi_vals = np.array([[psi(ell, rr) for rr in r_nodes] for ell, _ in modes])
+    wrad_sinh = r_w * np.sinh(r_nodes) ** 2
+    R1 = np.einsum("ak,bk,k->ab", dpsi_vals, dpsi_vals, wrad_sinh)
+    R0 = np.einsum("ak,bk,k->ab", psi_vals, psi_vals, r_w)
+    return R1 * A + R0 * B
+
+
+def pointwise_tube_l2_norm_sq(t, field, order=24):
+    """tube_l2_norm_sq on the same grid, one scalar field call per node."""
+    r_nodes, r_w = _gl(0.0, t.R, order)
+    z_nodes, z_w = _gl(0.0, t.epsilon, order)
+    n_theta = 2 * order
+    theta_nodes = np.arange(n_theta) * (2.0 * math.pi / n_theta)
+    theta_w = 2.0 * math.pi / n_theta
+    total = 0.0
+    for r, wr in zip(r_nodes, r_w):
+        sh, ch = math.sinh(r), math.cosh(r)
+        for theta in theta_nodes:
+            for z, wz in zip(z_nodes, z_w):
+                a, b, c = field(r, theta, z)
+                sq = a * a + (b / sh) ** 2 + (c / ch) ** 2
+                total += wr * theta_w * wz * sq * sh * ch
+    return total

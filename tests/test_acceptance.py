@@ -172,7 +172,7 @@ def test_criterion_05_tube_closed_forms_and_competitors():
     for eps in (0.05, 0.3, 1.0):
         for R in (0.4, 1.2, 2.5):
             t = TubeChart(eps, R)
-            vol_quad = tube_l2_norm_sq(t, lambda r, th, z: (0.0, 0.0, math.cosh(r)))
+            vol_quad = tube_l2_norm_sq(t, lambda r, th, z: (0.0, 0.0, np.cosh(r)))
             worst = max(worst, abs(vol_quad / tube_volume(t) - 1.0))
             form_quad = math.sqrt(tube_l2_norm_sq(t, lambda r, th, z: (0.0, 0.0, 1.0 / t.epsilon)))
             worst = max(worst, abs(form_quad / tube_form_norm(t) - 1.0))

@@ -30,10 +30,11 @@ from hypnorms.ballfield import (
     sph_harm,
     sph_harm_dphi,
     sph_harm_dtheta_over_sin,
+    _omega_gram,
     _quad_nodes,
 )
 from hypnorms.radial import dpsi, mode_norm, nu, psi
-from quad_oracles import mode_norm_quad, nu_quad
+from quad_oracles import full_mesh_omega_gram, full_mesh_psi_gram, mode_norm_quad, nu_quad
 
 THREE_PI = 3.0 * math.pi
 
@@ -342,6 +343,37 @@ class TestOrthogonality:
         modes, G = omega_gram(3, r)
         for i, (ell, m) in enumerate(modes):
             assert G[i, i] == pytest.approx(mode_norm(ell, r), rel=1e-10)
+
+
+def _gram_gap(G, oracle):
+    # largest entry difference relative to the diagonal scale sqrt(G_ii G_jj)
+    d = np.sqrt(np.diag(oracle))
+    return float((np.abs(G - oracle) / np.outer(d, d)).max())
+
+
+class TestSeparableGram:
+    # the (lmax, order) shapes of the fields benchmark
+    @pytest.mark.parametrize("lmax,order", [(4, 24), (6, 36), (8, 48)])
+    @pytest.mark.parametrize("r", [0.2, 1.3, 3.0])
+    def test_matches_full_mesh_oracle(self, lmax, order, r):
+        modes, G = omega_gram(lmax, r, order=order)
+        assert _gram_gap(G, full_mesh_omega_gram(modes, r, order)) <= 1e-13
+        pmodes, P = psi_gram(lmax, r, order=order)
+        omodes, O = full_mesh_psi_gram(lmax, r, order)
+        assert pmodes == omodes
+        assert _gram_gap(P, O) <= 1e-13
+
+    @pytest.mark.parametrize("r", [0.2, 2.1])
+    def test_mode_list_without_low_degrees(self, r):
+        modes = mode_indices(5, lmin=3)
+        G = _omega_gram(modes, r, 30)
+        assert _gram_gap(G, full_mesh_omega_gram(modes, r, 30)) <= 1e-13
+
+    @pytest.mark.parametrize("gram", [omega_gram, psi_gram])
+    def test_past_sinh_overflow_raises(self, gram):
+        # sinh^2 of the outer radial nodes overflows; nan/inf entries used to come back
+        with pytest.raises(ValueError, match="nonfinite"):
+            gram(1, 800.0, order=4)
 
 
 class TestDfBound:

@@ -15,6 +15,7 @@ from hypnorms.tubefield import (
     tube_lower_bound,
     tube_volume,
 )
+from quad_oracles import pointwise_tube_l2_norm_sq
 
 GRID = [
     TubeChart(eps, R)
@@ -46,7 +47,7 @@ class TestVolume:
     def test_formula_and_quadrature(self):
         t = TubeChart(0.29, 2.0)
         assert tube_volume(t) == pytest.approx(math.pi * 0.29 * math.sinh(2.0) ** 2, rel=1e-14)
-        quad = tube_l2_norm_sq(t, lambda r, th, z: (0.0, 0.0, math.cosh(r)), order=16)
+        quad = tube_l2_norm_sq(t, lambda r, th, z: (0.0, 0.0, np.cosh(r)), order=16)
         assert quad == pytest.approx(tube_volume(t), rel=1e-10)
 
     def test_strictly_increasing_in_both_arguments(self):
@@ -75,6 +76,54 @@ class TestFormNorm:
     def test_quadrature_agreement(self, t):
         quad = tube_l2_norm_sq(t, lambda r, th, z: (0.0, 0.0, 1.0 / t.epsilon), order=16)
         assert quad == pytest.approx(tube_form_norm(t) ** 2, rel=1e-9)
+
+
+class TestPastCoshOverflow:
+    def test_form_norm_at_large_depth(self):
+        # log cosh 800 = 800 - log 2 to the last bit
+        expect = math.sqrt(2.0 * math.pi / 0.1 * (800.0 - math.log(2.0)))
+        assert tube_form_norm(TubeChart(0.1, 800.0)) == pytest.approx(expect, rel=1e-15)
+
+    def test_form_norm_agrees_across_the_switch(self):
+        for R in (19.5, 19.999, 20.0, 20.001, 20.5):
+            expect = math.sqrt(2.0 * math.pi / 0.3 * math.log(math.cosh(R)))
+            assert tube_form_norm(TubeChart(0.3, R)) == pytest.approx(expect, rel=1e-15)
+
+    def test_form_norm_out_of_range_raises(self):
+        with pytest.raises(ValueError, match="float range"):
+            tube_form_norm(TubeChart(5e-324, 1.0))
+
+    def test_volume_out_of_range_raises(self):
+        for t in (TubeChart(0.1, 800.0), TubeChart(0.1, 1e6), TubeChart(1e308, 1.0)):
+            with pytest.raises(ValueError, match="float range"):
+                tube_volume(t)
+
+    def test_volume_past_sinh_overflow(self):
+        # pi eps sinh^2 R = exp(2R + log(pi eps / 4)) once e^(-2R) is below an ulp
+        for eps, R in ((1e-300, 400.0), (1e-200, 300.0), (0.3, 20.0), (0.3, 25.0)):
+            expect = math.exp(2.0 * R + math.log(math.pi * eps / 4.0))
+            assert tube_volume(TubeChart(eps, R)) == pytest.approx(expect, rel=1e-12)
+
+
+class TestBroadcastQuadrature:
+    def test_matches_pointwise_oracle(self):
+        calls = []
+
+        def field(r, th, z):
+            calls.append(1)
+            return (np.sin(th) * r, z * np.cos(2.0 * th) + 0.5, np.cosh(r) * (1.0 + z))
+
+        for t in (TubeChart(0.29, 2.0), TubeChart(1.0, 0.5)):
+            calls.clear()
+            fast = tube_l2_norm_sq(t, field, order=12)
+            assert len(calls) == 1
+            assert fast == pytest.approx(pointwise_tube_l2_norm_sq(t, field, order=12), rel=1e-13)
+
+    def test_constant_components_broadcast(self):
+        t = TubeChart(0.4, 1.1)
+        assert tube_l2_norm_sq(t, lambda r, th, z: (0.0, 0.0, 2.5)) == pytest.approx(
+            pointwise_tube_l2_norm_sq(t, lambda r, th, z: (0.0, 0.0, 2.5)), rel=1e-13
+        )
 
 
 class TestLowerBound:
