@@ -54,24 +54,24 @@ class TubeChart:
             raise ValueError(f"tube depth must be finite and positive, got {self.R}")
 
 
-# Past this depth e^(-2R) is below an ulp, so cosh R and sinh R are e^R/2
-# to within one ulp; the closed forms switch there to expressions that stay
-# finite as e^R overflows.  Below it the direct forms are kept, because
-# R + log1p(e^(-2R)) - log 2 cancels at small R (1.6e-15 relative at 0.4).
+# Past this depth e^(-2R) is below an ulp, so log cosh R = R + log1p(e^(-2R))
+# - log 2 agrees with log(cosh R) to the last bit and stays finite as cosh R
+# overflows.  Below it the direct form is kept, because the closed form
+# cancels at small R (1.6e-15 relative at 0.4).
 _DEEP = 20.0
 
 
 def tube_volume(t: TubeChart) -> float:
     """pi epsilon sinh^2(R); ValueError once that leaves the float range."""
-    if t.R < _DEEP:
-        vol = math.pi * t.epsilon * math.sinh(t.R) ** 2
-    else:
-        # (sqrt(pi eps) e^R / 2)^2, with sqrt(eps) taken apart from pi so a
-        # subnormal eps keeps its digits and e^R split into two halves so each
-        # factor stays finite; capping the half only binds where vol overflows
-        half = math.exp(min(0.5 * t.R, 700.0))
-        root = 0.5 * math.sqrt(math.pi) * math.sqrt(t.epsilon) * half * half
-        vol = root * root
+    # the square of sqrt(pi) sqrt(eps) 2 sinh(R/2) cosh(R/2): a subnormal eps
+    # keeps its digits under sqrt, and the half-angle factors stay finite
+    # wherever the volume does
+    try:
+        half = 0.5 * t.R
+        root = 2.0 * math.sqrt(math.pi) * math.sqrt(t.epsilon) * math.sinh(half) * math.cosh(half)
+    except OverflowError:
+        root = math.inf
+    vol = root * root
     if not math.isfinite(vol):
         raise ValueError(f"tube volume pi eps sinh^2 R leaves the float range at {t}")
     return vol

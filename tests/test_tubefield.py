@@ -99,10 +99,20 @@ class TestPastCoshOverflow:
                 tube_volume(t)
 
     def test_volume_past_sinh_overflow(self):
-        # pi eps sinh^2 R = exp(2R + log(pi eps / 4)) once e^(-2R) is below an ulp
-        for eps, R in ((1e-300, 400.0), (1e-200, 300.0), (0.3, 20.0), (0.3, 25.0)):
-            expect = math.exp(2.0 * R + math.log(math.pi * eps / 4.0))
+        # pi eps sinh^2 R = exp(2R + log(pi eps / 4)) once e^(-2R) is below an ulp;
+        # at R = 715 sinh R itself overflows while the volume is finite
+        for eps, R in ((1e-300, 400.0), (1e-200, 300.0), (0.3, 20.0), (0.3, 25.0), (5e-324, 715.0)):
+            expect = math.exp(2.0 * R + math.log(math.pi) + math.log(eps) - math.log(4.0))
             assert tube_volume(TubeChart(eps, R)) == pytest.approx(expect, rel=1e-12)
+
+    def test_volume_keeps_subnormal_eps_digits(self):
+        # scaling by 2^1000 is exact, so the reference is a normal float within
+        # a few ulps; a subnormal result may miss it by the same relative error
+        # or by one of its own ulps, not by digits lost in forming pi * eps
+        for eps, R in ((5.439e-320, 1.6173495001615523), (5e-324, 25.0), (1e-310, 0.7)):
+            scaled = math.ldexp(tube_volume(TubeChart(eps, R)), 1000)
+            ref = math.pi * math.ldexp(eps, 1000) * math.sinh(R) ** 2
+            assert scaled == pytest.approx(ref, rel=1e-14, abs=math.ldexp(5e-324, 1000))
 
 
 class TestBroadcastQuadrature:
