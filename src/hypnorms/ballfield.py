@@ -42,7 +42,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .radial import dpsi, mode_norm, nu, psi
+from .radial import MAX_ELL, mode_norm, nu, profile, psi
 
 __all__ = [
     "BallPoint",
@@ -122,7 +122,13 @@ class HarmonicExpansion:
 
 
 def mode_indices(lmax: int, lmin: int = 0) -> list[tuple[int, int]]:
-    """All (ell, m) with lmin <= ell <= lmax, |m| <= ell, in lexicographic order."""
+    """All (ell, m) with lmin <= ell <= lmax, |m| <= ell, in lexicographic order.
+
+    Raises ValueError unless lmin <= lmax <= MAX_ELL, the highest degree
+    radial.profile evaluates.
+    """
+    if not lmin <= lmax <= MAX_ELL:
+        raise ValueError(f"lmax must lie in [{lmin}, {MAX_ELL}], got {lmax}")
     return [(ell, m) for ell in range(lmin, lmax + 1) for m in range(-ell, ell + 1)]
 
 
@@ -242,9 +248,10 @@ def eval_omega(ell: int, m: int, p: BallPoint) -> CovectorFrame:
             lim * sph_harm_dphi(1, m, p.phi, p.theta),
             lim * sph_harm_dtheta_over_sin(1, m, p.phi, p.theta),
         )
-    over_sinh = psi(ell, p.r) / math.sinh(p.r)
+    psi_r, dpsi_r, _ = profile(ell, p.r)
+    over_sinh = psi_r / math.sinh(p.r)
     return CovectorFrame(
-        dpsi(ell, p.r) * sph_harm(ell, m, p.phi, p.theta),
+        dpsi_r * sph_harm(ell, m, p.phi, p.theta),
         over_sinh * sph_harm_dphi(ell, m, p.phi, p.theta),
         over_sinh * sph_harm_dtheta_over_sin(ell, m, p.phi, p.theta),
     )
@@ -342,11 +349,17 @@ def _radial_weights(r_nodes, r_w, r: float, order: int):
     return w_sinh
 
 
-def _radial_gram(profile, modes, r_nodes, weights):
-    # sum_k w_k profile(ell_a, r_k) profile(ell_b, r_k), one table row per ell
+def _radial_tables(modes, r_nodes):
+    # psi_ell and psi_ell' at the nodes, one row per distinct ell and one
+    # profile call per (ell, node), and the row of each mode
     ells = sorted({ell for ell, _ in modes})
-    table = np.array([[profile(ell, rr) for rr in r_nodes] for ell in ells])
+    tables = np.array([[profile(ell, rr)[:2] for rr in r_nodes] for ell in ells])
     idx = np.searchsorted(ells, [ell for ell, _ in modes])
+    return tables[..., 0], tables[..., 1], idx
+
+
+def _radial_gram(table, idx, weights):
+    # sum_k w_k table[ell_a, k] table[ell_b, k], expanded from ell rows to modes
     return _weighted_gram(table, weights)[np.ix_(idx, idx)]
 
 
@@ -356,13 +369,15 @@ def psi_gram(lmax: int, r: float, order: int = 48):
     Returns (modes, matrix).  On the tensor grid of ball_l2_norm_sq the
     integral of Psi_a Psi_b separates into a radial Gram of psi_ell against
     sinh^2 r dr (one profile table per ell) times the angular Gram of the
-    Y_lm.  Raises ValueError when the sinh^2 weights overflow (r past ~355).
+    Y_lm.  Raises ValueError for lmax outside [0, MAX_ELL] and when the
+    sinh^2 weights overflow (r past ~355).
     """
     modes = mode_indices(lmax)
     r_nodes, r_w, phi_nodes, phi_w, theta_nodes, theta_w = _quad_nodes(r, order)
     w_sinh = _radial_weights(r_nodes, r_w, r, order)
     A, _ = _angular_grams(modes, phi_nodes, phi_w, theta_nodes, theta_w)
-    return modes, _radial_gram(psi, modes, r_nodes, w_sinh) * A
+    psi_tab, _, idx = _radial_tables(modes, r_nodes)
+    return modes, _radial_gram(psi_tab, idx, w_sinh) * A
 
 
 def _omega_gram(modes, r: float, order: int):
@@ -370,8 +385,9 @@ def _omega_gram(modes, r: float, order: int):
     r_nodes, r_w, phi_nodes, phi_w, theta_nodes, theta_w = _quad_nodes(r, order)
     w_sinh = _radial_weights(r_nodes, r_w, r, order)
     A, B = _angular_grams(modes, phi_nodes, phi_w, theta_nodes, theta_w)
-    R1 = _radial_gram(dpsi, modes, r_nodes, w_sinh)
-    R0 = _radial_gram(psi, modes, r_nodes, r_w)
+    psi_tab, dpsi_tab, idx = _radial_tables(modes, r_nodes)
+    R1 = _radial_gram(dpsi_tab, idx, w_sinh)
+    R0 = _radial_gram(psi_tab, idx, r_w)
     return R1 * A + R0 * B
 
 
@@ -383,7 +399,8 @@ def omega_gram(lmax: int, r: float, order: int = 48):
     psi_ell' against sinh^2 r dr and of psi_ell against dr, one profile
     table per ell, times the angular Grams A of the Y_lm and B of their
     gradients, each assembled from phi- and theta-factor Grams.  Raises
-    ValueError when the sinh^2 weights overflow (r past ~355).
+    ValueError for lmax outside [1, MAX_ELL] and when the sinh^2 weights
+    overflow (r past ~355).
     """
     modes = mode_indices(lmax, lmin=1)
     return modes, _omega_gram(modes, r, order)
@@ -433,8 +450,8 @@ def check_df_bound(expansion: HarmonicExpansion, r: float) -> DfBoundReport:
     """
     if expansion.truncation < 1:
         raise ValueError("expansion must allow degree 1 (truncation >= 1)")
-    if r <= 0:
-        raise ValueError(f"ball radius must be positive, got {r}")
+    if not (math.isfinite(r) and r > 0):
+        raise ValueError(f"ball radius must be finite and positive, got {r}")
     df_sq = sum(
         a * a for (ell, _), a in expansion.items() if ell == 1
     )

@@ -26,21 +26,38 @@ which yields the closed form
 Both are evaluated here in closed form; the quadrature definitions are
 kept in the test suite as oracles.
 
-Numerical notes.  The hypergeometric series converges like k^-3 tanh^(2k)(r/2),
-fast for r <= 2 but uselessly slow near r = 10; for r >= 2 evaluation switches
-to an exact elementary route: with x = coth r the radial ODE becomes
-u'' = ell(ell+1)/(x^2-1) u, whose regular solution is (1-x^2) Q_ell'(x), and
-log((x+1)/(x-1)) = 2r makes the Legendre Q_ell elementary.  That route
-cancels catastrophically as r -> 0 (terms ~ r^-ell), so it is used only at
-large r; conversely the raw hyperbolic expressions for psi_1, psi_1' and nu
-lose ~2 log10(1/r) digits to csch^2 cancellation as r -> 0 and are replaced
-below TAYLOR_SWITCH by 5-term Taylor polynomials (exact rational
+Routes.  profile(ell, r) picks one route per (ell, r) and returns psi_ell,
+psi_ell' and the flux sinh^2(r) psi_ell' from one pass of it; psi, dpsi and
+mode_norm read its values.  ell is validated up to MAX_ELL = 40.
+
+    ell = 0    any r                  psi = 1, psi' = 0
+    ell = 1    r < TAYLOR_SWITCH      Taylor polynomials of psi_1 and psi_1'
+               r >= TAYLOR_SWITCH     the elementary form above
+    ell >= 2   r < seam(ell)          hypergeometric series
+               r >= seam(ell)         Legendre route
+
+with seam(ell) = 2 + max(0, ell - 10)/15: 2 up to ell = 10, 4 at ell = 40.
+
+Numerical notes.  The hypergeometric series converges like
+k^-3 tanh^(2k)(r/2): fast for r <= 2, still within 4e-15 of mpmath up to
+r = 4.25 for every ell <= 40, and cut short by its 500-term cap past
+r = 4.5 (1e-10 at r = 5, 1e-6 at r = 6).  From the seam on, evaluation
+switches to an exact elementary route: with x = coth r the radial ODE
+becomes u'' = ell(ell+1)/(x^2-1) u, whose regular solution is
+(1-x^2) Q_ell'(x), and log((x+1)/(x-1)) = 2r makes the Legendre Q_ell
+elementary.  That route cancels catastrophically as r -> 0 (terms ~ r^-ell;
+at r = 2 it is off by 5.5e-12 at ell = 20 and 4e-8 at ell = 40), which is
+why the seam moves out with ell; from the seam on it stays within 5e-13 of
+mpmath.  The raw hyperbolic expressions for psi_1, psi_1' and nu lose
+~2 log10(1/r) digits to csch^2 cancellation as r -> 0 and are replaced
+below TAYLOR_SWITCH by 6-term Taylor polynomials (exact rational
 coefficients; error at the switch ~ 4e-12 relative, while the raw forms are
 still good to ~3e-13 there, so both sides of the switch stay well inside
 the 1e-10 cross-check tolerances).  Every closed form writes coth and
-csch^2 through q = exp(-2r), coth r = (1+q)/(1-q) and csch^2 r =
-4q/(1-q)^2, and mode_norm never forms sinh^2 past r = 2, so psi, dpsi,
-mode_norm and nu all stay finite past the overflow of sinh^2 near r = 355.
+csch^2 through q = exp(-2r), coth r = (1+q)/(1-q) and
+csch^2 r = 4q/(1-q)^2, and sinh^2 is formed only below the seam, so psi,
+dpsi, mode_norm and nu all stay finite past the overflow of sinh^2 near
+r = 355.
 """
 
 from __future__ import annotations
@@ -48,19 +65,19 @@ from __future__ import annotations
 import math
 
 __all__ = [
+    "MAX_ELL",
     "TAYLOR_SWITCH",
     "dpsi",
     "mode_norm",
     "nu",
     "nu_closed",
+    "profile",
     "psi",
-    "psi_series",
-    "dpsi_series",
 ]
 
 # Exact Taylor coefficients (sympy-derived, frozen).  psi_1 on odd powers
-# r, r^3, ..., r^9; its derivative on even powers 1, r^2, ..., r^8; the
-# 6pi-normalized nu integrand on rho^2, ..., rho^10 (nu is its termwise
+# r, r^3, ..., r^11; its derivative on even powers 1, r^2, ..., r^10; the
+# 6pi-normalized nu integrand on rho^2, ..., rho^12 (nu is its termwise
 # integral).
 _PSI1_TAYLOR = (2 / 3, -4 / 45, 4 / 315, -8 / 4725, 4 / 18711, -5528 / 212837625)
 _DPSI1_TAYLOR = (2 / 3, -4 / 15, 4 / 63, -8 / 675, 4 / 2079, -5528 / 19348875)
@@ -70,9 +87,14 @@ _NU_INTEGRAND_TAYLOR = (2 / 3, -2 / 9, 4 / 75, -2 / 189, 2764 / 1488375, -4 / 13
 #: expressions (see module docstring for the error budget).
 TAYLOR_SWITCH = 0.15
 
-# Crossover from the hypergeometric series to the Legendre route; the series
-# needs ~60 terms here, the Legendre route has no cancellation this far out.
-_SERIES_MAX_R = 2.0
+#: Highest mode degree whose routes are validated against mpmath.
+MAX_ELL = 40
+
+
+def _seam(ell: int) -> float:
+    # crossover from the series to the Legendre route: 2 up to ell = 10,
+    # then later as the Legendre route's cancellation grows, 4 at ell = 40
+    return 2.0 + max(0, ell - 10) / 15.0
 
 
 def _require_nonneg(r: float) -> None:
@@ -80,60 +102,35 @@ def _require_nonneg(r: float) -> None:
         raise ValueError(f"radius must be finite and nonnegative, got {r}")
 
 
-def psi_series(ell: int, r: float, max_terms: int = 500) -> float:
-    """Gamma-prefactored tanh^ell(r/2) * 2F1 series for psi_ell.
+def _series(ell: int, r: float, max_terms: int = 500) -> tuple[float, float, float]:
+    """(psi, psi', sinh^2 psi') from the Gamma-prefactored 2F1 series.
 
-    Terms are generated by ratio recursion and summed until the next term
-    drops below 1e-16 of the partial sum, capped at max_terms.  The cap is
-    generous for r <= 2 (geometric ratio tanh^2(r/2) <= 0.58) and a genuine
-    truncation for r >> 2; callers needing large radii go through psi(),
-    which switches evaluation route instead of raising the cap.
+    psi_ell = pref t^ell sum_k c_k x^k with t = tanh(r/2), x = t^2, and
+    psi_ell' = pref t^(ell-1) sum_k c_k (ell + 2k) x^k dt/dr.  One ratio
+    recursion feeds both sums; each stops on its own once its next term
+    drops below 1e-16 of its partial sum, capped at max_terms.  The cap is
+    generous below the seam and a genuine truncation far beyond it.
     """
-    if ell < 0:
-        raise ValueError(f"mode index must be nonnegative, got {ell}")
-    _require_nonneg(r)
-    if ell == 0:
-        return 1.0
     t = math.tanh(r / 2.0)
     x = t * t
     pref = math.gamma(1.5) * math.gamma(ell + 2) / math.gamma(ell + 1.5)
     a, b, c = -0.5, float(ell), ell + 1.5
     term = 1.0
-    total = 1.0
+    total, dtotal = 1.0, float(ell)
+    psi_done = dpsi_done = False
     for k in range(max_terms):
         term *= (a + k) * (b + k) / ((c + k) * (1.0 + k)) * x
-        total += term
-        if abs(term) < 1e-16 * abs(total):
+        if not psi_done:
+            total += term
+            psi_done = abs(term) < 1e-16 * abs(total)
+        if not dpsi_done:
+            dterm = term * (ell + 2 * k + 2)
+            dtotal += dterm
+            dpsi_done = abs(dterm) < 1e-16 * abs(dtotal)
+        if psi_done and dpsi_done:
             break
-    return pref * t**ell * total
-
-
-def dpsi_series(ell: int, r: float, max_terms: int = 500) -> float:
-    """Termwise derivative of psi_series (same recursion, same cap)."""
-    if ell < 0:
-        raise ValueError(f"mode index must be nonnegative, got {ell}")
-    _require_nonneg(r)
-    if ell == 0:
-        return 0.0
-    t = math.tanh(r / 2.0)
-    x = t * t
-    pref = math.gamma(1.5) * math.gamma(ell + 2) / math.gamma(ell + 1.5)
-    if t == 0.0:
-        # only the leading t^(ell-1) term survives, and only for ell = 1
-        return 0.5 * pref if ell == 1 else 0.0
-    dtdr = (1.0 - x) / 2.0
-    a, b, c = -0.5, float(ell), ell + 1.5
-    # d/dr [ t^ell sum_k c_k x^k ] = t^(ell-1) sum_k c_k (ell+2k) x^k * dt/dr;
-    # coeff accumulates c_k x^k exactly as in psi_series.
-    coeff = 1.0
-    total = float(ell)
-    for k in range(1, max_terms + 1):
-        coeff *= (a + k - 1) * (b + k - 1) / ((c + k - 1) * k) * x
-        term = coeff * (ell + 2 * k)
-        total += term
-        if abs(term) < 1e-16 * abs(total):
-            break
-    return pref * t ** (ell - 1) * total * dtdr
+    d = pref * t ** (ell - 1) * dtotal * (1.0 - x) / 2.0
+    return pref * t**ell * total, d, d * math.sinh(r) ** 2
 
 
 def _legendre_trio(ell: int, x: float) -> tuple[list, list, list]:
@@ -156,17 +153,11 @@ def _coth_csch2(r: float) -> tuple[float, float]:
     return (1.0 + q) / one_minus_q, 4.0 * q / one_minus_q**2
 
 
-def _psi_large(ell: int, r: float) -> float:
-    # psi_ell = P_ell(coth r) - csch^2 r (r P_ell'(coth r) - W'(coth r)),
-    # W = sum_{k=1}^{ell} P_{k-1} P_{ell-k} / k  (the polynomial part of Q_ell).
-    x, s = _coth_csch2(r)
-    P, dP, _ = _legendre_trio(ell, x)
-    Wp = sum((dP[k - 1] * P[ell - k] + P[k - 1] * dP[ell - k]) / k for k in range(1, ell + 1))
-    return P[ell] - s * (r * dP[ell] - Wp)
-
-
-def _flux_large(ell: int, r: float) -> float:
-    # sinh^2(r) psi_ell'(r) = -2 P' + 2x (r P' - W') + csch^2 r (r P'' - W'')
+def _legendre(ell: int, r: float) -> tuple[float, float, float]:
+    # with x = coth r, s = csch^2 r and W = sum_{k=1}^{ell} P_{k-1} P_{ell-k} / k
+    # (the polynomial part of Q_ell):
+    #   psi_ell          = P_ell - s (r P_ell' - W')
+    #   sinh^2 psi_ell'  = -2 P_ell' + 2x (r P_ell' - W') + s (r P_ell'' - W'')
     x, s = _coth_csch2(r)
     P, dP, ddP = _legendre_trio(ell, x)
     Wp = sum((dP[k - 1] * P[ell - k] + P[k - 1] * dP[ell - k]) / k for k in range(1, ell + 1))
@@ -174,20 +165,8 @@ def _flux_large(ell: int, r: float) -> float:
         (ddP[k - 1] * P[ell - k] + 2 * dP[k - 1] * dP[ell - k] + P[k - 1] * ddP[ell - k]) / k
         for k in range(1, ell + 1)
     )
-    return -2.0 * dP[ell] + 2.0 * x * (r * dP[ell] - Wp) + s * (r * ddP[ell] - Wpp)
-
-
-def _dpsi_large(ell: int, r: float) -> float:
-    return _coth_csch2(r)[1] * _flux_large(ell, r)
-
-
-def _poly_eval_odd(coeffs, r: float) -> float:
-    # sum coeffs[k] * r^(2k+1)
-    r2 = r * r
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * r2 + c
-    return acc * r
+    flux = -2.0 * dP[ell] + 2.0 * x * (r * dP[ell] - Wp) + s * (r * ddP[ell] - Wpp)
+    return P[ell] - s * (r * dP[ell] - Wp), s * flux, flux
 
 
 def _poly_eval_even(coeffs, r: float, lead_power: int) -> float:
@@ -199,62 +178,47 @@ def _poly_eval_even(coeffs, r: float, lead_power: int) -> float:
     return acc * r**lead_power if lead_power else acc
 
 
-def _psi1_closed(r: float) -> float:
+def _degree_one(r: float) -> tuple[float, float, float]:
+    # psi_1 = coth r - r csch^2 r and sinh^2 psi_1' = 2 (r coth r - 1)
     if r < TAYLOR_SWITCH:
-        return _poly_eval_odd(_PSI1_TAYLOR, r)
+        d = _poly_eval_even(_DPSI1_TAYLOR, r, 0)
+        return _poly_eval_even(_PSI1_TAYLOR, r, 1), d, d * math.sinh(r) ** 2
     c, s = _coth_csch2(r)
-    return c - r * s
+    flux = 2.0 * (r * c - 1.0)
+    return c - r * s, flux * s, flux
 
 
-def _dpsi1_closed(r: float) -> float:
-    if r < TAYLOR_SWITCH:
-        return _poly_eval_even(_DPSI1_TAYLOR, r, 0)
-    c, s = _coth_csch2(r)
-    return 2.0 * (r * c - 1.0) * s
+def profile(ell: int, r: float) -> tuple[float, float, float]:
+    """(psi_ell(r), psi_ell'(r), sinh^2(r) psi_ell'(r)) from one route.
+
+    The route is chosen once per (ell, r), as in the module docstring's
+    table: ell = 0 is the constant 1; ell = 1 the elementary form (Taylor
+    below TAYLOR_SWITCH); other ell the series below the seam
+    2 + max(0, ell - 10)/15 and the Legendre route from there on.  The
+    values on the two sides of each switch agree to better than 1e-12
+    relative (asserted in the test suite).  Raises ValueError for ell
+    outside [0, MAX_ELL] and for r not finite and nonnegative.
+    """
+    if not 0 <= ell <= MAX_ELL:
+        raise ValueError(f"mode index must lie in [0, {MAX_ELL}], got {ell}")
+    _require_nonneg(r)
+    if ell == 0:
+        return 1.0, 0.0, 0.0
+    if ell == 1:
+        return _degree_one(r)
+    if r < _seam(ell):
+        return _series(ell, r)
+    return _legendre(ell, r)
 
 
 def psi(ell: int, r: float) -> float:
-    """psi_ell(r), with the evaluation route chosen for accuracy.
-
-    ell = 0 is the constant 1; ell = 1 uses the elementary form (Taylor below
-    TAYLOR_SWITCH); other ell use the series for r < 2 and the Legendre route
-    beyond.  All routes agree to better than 1e-12 relative on their overlaps
-    (asserted in the test suite).
-    """
-    if ell < 0:
-        raise ValueError(f"mode index must be nonnegative, got {ell}")
-    _require_nonneg(r)
-    if ell == 0:
-        return 1.0
-    if ell == 1:
-        return _psi1_closed(r)
-    if r < _SERIES_MAX_R:
-        return psi_series(ell, r)
-    return _psi_large(ell, r)
+    """psi_ell(r), read from profile()."""
+    return profile(ell, r)[0]
 
 
 def dpsi(ell: int, r: float) -> float:
-    """d psi_ell / dr, same route selection as psi()."""
-    if ell < 0:
-        raise ValueError(f"mode index must be nonnegative, got {ell}")
-    _require_nonneg(r)
-    if ell == 0:
-        return 0.0
-    if ell == 1:
-        return _dpsi1_closed(r)
-    if r < _SERIES_MAX_R:
-        return dpsi_series(ell, r)
-    return _dpsi_large(ell, r)
-
-
-def _flux(ell: int, r: float) -> float:
-    # sinh^2(r) psi_ell'(r); past the Taylor and series ranges in the
-    # closed forms, which never form sinh^2
-    if ell == 1 and r >= TAYLOR_SWITCH:
-        return 2.0 * (r * _coth_csch2(r)[0] - 1.0)
-    if ell >= 2 and r >= _SERIES_MAX_R:
-        return _flux_large(ell, r)
-    return dpsi(ell, r) * math.sinh(r) ** 2
+    """d psi_ell / dr, read from profile()."""
+    return profile(ell, r)[1]
 
 
 def mode_norm(ell: int, r: float) -> float:
@@ -263,16 +227,17 @@ def mode_norm(ell: int, r: float) -> float:
     Closed form: by Green's identity (the degree-ell field is the
     differential of a harmonic function) the integral of
     (psi')^2 sinh^2 + ell(ell+1) psi^2 over [0, r] is the boundary flux
-    psi_ell(r) psi_ell'(r) sinh^2(r).  psi_ell' sinh^2 is evaluated in a
-    form without sinh^2, so N_ell(r) ~ ell(ell+1) r stays finite past the
-    overflow of sinh^2 near r = 355.
+    psi_ell(r) psi_ell'(r) sinh^2(r), both factors from profile().  Past the
+    Taylor and series ranges the flux is evaluated in a form without
+    sinh^2, so N_ell(r) ~ ell(ell+1) r stays finite past the overflow of
+    sinh^2 near r = 355.
     """
     if ell < 1:
         raise ValueError("mode_norm needs ell >= 1; the ell = 0 field vanishes")
-    _require_nonneg(r)
     if r == 0:
         raise ValueError(f"radius must be positive, got {r}")
-    return psi(ell, r) * _flux(ell, r)
+    p, _, flux = profile(ell, r)
+    return p * flux
 
 
 def _nu_taylor_integral(r: float) -> float:

@@ -216,7 +216,8 @@ def test_criterion_07a_homology_action_exactness():
     for n in range(61):
         gen = mv_generator(n)
         a, _, c, _ = gen
-        if math.gcd(a, c) != 1 or mv_intersection(n).rank != 1:
+        meet = mv_intersection(n)
+        if math.gcd(a, c) != 1 or meet.rank != 1 or meet.basis != (gen,):
             mv_ok = False
             break
     ok = sympl and twist and mv_ok

@@ -369,6 +369,13 @@ class TestSeparableGram:
         G = _omega_gram(modes, r, 30)
         assert _gram_gap(G, full_mesh_omega_gram(modes, r, 30)) <= 1e-13
 
+    @pytest.mark.parametrize("gram, lmax", [(omega_gram, 0), (omega_gram, 41),
+                                            (psi_gram, -1), (psi_gram, 41)])
+    def test_degree_range(self, gram, lmax):
+        # omega_gram takes 1 <= lmax <= 40, psi_gram 0 <= lmax <= 40
+        with pytest.raises(ValueError, match="lmax"):
+            gram(lmax, 1.0, order=4)
+
     @pytest.mark.parametrize("gram", [omega_gram, psi_gram])
     def test_past_sinh_overflow_raises(self, gram):
         # sinh^2 of the outer radial nodes overflows; nan/inf entries used to come back
@@ -422,3 +429,10 @@ class TestDfBound:
             check_df_bound(HarmonicExpansion({(0, 0): 1.0}, truncation=0), 1.0)
         with pytest.raises(ValueError):
             check_df_bound(HarmonicExpansion({(1, 0): 1.0}, truncation=1), 0.0)
+
+    @pytest.mark.parametrize("coeffs", [{}, {(0, 0): 1.0}, {(1, 0): 1.0}])
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_radius_raises(self, coeffs, r):
+        # an expansion with no ell >= 1 terms never reaches mode_norm
+        with pytest.raises(ValueError, match="finite"):
+            check_df_bound(HarmonicExpansion(coeffs, truncation=2), r)

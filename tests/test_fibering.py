@@ -188,6 +188,16 @@ class TestBrownStatus:
         rotated = Word(w.letters[k:] + w.letters[:k])
         assert brown_status(w, chi) is brown_status(rotated, chi)
 
+    @given(words(), characters())
+    @settings(max_examples=300)
+    def test_relator_inversion_invariance(self, w, chi):
+        # r and r^-1 present the same group; the inverse walk is the
+        # reversed, negated one, with the same count of minima and maxima
+        w = w.cyc_reduce()
+        if not w.letters:
+            return
+        assert brown_status(w, chi) is brown_status(w.inverse(), chi)
+
 
 class TestFiberedCharacters:
     def test_x064_scan_nonempty(self):

@@ -332,7 +332,7 @@ class TestMvGenerator:
 
     def test_generates_intersection_through_60(self):
         for n in range(61):
-            phi = mv_generator(n)  # re-asserts generation internally
+            phi = mv_generator(n)  # read off fbar_power(n); checked against the lattice here
             meet = mv_intersection(n)
             assert meet.rank == 1
             assert meet.basis == (phi,)
@@ -340,6 +340,20 @@ class TestMvGenerator:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             mv_generator(-1)
+
+    def test_suite_reports_a_wrong_intersection(self, monkeypatch):
+        # mv_generator reads fbar_power alone, so a faulty intersection shows
+        # up as a failed homalg-mv-generators check, not as an exception
+        import hypnorms.verify as verify
+
+        def wrong(n):
+            return Lattice(((0, 0, 1, 0),))
+
+        monkeypatch.setattr(verify, "mv_intersection", wrong)
+        monkeypatch.setattr("hypnorms.homalg.mv_intersection", wrong)
+        checks = {c.name: c for c in verify.suite_homalg()}
+        assert not checks["homalg-mv-generators"].passed
+        assert checks["homalg-symplectic"].passed
 
     @pytest.mark.xfail(
         strict=True,

@@ -8,19 +8,20 @@ under test existed; they are not regression snapshots.
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypnorms.cli import main as cli_main
 from hypnorms.radial import (
+    _series,
     dpsi,
-    dpsi_series,
     mode_norm,
     nu,
     nu_closed,
+    profile,
     psi,
-    psi_series,
 )
 from quad_oracles import mode_norm_quad, nu_integrand, nu_quad
 
@@ -29,6 +30,25 @@ SIX_PI = 6.0 * math.pi
 
 def rel_err(a, b):
     return abs(a - b) / abs(b)
+
+
+def mp_profile(ell, r):
+    """psi_ell, psi_ell' and N_ell at r from mpmath's 2F1, at 30 digits.
+
+    psi_ell = pref t^ell F(t^2) with t = tanh(r/2) and F = 2F1(-1/2, ell;
+    ell + 3/2; .); dt/dr = (1 - t^2)/2 and F' = (a b / c) 2F1(a+1, b+1; c+1; .).
+    """
+    with mp.workdps(30):
+        r = mp.mpf(r)
+        t = mp.tanh(r / 2)
+        z = t * t
+        a, b, c = mp.mpf(-1) / 2, mp.mpf(ell), ell + mp.mpf(3) / 2
+        pref = mp.gamma(mp.mpf(3) / 2) * mp.gamma(ell + 2) / mp.gamma(c)
+        f = mp.hyp2f1(a, b, c, z)
+        df = a * b / c * mp.hyp2f1(a + 1, b + 1, c + 1, z)
+        p = pref * t**ell * f
+        d = pref * (1 - z) / 2 * (ell * t ** (ell - 1) * f + 2 * t ** (ell + 1) * df)
+        return float(p), float(d), float(p * d * mp.sinh(r) ** 2)
 
 
 class TestPsi:
@@ -62,23 +82,26 @@ class TestPsi:
         # same function, two routes; the explicit cap pushes the series far
         # past its default so it converges on the whole window
         for r in np.geomspace(1e-3, 10.0, 25):
-            assert rel_err(psi_series(1, r, max_terms=200_000), psi(1, r)) < 1e-10
-            assert rel_err(dpsi_series(1, r, max_terms=200_000), dpsi(1, r)) < 1e-10
+            p, d, _ = _series(1, r, max_terms=200_000)
+            assert rel_err(p, psi(1, r)) < 1e-10
+            assert rel_err(d, dpsi(1, r)) < 1e-10
 
     def test_series_agrees_with_large_r_route(self):
         for ell in (2, 3, 5):
             for r in (2.01, 2.5, 4.0, 7.0):
-                assert rel_err(psi_series(ell, r, max_terms=200_000), psi(ell, r)) < 1e-10
-                assert rel_err(dpsi_series(ell, r, max_terms=200_000), dpsi(ell, r)) < 1e-10
+                p, d, _ = _series(ell, r, max_terms=200_000)
+                assert rel_err(p, psi(ell, r)) < 1e-10
+                assert rel_err(d, dpsi(ell, r)) < 1e-10
 
     def test_routes_agree_at_switch_points(self):
         # both sides of each dispatch boundary, pinned by the series route
         for ell in (2, 3, 5):
             for r in (1.9999999, 2.0):
-                assert rel_err(psi_series(ell, r, max_terms=200_000), psi(ell, r)) < 1e-12
+                assert rel_err(_series(ell, r, max_terms=200_000)[0], psi(ell, r)) < 1e-12
         for r in (0.1499999, 0.15):
-            assert rel_err(psi_series(1, r), psi(1, r)) < 1e-12
-            assert rel_err(dpsi_series(1, r), dpsi(1, r)) < 1e-12
+            p, d, _ = _series(1, r)
+            assert rel_err(p, psi(1, r)) < 1e-12
+            assert rel_err(d, dpsi(1, r)) < 1e-12
 
     def test_derivative_matches_finite_differences(self):
         h = 1e-5
@@ -98,8 +121,8 @@ class TestPsi:
             dpsi(1, -1e-9)
 
     @given(
-        ell=st.integers(min_value=1, max_value=8),
-        r=st.floats(min_value=1e-6, max_value=20.0),
+        ell=st.integers(min_value=1, max_value=40),
+        r=st.floats(min_value=1e-6, max_value=700.0),
     )
     def test_range_property(self, ell, r):
         val = psi(ell, r)
@@ -107,13 +130,48 @@ class TestPsi:
         assert dpsi(ell, r) >= 0.0
 
     @given(
-        ell=st.integers(min_value=1, max_value=8),
-        r1=st.floats(min_value=1e-4, max_value=15.0),
-        r2=st.floats(min_value=1e-4, max_value=15.0),
+        ell=st.integers(min_value=1, max_value=40),
+        r1=st.floats(min_value=1e-4, max_value=700.0),
+        r2=st.floats(min_value=1e-4, max_value=700.0),
     )
     def test_monotone_property(self, ell, r1, r2):
         lo, hi = sorted((r1, r2))
         assert psi(ell, lo) <= psi(ell, hi)
+
+
+def seam(ell):
+    # series below, Legendre route from here on (ell >= 2)
+    return 2.0 + max(0, ell - 10) / 15.0
+
+
+class TestSeam:
+    """The series/Legendre switch, checked against mpmath up to ell = 40."""
+
+    @pytest.mark.parametrize("ell", [20, 30, 40])
+    def test_both_sides_match_mpmath(self, ell):
+        s = seam(ell)
+        for r in (2.0, s - 0.25, math.nextafter(s, 0.0), s, s + 0.25, s + 2.0):
+            p, d, n = mp_profile(ell, r)
+            assert rel_err(psi(ell, r), p) < 1e-12
+            assert rel_err(dpsi(ell, r), d) < 1e-12
+            assert rel_err(mode_norm(ell, r), n) < 1e-12
+
+    @pytest.mark.parametrize("fn", [psi, dpsi, mode_norm, profile])
+    def test_degree_past_validated_range_raises(self, fn):
+        with pytest.raises(ValueError, match="40"):
+            fn(41, 3.0)
+
+
+class TestProfile:
+    @pytest.mark.parametrize("ell", [0, 1, 2, 5, 12, 40])
+    def test_one_pass_matches_the_readers(self, ell):
+        for r in (0.0, 0.1, 0.15, 1.0, 2.0, 3.5, 4.0, 30.0, 400.0):
+            p, d, flux = profile(ell, r)
+            assert (p, d) == (psi(ell, r), dpsi(ell, r))
+            if ell >= 1 and r > 0:
+                assert p * flux == mode_norm(ell, r)
+            if r < 4.0:
+                assert flux == pytest.approx(d * math.sinh(r) ** 2, rel=1e-14, abs=0.0)
 
 
 class TestModeNorm:
@@ -268,7 +326,7 @@ class TestNonfiniteRadius:
             nu(r)
 
     @pytest.mark.parametrize("r", NONFINITE)
-    @pytest.mark.parametrize("fn", [psi, dpsi, psi_series, dpsi_series, mode_norm])
+    @pytest.mark.parametrize("fn", [psi, dpsi, profile, mode_norm])
     @pytest.mark.parametrize("ell", [1, 2, 5])
     def test_mode_functions(self, fn, ell, r):
         with pytest.raises(ValueError, match="finite"):
