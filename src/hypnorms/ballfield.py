@@ -42,7 +42,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .radial import MAX_ELL, mode_norm, nu, profile, psi
+from .radial import MAX_ELL, nu, profile, profiles, psi
 
 __all__ = [
     "BallPoint",
@@ -350,12 +350,12 @@ def _radial_weights(r_nodes, r_w, r: float, order: int):
 
 
 def _radial_tables(modes, r_nodes):
-    # psi_ell and psi_ell' at the nodes, one row per distinct ell and one
-    # profile call per (ell, node), and the row of each mode
+    # psi_ell and psi_ell' at the nodes, one row per distinct ell from one
+    # profiles call per node, and the row of each mode
     ells = sorted({ell for ell, _ in modes})
-    tables = np.array([[profile(ell, rr)[:2] for rr in r_nodes] for ell in ells])
+    tables = np.array([profiles(ells[-1], rr)[:2] for rr in r_nodes])[:, :, ells]
     idx = np.searchsorted(ells, [ell for ell, _ in modes])
-    return tables[..., 0], tables[..., 1], idx
+    return tables[:, 0].T, tables[:, 1].T, idx
 
 
 def _radial_gram(table, idx, weights):
@@ -368,8 +368,8 @@ def psi_gram(lmax: int, r: float, order: int = 48):
 
     Returns (modes, matrix).  On the tensor grid of ball_l2_norm_sq the
     integral of Psi_a Psi_b separates into a radial Gram of psi_ell against
-    sinh^2 r dr (one profile table per ell) times the angular Gram of the
-    Y_lm.  Raises ValueError for lmax outside [0, MAX_ELL] and when the
+    sinh^2 r dr (one profiles call per radial node) times the angular Gram
+    of the Y_lm.  Raises ValueError for lmax outside [0, MAX_ELL] and when the
     sinh^2 weights overflow (r past ~355).
     """
     modes = mode_indices(lmax)
@@ -396,8 +396,8 @@ def omega_gram(lmax: int, r: float, order: int = 48):
 
     Returns (modes, matrix).  With the coframe components of omega_lm the
     integrand separates, so the matrix is R1 * A + R0 * B: radial Grams of
-    psi_ell' against sinh^2 r dr and of psi_ell against dr, one profile
-    table per ell, times the angular Grams A of the Y_lm and B of their
+    psi_ell' against sinh^2 r dr and of psi_ell against dr, one profiles
+    call per radial node, times the angular Grams A of the Y_lm and B of their
     gradients, each assembled from phi- and theta-factor Grams.  Raises
     ValueError for lmax outside [1, MAX_ELL] and when the sinh^2 weights
     overflow (r past ~355).
@@ -444,7 +444,8 @@ def check_df_bound(expansion: HarmonicExpansion, r: float) -> DfBoundReport:
 
     df_at_center = |df(0)| comes from the degree-1 coefficients alone (the
     three degree-1 frame covectors at the center are orthogonal with length
-    1/sqrt(3 pi) each); l2_norm^2 = sum a_lm^2 N_ell(r) by mode orthogonality;
+    1/sqrt(3 pi) each); l2_norm^2 = sum a_lm^2 N_ell(r) by mode orthogonality,
+    every N_ell = psi_ell times the flux from one radial.profiles call;
     ratio = df_at_center sqrt(nu(r)) / l2_norm <= 1, with equality exactly on
     pure degree-1 expansions.
     """
@@ -457,8 +458,8 @@ def check_df_bound(expansion: HarmonicExpansion, r: float) -> DfBoundReport:
     )
     df_at_center = math.sqrt(df_sq / (3.0 * math.pi))
     terms = [(ell, a) for (ell, _), a in expansion.items() if ell >= 1]
-    norms = {ell: mode_norm(ell, r) for ell in {ell for ell, _ in terms}}
-    l2_sq = sum(a * a * norms[ell] for ell, a in terms)
+    p, _, flux = profiles(max((ell for ell, _ in terms), default=0), r)
+    l2_sq = sum(a * a * (p[ell] * flux[ell]) for ell, a in terms)
     l2_norm = math.sqrt(l2_sq)
     if l2_norm == 0.0:
         return DfBoundReport(df_at_center, 0.0, 0.0)

@@ -39,6 +39,7 @@ from .verify import SUITES, Check, run_suite
 __all__ = ["RunConfig", "main", "cmd_nu", "cmd_verify", "cmd_family"]
 
 _GRID_POINTS = 25  # points of a float a..b range; integer ranges step by (b - a) // 25
+_INT64 = np.iinfo(np.int64)  # integer ranges are numpy arrays
 
 
 class UsageError(Exception):
@@ -93,6 +94,8 @@ def _parse_grid(text: str, *, integer: bool = False, log: bool = False) -> list:
             lo, hi = num(lo_s), num(hi_s)
             if not lo < hi:
                 raise UsageError(f"grid range needs lo < hi, got {text!r}")
+            if integer and not (_INT64.min <= lo and hi <= _INT64.max):
+                raise UsageError(f"integer grid endpoints must fit in 64 bits, got {text!r}")
             if log:
                 if lo <= 0:
                     raise UsageError("log grid needs positive endpoints")
@@ -103,7 +106,8 @@ def _parse_grid(text: str, *, integer: bool = False, log: bool = False) -> list:
             else:
                 vals = np.linspace(lo, hi, _GRID_POINTS)
             if integer:
-                return [int(v) for v in np.unique(vals.astype(np.int64))]
+                # float points of a log range near 2**63 can round past an end
+                return sorted({min(max(int(v), lo), hi) for v in vals})
             return [float(v) for v in vals]
         return [num(tok) for tok in text.split(",")]
     except UsageError:
@@ -147,12 +151,20 @@ def cmd_nu(grid: list[float], config: RunConfig) -> tuple[list[dict], list[Check
         raise UsageError("nu table needs finite, strictly positive radii")
     rows = []
     for r in grid:
-        v = nu(r)
+        try:
+            v = nu(r)
+            small = 4.0 * math.pi / 3.0 * r**3
+        except (ValueError, OverflowError) as e:
+            raise UsageError(f"nu table radius {r} is out of range: {e}")
+        if not sys.float_info.min <= small < math.inf:
+            raise UsageError(
+                f"nu table radius {r} is out of range: 4 pi r**3 / 3 is not a normal float"
+            )
         rows.append(
             {
                 "r": r,
                 "nu": v,
-                "ratio_small": v / (4.0 * math.pi / 3.0 * r**3),
+                "ratio_small": v / small,
                 "ratio_large": v / (6.0 * math.pi * r),
             }
         )

@@ -1,9 +1,11 @@
-"""Direct quadrature routes, kept as test oracles.
+"""Direct quadrature routes and independent radial evaluators, kept as test oracles.
 
 The library evaluates nu and N_ell in closed form (Green's identity turns the
 interior integral into boundary flux).  nu_quad and mode_norm_quad are the
 integrals themselves, by adaptive quadrature, so agreement tests compare two
-independent routes.
+independent routes.  The library's radial profiles come from one float
+Legendre-Q ladder in ell; series_profile sums the defining 2F1 series and
+q_ladder_profile runs the same ladder in mpmath at raised precision.
 
 The library assembles its ball Gram matrices from factor Grams and
 evaluates tube fields on one broadcast grid.  full_mesh_psi_gram,
@@ -14,6 +16,7 @@ profile row per mode, and one field call per tube node.
 
 import math
 
+import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 
@@ -65,6 +68,61 @@ def mode_norm_quad(ell: int, r: float) -> float:
 
     val, _ = quad(integrand, 0.0, r, **QUAD_OPTS)
     return val
+
+
+def series_profile(ell: int, r: float, max_terms: int = 500) -> tuple[float, float, float]:
+    """(psi, psi', sinh^2 psi') from the Gamma-prefactored 2F1 series.
+
+    psi_ell = pref t^ell sum_k c_k x^k with t = tanh(r/2), x = t^2, and
+    psi_ell' = pref t^(ell-1) sum_k c_k (ell + 2k) x^k dt/dr.  One ratio
+    recursion feeds both sums; each stops on its own once its next term
+    drops below 1e-16 of its partial sum, capped at max_terms.  The terms
+    fall like k^-3 tanh^(2k)(r/2), so the cap is a genuine truncation past
+    r ~ 4.5 unless the caller raises it.
+    """
+    t = math.tanh(r / 2.0)
+    x = t * t
+    pref = math.gamma(1.5) * math.gamma(ell + 2) / math.gamma(ell + 1.5)
+    a, b, c = -0.5, float(ell), ell + 1.5
+    term = 1.0
+    total, dtotal = 1.0, float(ell)
+    psi_done = dpsi_done = False
+    for k in range(max_terms):
+        term *= (a + k) * (b + k) / ((c + k) * (1.0 + k)) * x
+        if not psi_done:
+            total += term
+            psi_done = abs(term) < 1e-16 * abs(total)
+        if not dpsi_done:
+            dterm = term * (ell + 2 * k + 2)
+            dtotal += dterm
+            dpsi_done = abs(dterm) < 1e-16 * abs(dtotal)
+        if psi_done and dpsi_done:
+            break
+    d = pref * t ** (ell - 1) * dtotal * (1.0 - x) / 2.0
+    return pref * t**ell * total, d, d * math.sinh(r) ** 2
+
+
+def q_ladder_profile(ell: int, r: float):
+    """psi_ell, psi_ell' and N_ell at r > 0 from the Legendre-Q ladder in mpmath.
+
+    With x = coth r, Q_0 = r and Q_1 = r x - 1, and (n + 1) Q_(n+1) =
+    (2n + 1) x Q_n - n Q_(n-1) runs forward to Q_ell.  Forward is the
+    unstable direction for this minimal solution, losing about
+    (2 ell + 1) log10 coth(r/2) digits, so the working precision is 40
+    digits plus that loss.  Then psi_ell = ell (Q_(ell-1) - x Q_ell),
+    sinh^2(r) psi_ell' = ell (ell + 1) Q_ell and N_ell = psi_ell times
+    that flux.
+    """
+    lost = (2 * ell + 1) * math.log10(1.0 / math.tanh(r / 2.0)) + math.log10(ell * (r + 1.0))
+    with mp.workdps(40 + int(lost)):
+        r = mp.mpf(r)
+        x = mp.coth(r)
+        q_prev, q = r, r * x - 1
+        for n in range(1, ell):
+            q_prev, q = q, ((2 * n + 1) * x * q - n * q_prev) / (n + 1)
+        p = ell * (q_prev - x * q)
+        flux = ell * (ell + 1) * q
+        return float(p), float(flux / mp.sinh(r) ** 2), float(p * flux)
 
 
 def _mesh_tables(modes, phi_nodes, theta_nodes):

@@ -88,6 +88,26 @@ class TestGridParsing:
         with pytest.raises(UsageError):
             _parse_grid("0..10", log=True)
 
+    @pytest.mark.parametrize("log", [False, True])
+    @pytest.mark.parametrize("text", ["1..100000000000000000000000",
+                                      "-100000000000000000000000..5",
+                                      "1..9223372036854775808"])
+    def test_int_range_past_int64_rejected(self, text, log):
+        with pytest.raises(UsageError, match="64 bits"):
+            _parse_grid(text, integer=True, log=log)
+
+    def test_int_range_at_int64_edge(self):
+        grid = _parse_grid("9223372036854775806..9223372036854775807", integer=True)
+        assert grid == [9223372036854775806, 9223372036854775807]
+
+    @pytest.mark.parametrize("text", ["1..9223372036854775807",
+                                      "9223372036854775000..9223372036854775807"])
+    def test_int_log_range_at_int64_edge(self, text):
+        # the float grid points round up to 2**63 at the top end
+        lo, hi = (int(s) for s in text.split(".."))
+        grid = _parse_grid(text, integer=True, log=True)
+        assert grid[0] == lo and grid[-1] == hi and grid == sorted(set(grid))
+
     def test_tol_pairs(self):
         assert _parse_tols(["a=0.5", "b=1e-9"]) == {"a": 0.5, "b": 1e-9}
 
@@ -200,6 +220,12 @@ class TestFamilyCommand:
     def test_filling_needs_n(self, capsys):
         code, _, _ = run_cli(capsys, "family", "filling")
         assert code == 2
+
+    @pytest.mark.parametrize("extra", [[], ["--log-grid"]])
+    def test_gluing_grid_past_int64_usage_error(self, capsys, extra):
+        n = "1..100000000000000000000000"
+        code, out, _ = run_cli(capsys, "family", "gluing", "--n", n, *extra)
+        assert (code, out) == (2, "")
 
     def test_filling_degenerate_n_usage_error(self, capsys):
         # n=1 collapses the filled slope norm to zero

@@ -11,19 +11,25 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hypnorms.cli import main as cli_main
 from hypnorms.radial import (
-    _series,
     dpsi,
     mode_norm,
     nu,
     nu_closed,
     profile,
+    profiles,
     psi,
 )
-from quad_oracles import mode_norm_quad, nu_integrand, nu_quad
+from quad_oracles import (
+    mode_norm_quad,
+    nu_integrand,
+    nu_quad,
+    q_ladder_profile,
+    series_profile,
+)
 
 SIX_PI = 6.0 * math.pi
 
@@ -49,6 +55,25 @@ def mp_profile(ell, r):
         p = pref * t**ell * f
         d = pref * (1 - z) / 2 * (ell * t ** (ell - 1) * f + 2 * t ** (ell + 1) * df)
         return float(p), float(d), float(p * d * mp.sinh(r) ** 2)
+
+
+# The ladder runs backward below this radius and forward from it.
+SWITCH = 3.5
+
+
+def old_seam(ell):
+    # where an earlier series/Legendre pair of routes switched (ell >= 2)
+    return 2.0 + max(0, ell - 10) / 15.0
+
+
+def _at_adjacent_floats_of_seams(test):
+    # the float just below each switch and the switch itself, where two
+    # routes met: there the earlier routes broke monotonicity by up to
+    # 2e-13 relative, the ladder by up to 3.4e-15
+    for ell in range(1, 41):
+        for s in {old_seam(ell), SWITCH}:
+            test = example(ell=ell, r1=math.nextafter(s, 0.0), r2=s)(test)
+    return test
 
 
 class TestPsi:
@@ -82,26 +107,25 @@ class TestPsi:
         # same function, two routes; the explicit cap pushes the series far
         # past its default so it converges on the whole window
         for r in np.geomspace(1e-3, 10.0, 25):
-            p, d, _ = _series(1, r, max_terms=200_000)
+            p, d, _ = series_profile(1, r, max_terms=200_000)
             assert rel_err(p, psi(1, r)) < 1e-10
             assert rel_err(d, dpsi(1, r)) < 1e-10
 
     def test_series_agrees_with_large_r_route(self):
         for ell in (2, 3, 5):
             for r in (2.01, 2.5, 4.0, 7.0):
-                p, d, _ = _series(ell, r, max_terms=200_000)
+                p, d, _ = series_profile(ell, r, max_terms=200_000)
                 assert rel_err(p, psi(ell, r)) < 1e-10
                 assert rel_err(d, dpsi(ell, r)) < 1e-10
 
     def test_routes_agree_at_switch_points(self):
-        # both sides of each dispatch boundary, pinned by the series route
-        for ell in (2, 3, 5):
-            for r in (1.9999999, 2.0):
-                assert rel_err(_series(ell, r, max_terms=200_000)[0], psi(ell, r)) < 1e-12
-        for r in (0.1499999, 0.15):
-            p, d, _ = _series(1, r)
-            assert rel_err(p, psi(1, r)) < 1e-12
-            assert rel_err(d, dpsi(1, r)) < 1e-12
+        # both sides of the backward/forward switch, pinned by the series;
+        # 2.0 and 0.15 were switch points of earlier routes
+        for ell in (1, 2, 3, 5, 20, 40):
+            for r in (0.1499999, 0.15, 1.9999999, 2.0, math.nextafter(SWITCH, 0.0), SWITCH):
+                p, d, _ = series_profile(ell, r, max_terms=200_000)
+                assert rel_err(p, psi(ell, r)) < 1e-12
+                assert rel_err(d, dpsi(ell, r)) < 1e-12
 
     def test_derivative_matches_finite_differences(self):
         h = 1e-5
@@ -129,28 +153,36 @@ class TestPsi:
         assert 0.0 < val <= 1.0
         assert dpsi(ell, r) >= 0.0
 
+    @_at_adjacent_floats_of_seams
     @given(
         ell=st.integers(min_value=1, max_value=40),
         r1=st.floats(min_value=1e-4, max_value=700.0),
         r2=st.floats(min_value=1e-4, max_value=700.0),
     )
     def test_monotone_property(self, ell, r1, r2):
+        # psi is strictly increasing, but a float route holds it only to its
+        # accuracy: across a switch two adjacent floats can swap order
         lo, hi = sorted((r1, r2))
-        assert psi(ell, lo) <= psi(ell, hi)
+        assert psi(ell, lo) <= psi(ell, hi) * (1.0 + 1e-13)
 
-
-def seam(ell):
-    # series below, Legendre route from here on (ell >= 2)
-    return 2.0 + max(0, ell - 10) / 15.0
+    @pytest.mark.parametrize("ell", range(1, 41))
+    def test_strictly_increasing_on_grid(self, ell):
+        vals = [psi(ell, r) for r in np.geomspace(1e-3, 15.0, 120)]
+        assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 class TestSeam:
-    """The series/Legendre switch, checked against mpmath up to ell = 40."""
+    """The backward/forward switch, checked against mpmath up to ell = 40."""
 
-    @pytest.mark.parametrize("ell", [20, 30, 40])
+    @pytest.mark.parametrize("ell", [1, 2, 20, 30, 40])
     def test_both_sides_match_mpmath(self, ell):
-        s = seam(ell)
-        for r in (2.0, s - 0.25, math.nextafter(s, 0.0), s, s + 0.25, s + 2.0):
+        # 2.0, old_seam(ell) and their neighbours were switch points of the
+        # series/Legendre routes this ladder replaced
+        s = old_seam(ell)
+        radii = (2.0, s - 0.25, math.nextafter(s, 0.0), s, s + 0.25, s + 2.0,
+                 SWITCH - 0.25, math.nextafter(SWITCH, 0.0), SWITCH,
+                 math.nextafter(SWITCH, math.inf), SWITCH + 0.25, SWITCH + 2.0)
+        for r in radii:
             p, d, n = mp_profile(ell, r)
             assert rel_err(psi(ell, r), p) < 1e-12
             assert rel_err(dpsi(ell, r), d) < 1e-12
@@ -172,6 +204,57 @@ class TestProfile:
                 assert p * flux == mode_norm(ell, r)
             if r < 4.0:
                 assert flux == pytest.approx(d * math.sinh(r) ** 2, rel=1e-14, abs=0.0)
+
+
+ORACLE_RADII = [*np.geomspace(1e-3, 700.0, 40), math.nextafter(SWITCH, 0.0), SWITCH]
+
+
+class TestRecurrence:
+    """profiles() against the same Q ladder run in mpmath."""
+
+    @pytest.mark.parametrize("ell", [1, 2, 5, 20, 40])
+    def test_oracle_matches_hypergeometric_form(self, ell):
+        for r in (1e-3, 0.1, 1.0, 3.0, SWITCH, 6.0, 10.0):
+            for got, want in zip(q_ladder_profile(ell, r), mp_profile(ell, r)):
+                assert rel_err(got, want) < 1e-15
+
+    @pytest.mark.parametrize("ell", [1, 2, 5, 10, 20, 30, 40])
+    def test_matches_oracle(self, ell):
+        for r in ORACLE_RADII:
+            p, d, n = q_ladder_profile(ell, r)
+            assert rel_err(psi(ell, r), p) < 1e-13
+            if d > 1e-290:  # below, csch^2 r is subnormal
+                assert rel_err(dpsi(ell, r), d) < 1e-13
+            assert rel_err(mode_norm(ell, r), n) < 1e-13
+
+    @pytest.mark.parametrize("r", [0.0, 1e-300, 0.4, 2.0, math.nextafter(SWITCH, 0.0),
+                                   SWITCH, 9.0, 700.0])
+    def test_prefix_identity(self, r):
+        # a degree's values do not depend on how many degrees are asked for
+        for ell in (0, 1, 2, 7, 39, 40):
+            for lmax in {ell, min(ell + 1, 40), 40}:
+                p, d, f = profiles(lmax, r)
+                assert profile(ell, r) == (p[ell], d[ell], f[ell])
+
+    @pytest.mark.parametrize("lmax", [-1, 41])
+    def test_degree_range(self, lmax):
+        with pytest.raises(ValueError, match="40"):
+            profiles(lmax, 1.0)
+
+
+class TestPastFloatRange:
+    """The flux ~ ell(ell+1) r leaves the float range near r = 1e305."""
+
+    @pytest.mark.parametrize("ell, r", [(1, 1.7e308), (2, 1.7e308), (40, 1e306)])
+    @pytest.mark.parametrize("fn", [psi, dpsi, profile, mode_norm, profiles])
+    def test_raises(self, fn, ell, r):
+        with pytest.raises(ValueError, match="float range"):
+            fn(ell, r)
+
+    @pytest.mark.parametrize("ell, r", [(40, 1e305), (1, 8e307)])
+    def test_finite_below_the_edge(self, ell, r):
+        # N_ell(r) = ell(ell+1) r + O(1) here
+        assert rel_err(mode_norm(ell, r), ell * (ell + 1) * r) < 1e-15
 
 
 class TestModeNorm:
@@ -326,14 +409,19 @@ class TestNonfiniteRadius:
             nu(r)
 
     @pytest.mark.parametrize("r", NONFINITE)
-    @pytest.mark.parametrize("fn", [psi, dpsi, profile, mode_norm])
+    @pytest.mark.parametrize("fn", [psi, dpsi, profile, mode_norm, profiles])
     @pytest.mark.parametrize("ell", [1, 2, 5])
     def test_mode_functions(self, fn, ell, r):
         with pytest.raises(ValueError, match="finite"):
             fn(ell, r)
 
-    @pytest.mark.parametrize("text", ["nan", "1,inf", "0.5,nan"])
+    @pytest.mark.parametrize(
+        "text", ["nan", "1,inf", "0.5,nan", "1e308", "1e200", "1,4e102", "1e-320", "1,1e-104"]
+    )
     def test_cli_table_is_a_usage_error(self, capsys, text):
+        # past the finite radii: nu(1e308) leaves the float range, and the
+        # denominator 4 pi r**3 / 3 of the small-radius ratio column
+        # overflows from r ~ 3.5e102 and is subnormal below r ~ 1.7e-103
         assert cli_main(["nu", "--r", text]) == 2
         assert capsys.readouterr().out == ""
 
