@@ -42,7 +42,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .radial import MAX_ELL, nu, profile, profiles, psi
+from .radial import MAX_ELL, profile, profiles, psi
 
 __all__ = [
     "BallPoint",
@@ -233,23 +233,15 @@ def eval_omega(ell: int, m: int, p: BallPoint) -> CovectorFrame:
 
     At r = 0 the degree-1 fields have a genuine covector limit (psi_1/sinh r
     and psi_1' both tend to 2/3); degree 0 gives the zero covector and degree
-    >= 2 vanishes to order ell - 1, so zero is returned there too.
+    >= 2 vanishes to order ell - 1.  profile() returns psi' at r = 0 as that
+    limit, 2/3 for ell = 1 and 0 above, so it stands in for psi/sinh r there.
     """
     if abs(m) > ell:
         raise ValueError(f"need |m| <= ell, got (ell, m) = ({ell}, {m})")
     if ell == 0:
         return CovectorFrame(0.0, 0.0, 0.0)
-    if p.r == 0.0:
-        if ell >= 2:
-            return CovectorFrame(0.0, 0.0, 0.0)
-        lim = 2.0 / 3.0  # psi_1'(0) = lim psi_1/sinh
-        return CovectorFrame(
-            lim * sph_harm(1, m, p.phi, p.theta),
-            lim * sph_harm_dphi(1, m, p.phi, p.theta),
-            lim * sph_harm_dtheta_over_sin(1, m, p.phi, p.theta),
-        )
     psi_r, dpsi_r, _ = profile(ell, p.r)
-    over_sinh = psi_r / math.sinh(p.r)
+    over_sinh = psi_r / math.sinh(p.r) if p.r > 0 else dpsi_r
     return CovectorFrame(
         dpsi_r * sph_harm(ell, m, p.phi, p.theta),
         over_sinh * sph_harm_dphi(ell, m, p.phi, p.theta),
@@ -446,22 +438,28 @@ def check_df_bound(expansion: HarmonicExpansion, r: float) -> DfBoundReport:
     three degree-1 frame covectors at the center are orthogonal with length
     1/sqrt(3 pi) each); l2_norm^2 = sum a_lm^2 N_ell(r) by mode orthogonality,
     every N_ell = psi_ell times the flux from one radial.profiles call;
-    ratio = df_at_center sqrt(nu(r)) / l2_norm <= 1, with equality exactly on
-    pure degree-1 expansions.
+    ratio = df_at_center sqrt(nu(r)) / l2_norm = sqrt(df^2 N_1 / l2_norm^2)
+    with df^2 = sum over ell = 1 of a_lm^2 and nu = 3 pi N_1, so ratio <= 1,
+    with equality exactly on pure degree-1 expansions.  Raises ValueError
+    when df^2 or l2_norm^2 leaves the float range: it overflows, or it
+    underflows to zero while some coefficient of degree >= 1 is not zero.
     """
     if expansion.truncation < 1:
         raise ValueError("expansion must allow degree 1 (truncation >= 1)")
     if not (math.isfinite(r) and r > 0):
         raise ValueError(f"ball radius must be finite and positive, got {r}")
-    df_sq = sum(
-        a * a for (ell, _), a in expansion.items() if ell == 1
-    )
-    df_at_center = math.sqrt(df_sq / (3.0 * math.pi))
     terms = [(ell, a) for (ell, _), a in expansion.items() if ell >= 1]
-    p, _, flux = profiles(max((ell for ell, _ in terms), default=0), r)
+    p, _, flux = profiles(max((ell for ell, _ in terms), default=1), r)
+    df_sq = sum(a * a for ell, a in terms if ell == 1)
     l2_sq = sum(a * a * (p[ell] * flux[ell]) for ell, a in terms)
-    l2_norm = math.sqrt(l2_sq)
-    if l2_norm == 0.0:
+    if not (math.isfinite(df_sq) and math.isfinite(l2_sq)) or (
+        l2_sq == 0.0 and any(a != 0.0 for _, a in terms)
+    ):
+        raise ValueError(
+            f"squared norms df^2 = {df_sq}, l2^2 = {l2_sq} on B_{r} leave the float range"
+        )
+    df_at_center = math.sqrt(df_sq / (3.0 * math.pi))
+    if l2_sq == 0.0:
         return DfBoundReport(df_at_center, 0.0, 0.0)
-    ratio = df_at_center * math.sqrt(nu(r)) / l2_norm
-    return DfBoundReport(df_at_center, l2_norm, ratio)
+    ratio = math.sqrt(df_sq * (p[1] * flux[1]) / l2_sq)
+    return DfBoundReport(df_at_center, math.sqrt(l2_sq), ratio)

@@ -118,8 +118,8 @@ def thm_main_bounds(d: NormDatum) -> MainBounds:
 
 def bsv_bounds(d: NormDatum, C1: float, C2: float) -> Bracket:
     """Cover-stable form: C1 th/vol <= ||phi|| <= C2 th with caller constants."""
-    if C1 <= 0 or C2 <= 0:
-        raise ValueError(f"constants must be positive, got C1={C1}, C2={C2}")
+    if not (0 < C1 < math.inf and 0 < C2 < math.inf):
+        raise ValueError(f"constants must be finite and positive, got C1={C1}, C2={C2}")
     return Bracket(C1 * d.thurston / d.vol, C2 * d.thurston)
 
 
@@ -137,8 +137,8 @@ def supnorm_factor(inj: float, b1_positive: bool, mu: float | None = None) -> fl
     unconditional 0.1) computes the same two-branch formula for that value,
     but the <= 5/sqrt(inj) contract is calibrated to the default only.
     """
-    if inj <= 0:
-        raise ValueError(f"injectivity radius must be positive, got {inj}")
+    if not 0 < inj < math.inf:
+        raise ValueError(f"injectivity radius must be finite and positive, got {inj}")
     if mu is None:
         if not b1_positive:
             warnings.warn(
@@ -149,8 +149,8 @@ def supnorm_factor(inj: float, b1_positive: bool, mu: float | None = None) -> fl
             )
             return 0.0
         mu = MU_DEFAULT
-    if mu <= 0:
-        raise ValueError(f"thick-part constant must be positive, got {mu}")
+    if not 0 < mu < math.inf:
+        raise ValueError(f"thick-part constant must be finite and positive, got {mu}")
     if inj >= mu / 2.0:
         return 1.0 / math.sqrt(nu(inj))
     return math.sqrt(mu / nu(mu / 2.0)) / math.sqrt(inj)
@@ -158,24 +158,24 @@ def supnorm_factor(inj: float, b1_positive: bool, mu: float | None = None) -> fl
 
 def degree_bound(mu: float, inj: float) -> float:
     """Max sheet count of a radius-mu/2 ball: mu/min(inj, mu/2), so always >= 2."""
-    if mu <= 0 or inj <= 0:
-        raise ValueError(f"need mu, inj > 0, got mu={mu}, inj={inj}")
+    if not (0 < mu < math.inf and 0 < inj < math.inf):
+        raise ValueError(f"need finite mu, inj > 0, got mu={mu}, inj={inj}")
     return mu / min(inj, mu / 2.0)
 
 
 def area_norm_bounds(thurston: float) -> Bracket:
     """pi th <= ||phi||_A <= 2 pi th (the least-area sandwich)."""
-    if thurston < 0:
-        raise ValueError(f"Thurston norm must be nonnegative, got {thurston}")
+    if not 0 <= thurston < math.inf:
+        raise ValueError(f"Thurston norm must be finite and nonnegative, got {thurston}")
     return Bracket(math.pi * thurston, 2.0 * math.pi * thurston)
 
 
 def km_lower(vol: float, thurston: float) -> float:
     """Scalar-curvature lower bound 2 pi th/(3 sqrt(vol)); 2/3 of the main one."""
-    if vol <= 0:
-        raise ValueError(f"volume must be positive, got {vol}")
-    if thurston < 0:
-        raise ValueError(f"Thurston norm must be nonnegative, got {thurston}")
+    if not 0 < vol < math.inf:
+        raise ValueError(f"volume must be finite and positive, got {vol}")
+    if not 0 <= thurston < math.inf:
+        raise ValueError(f"Thurston norm must be finite and nonnegative, got {thurston}")
     return 2.0 * math.pi * thurston / (3.0 * math.sqrt(vol))
 
 
@@ -183,8 +183,8 @@ def split_lower_bound(piece_norms: Sequence[float]) -> float:
     """Sum of per-piece norms, a lower bound for the glued manifold's norm."""
     if len(piece_norms) == 0:
         raise ValueError("need at least one piece")
-    if any(x < 0 for x in piece_norms):
-        raise ValueError("piece norms must be nonnegative")
+    if not all(0 <= x < math.inf for x in piece_norms):
+        raise ValueError(f"piece norms must be finite and nonnegative, got {piece_norms}")
     return float(sum(piece_norms))
 
 

@@ -116,6 +116,15 @@ def _parse_grid(text: str, *, integer: bool = False, log: bool = False) -> list:
         raise UsageError(f"malformed grid {text!r}")
 
 
+def _require_tols_used(tols: dict[str, float], checks: list[Check]) -> None:
+    # a --tol that no check of the command took would otherwise pass silently
+    held = {(c.name, c.tol) for c in checks}
+    unused = [f"{k}={v!r}" for k, v in tols.items() if (k, v) not in held]
+    if unused:
+        names = ", ".join(dict.fromkeys(c.name for c in checks))
+        raise UsageError(f"--tol {' '.join(unused)} matches no check here; the checks are: {names}")
+
+
 def _check_dict(c: Check) -> dict:
     return {
         "name": c.name,
@@ -346,6 +355,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             rows, checks = cmd_family(args.kind, args, config)
             command = f"family {args.kind}"
+        _require_tols_used(config.tol, checks)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -19,12 +19,8 @@ ball of radius r is
 and the sharp constant in the pointwise gradient bound for harmonic functions
 is nu(r) = 3 pi N_1(r).  Because psi_ell Y is harmonic, Green's identity
 collapses N_ell to boundary flux, N_ell(r) = psi_ell(r) psi_ell'(r) sinh^2(r),
-which yields the closed form
-
-    nu(r) = 6 pi (coth r - r csch^2 r)(r coth r - 1).
-
-Both are evaluated here in closed form; the quadrature definitions are
-kept in the test suite as oracles.
+so N_ell and nu are read off the ladder below; the quadrature definitions
+are kept in the test suite as oracles.
 
 The Legendre ladder.  With x = coth r the radial equation becomes
 u'' = ell(ell+1)/(x^2 - 1) u, and with Q_n the Legendre functions of the
@@ -60,11 +56,13 @@ Every closed form writes coth and csch^2 through q = exp(-2r),
 coth r = (1+q)/(1-q) and csch^2 r = 4q/(1-q)^2, and sinh^2 is never formed
 past the switch, so the profiles stay finite past the overflow of sinh^2
 near r = 355; the flux ~ ell(ell+1) r itself leaves the float range near
-r = 1e305, and there profiles raises ValueError.  nu keeps its own closed
-form; its raw hyperbolic expression loses ~2 log10(1/r) digits to csch^2
-cancellation as r -> 0, so below TAYLOR_SWITCH it is the termwise integral
-of a 6-term Taylor polynomial of its integrand (exact rational
-coefficients; the two sides of the switch agree to ~4e-12).
+r = 1e305, and there profiles raises ValueError.  nu(r) = 6 pi psi_1 (flux_1/2)
+is the degree-one rung: past the switch that is the closed form
+6 pi (coth r - r csch^2 r)(r coth r - 1) term for term, and below it the
+backward ratios give psi_1 and flux_1 without the csch^2 cancellation that
+costs the closed form ~2 log10(1/r) digits as r -> 0.  Against that closed
+form at 120 digits, over 5,000 log-uniform radii in [1e-6, 700], the worst
+relative error of nu is 2.2e-15.
 """
 
 from __future__ import annotations
@@ -73,7 +71,6 @@ import math
 
 __all__ = [
     "MAX_ELL",
-    "TAYLOR_SWITCH",
     "dpsi",
     "mode_norm",
     "nu",
@@ -82,13 +79,6 @@ __all__ = [
     "profiles",
     "psi",
 ]
-
-# Exact Taylor coefficients (sympy-derived, frozen) of the 6pi-normalized nu
-# integrand on rho^2, ..., rho^12; nu is its termwise integral.
-_NU_INTEGRAND_TAYLOR = (2 / 3, -2 / 9, 4 / 75, -2 / 189, 2764 / 1488375, -4 / 13365)
-
-#: Radius below which nu is the termwise integral of its Taylor polynomial.
-TAYLOR_SWITCH = 0.15
 
 #: Highest mode degree profiles() evaluates.
 MAX_ELL = 40
@@ -208,36 +198,25 @@ def mode_norm(ell: int, r: float) -> float:
     return p * flux
 
 
-def _nu_taylor_integral(r: float) -> float:
-    # exact termwise integral of the Taylor integrand: sum c_k r^(2k+3)/(2k+3)
-    coeffs = tuple(c / (2 * k + 3) for k, c in enumerate(_NU_INTEGRAND_TAYLOR))
-    r2 = r * r
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * r2 + c
-    return acc * r**3
-
-
 def nu(r: float) -> float:
-    """The sharp gradient-bound constant nu(r) = 3 pi N_1(r), in closed form.
+    """The sharp gradient-bound constant nu(r) = 3 pi N_1(r), read from profile().
 
-    nu(r) = 6 pi (coth r - r csch^2 r)(r coth r - 1), the boundary flux of
-    the degree-one mode; below TAYLOR_SWITCH the termwise integral of the
-    integrand's Taylor polynomial.  nu(0) = 0; strictly increasing;
-    ~ 4 pi r^3 / 3 as r -> 0 and 6 pi (r - 1) + o(1) as r -> infinity.
-    With q = exp(-2r), coth r = (1 + q)/(1 - q) and csch^2 r = 4q/(1 - q)^2,
-    so the value is finite for every r up to ~9e306, where 6 pi r leaves
-    the float range and ValueError is raised.
+    nu = 6 pi psi_1 (flux_1 / 2), the boundary flux of the degree-one mode;
+    from r = 3.5 on this is 6 pi (coth r - r csch^2 r)(r coth r - 1) with
+    coth and csch^2 written through q = exp(-2r).  nu(0) = 0; strictly
+    increasing, except that from the float below 3.5 to 3.5 the value
+    steps down by 2.1e-15 relative as the ladder changes direction (psi's
+    step, module docstring); ~ 4 pi r^3 / 3 as r -> 0 and 6 pi (r - 1) +
+    o(1) as r -> infinity.  Finite for every r up to ~9e306, where 6 pi r
+    leaves the float range and ValueError is raised.
     """
-    _require_nonneg(r)
-    if r < TAYLOR_SWITCH:
-        return 6.0 * math.pi * _nu_taylor_integral(r)
-    c, s = _coth_csch2(r)
-    value = 6.0 * math.pi * (c - r * s) * (r * c - 1.0)
+    p, _, flux = profile(1, r)
+    value = 6.0 * math.pi * p * (flux / 2.0)
     if math.isinf(value):
         raise ValueError(f"nu({r}) exceeds the float range")
     return value
 
 
-# Kept for callers that name the closed form explicitly (benchmark/fields.py).
+# An alias of nu, kept only because benchmark/fields.py imports it; ROADMAP
+# item 1 deletes the alias together with that import.
 nu_closed = nu

@@ -1,11 +1,12 @@
 """Direct quadrature routes and independent radial evaluators, kept as test oracles.
 
-The library evaluates nu and N_ell in closed form (Green's identity turns the
-interior integral into boundary flux).  nu_quad and mode_norm_quad are the
-integrals themselves, by adaptive quadrature, so agreement tests compare two
-independent routes.  The library's radial profiles come from one float
-Legendre-Q ladder in ell; series_profile sums the defining 2F1 series and
-q_ladder_profile runs the same ladder in mpmath at raised precision.
+The library reads N_ell and nu = 3 pi N_1 off one float Legendre-Q ladder in
+ell as boundary flux (Green's identity turns the interior integral into
+it).  nu_quad and mode_norm_quad are the integrals themselves, by adaptive
+quadrature, so agreement tests compare two independent routes;
+nu_integrand is the elementary degree-one integrand, with its own Taylor
+branch below NU_TAYLOR_SWITCH.  series_profile sums the defining 2F1
+series and q_ladder_profile runs the ladder in mpmath at raised precision.
 
 The library assembles its ball Gram matrices from factor Grams and
 evaluates tube fields on one broadcast grid.  full_mesh_psi_gram,
@@ -27,23 +28,25 @@ from hypnorms.ballfield import (
     sph_harm_dphi,
     sph_harm_dtheta_over_sin,
 )
-from hypnorms.radial import TAYLOR_SWITCH, dpsi, psi
+from hypnorms.radial import dpsi, psi
 from hypnorms.tubefield import _gl
 
 QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-10, limit=200)
 
-# Taylor coefficients of nu_integrand on rho^2, rho^4, ..., rho^12 (exact
-# rationals, sympy-derived); the raw hyperbolic form cancels as rho -> 0.
+# Below this radius nu_integrand is its Taylor polynomial, whose
+# coefficients on rho^2, rho^4, ..., rho^12 are exact rationals
+# (sympy-derived); the raw hyperbolic form cancels as rho -> 0.
+NU_TAYLOR_SWITCH = 0.15
 _NU_INTEGRAND_TAYLOR = (2 / 3, -2 / 9, 4 / 75, -2 / 189, 2764 / 1488375, -4 / 13365)
 
 
 def nu_integrand(rho: float) -> float:
-    """The 6pi-normalized integrand of nu (Taylor branch below TAYLOR_SWITCH).
+    """The 6pi-normalized integrand of nu (Taylor branch below NU_TAYLOR_SWITCH).
 
     nu(r) = 6 pi int_0^r [ coth^2 + 2 csch^2 - 6 rho coth csch^2
                            + rho^2 csch^2 (2 coth^2 + csch^2) ] d rho
     """
-    if rho < TAYLOR_SWITCH:
+    if rho < NU_TAYLOR_SWITCH:
         return sum(c * rho ** (2 * k + 2) for k, c in enumerate(_NU_INTEGRAND_TAYLOR))
     c = 1.0 / math.tanh(rho)
     s = 1.0 / math.sinh(rho) ** 2
@@ -52,10 +55,10 @@ def nu_integrand(rho: float) -> float:
 
 def nu_quad(r: float) -> float:
     """nu(r) by adaptive quadrature, split at the Taylor switch."""
-    head, _ = quad(nu_integrand, 0.0, min(r, TAYLOR_SWITCH), **QUAD_OPTS)
-    if r <= TAYLOR_SWITCH:
+    head, _ = quad(nu_integrand, 0.0, min(r, NU_TAYLOR_SWITCH), **QUAD_OPTS)
+    if r <= NU_TAYLOR_SWITCH:
         return 6.0 * math.pi * head
-    tail, _ = quad(nu_integrand, TAYLOR_SWITCH, r, **QUAD_OPTS)
+    tail, _ = quad(nu_integrand, NU_TAYLOR_SWITCH, r, **QUAD_OPTS)
     return 6.0 * math.pi * (head + tail)
 
 

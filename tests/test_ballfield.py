@@ -391,6 +391,23 @@ class TestDfBound:
             )
             assert abs(rep.ratio - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize("r", [1e-3, 0.3, 1.0, 1.5, 3.0, 3.5, 40.0])
+    @pytest.mark.parametrize("mode", [(1, -1), (1, 0), (1, 1)])
+    @pytest.mark.parametrize("a", [1.0, -0.7, 3e5])
+    def test_single_degree_one_coefficient_saturates_exactly(self, a, mode, r):
+        # ratio = sqrt(a^2 N_1 / (a^2 N_1)), one product on both sides
+        rep = check_df_bound(HarmonicExpansion({mode: a}, truncation=1), r)
+        assert rep.ratio == 1.0
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [{(1, 0): 1e200}, {(2, 1): 1e200}, {(1, 0): 1.0, (3, 0): 1e160}, {(1, 0): 1e-200}],
+    )
+    def test_squared_norms_past_float_range_raise(self, coeffs):
+        # a^2 overflows or underflows: no (inf, inf, nan) or (0, 0, 0) report
+        with pytest.raises(ValueError, match="float range"):
+            check_df_bound(HarmonicExpansion(coeffs, truncation=3), 1.0)
+
     def test_higher_modes_only_dilute(self):
         rng = np.random.default_rng(17)
         for r in (0.3, 1.0, 3.0):

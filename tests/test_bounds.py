@@ -387,6 +387,33 @@ class TestSplitLowerBound:
         assert split_lower_bound(xs) == pytest.approx(sum(xs), rel=1e-12, abs=1e-12)
 
 
+UNIT_DATUM = NormDatum(vol=1.0, inj=1.0, thurston=1.0)
+
+
+class TestNonfiniteScalars:
+    """Each scalar bound rejects nan and +-inf with ValueError."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda x: supnorm_factor(x, True), id="supnorm_factor-inj"),
+            pytest.param(lambda x: supnorm_factor(0.5, True, mu=x), id="supnorm_factor-mu"),
+            pytest.param(lambda x: degree_bound(0.29, x), id="degree_bound-inj"),
+            pytest.param(lambda x: degree_bound(x, 0.1), id="degree_bound-mu"),
+            pytest.param(lambda x: km_lower(x, 1.0), id="km_lower-vol"),
+            pytest.param(lambda x: km_lower(1.0, x), id="km_lower-thurston"),
+            pytest.param(area_norm_bounds, id="area_norm_bounds"),
+            pytest.param(lambda x: bsv_bounds(UNIT_DATUM, x, 1.0), id="bsv_bounds-C1"),
+            pytest.param(lambda x: bsv_bounds(UNIT_DATUM, 1.0, x), id="bsv_bounds-C2"),
+            pytest.param(lambda x: split_lower_bound([1.0, x]), id="split_lower_bound"),
+        ],
+    )
+    def test_rejected(self, call, bad):
+        with pytest.raises(ValueError, match="finite"):
+            call(bad)
+
+
 class TestPolytopeNorm:
     def test_construction_validation(self):
         with pytest.raises(ValueError, match="symmetric"):

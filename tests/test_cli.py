@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -155,6 +156,27 @@ class TestNuCommand:
         assert not by_name["branch-constant"]["pass"]
 
 
+class TestTolOverrides:
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["verify", "tube", "--tol", "tube-volum=1e-30"],
+             ["tube-volume", "tube-form-norm", "tube-competitor"]),
+            (["verify", "homalg", "--tol", "homalg-symplectic=0.5"], ["homalg-symplectic"]),
+            (["nu", "--r", "1", "--tol", "branch-constant=0.02", "--tol", "branch=1"],
+             ["branch-constant", "branch-sup"]),
+            (["family", "gluing", "--n", "1..10", "--tol", "branch-constant=0.02"],
+             ["gluing-rate-ln"]),
+        ],
+    )
+    def test_unused_tol_usage_error(self, capsys, argv, names):
+        # a misspelled name, or one whose check keeps a fixed tolerance
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        for name in names:
+            assert name in err
+
+
 class TestVerifyCommand:
     @pytest.mark.parametrize("suite", ["ball", "tube", "dfbound", "homalg", "bns"])
     def test_all_suites_pass(self, capsys, suite):
@@ -226,6 +248,14 @@ class TestFamilyCommand:
         n = "1..100000000000000000000000"
         code, out, _ = run_cli(capsys, "family", "gluing", "--n", n, *extra)
         assert (code, out) == (2, "")
+
+    def test_gluing_past_cap_usage_error_promptly(self, capsys):
+        # the exact power at n = 2**63 - 1 would never finish
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "family", "gluing", "--n", "1..9223372036854775807")
+        assert (code, out) == (2, "")
+        assert "10^5" in err
+        assert time.perf_counter() - start < 10.0
 
     def test_filling_degenerate_n_usage_error(self, capsys):
         # n=1 collapses the filled slope norm to zero

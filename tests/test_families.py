@@ -221,3 +221,10 @@ class TestGluingFamily:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             gluing_family(GluingFamilyParams(), 0)
+
+    def test_n_capped_at_ten_to_the_fifth(self):
+        # the exact power at n has ~0.42 n digits; past the cap it is refused
+        assert math.isfinite(gluing_family(GluingFamilyParams(), 10**5).log_th_lower)
+        for n in (10**5 + 1, 2**63 - 1):
+            with pytest.raises(ValueError, match=r"10\^5"):
+                gluing_family(GluingFamilyParams(), n)

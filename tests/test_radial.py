@@ -266,7 +266,7 @@ class TestModeNorm:
 
     def test_degree_one_carries_nu(self):
         for r in (0.5, 1.0, 2.0, 5.0):
-            assert rel_err(3.0 * math.pi * mode_norm(1, r), nu(r)) < 1e-12
+            assert rel_err(3.0 * math.pi * mode_norm(1, r), nu(r)) < 1e-15
             assert rel_err(3.0 * math.pi * mode_norm_quad(1, r), nu(r)) < 1e-10
 
     def test_small_ball_vanishing_order(self):
@@ -318,6 +318,28 @@ class TestNu:
         for rho in np.geomspace(1e-2, 20.0, 50):
             direct = (dpsi(1, rho) ** 2 * math.sinh(rho) ** 2 + 2.0 * psi(1, rho) ** 2) / 2.0
             assert rel_err(nu_integrand(rho), direct) < 1e-10
+
+    def test_matches_mpmath_closed_form(self):
+        # 6 pi (coth r - r csch^2 r)(r coth r - 1) at 120 digits, on
+        # log-uniform radii and on both sides of 0.15, where the closed form
+        # once handed over to a Taylor branch, and of the ladder's switch
+        def mp_nu(r):
+            with mp.workdps(120):
+                r = mp.mpf(r)
+                c, s = mp.coth(r), 1 / mp.sinh(r) ** 2
+                return float(6 * mp.pi * (c - r * s) * (r * c - 1))
+
+        rng = np.random.default_rng(3)
+        radii = [float(r) for r in np.exp(rng.uniform(math.log(1e-3), math.log(700.0), 300))]
+        for s in (0.15, SWITCH):
+            radii += [math.nextafter(s, 0.0), s, math.nextafter(s, math.inf)]
+        radii += [0.154, 0.2, 3.25, 3.75]
+        for r in radii:
+            assert rel_err(nu(r), mp_nu(r)) < 1e-14, r
+
+    def test_pinned_past_switch(self):
+        # from r = 3.5 on nu is the closed form term for term
+        assert repr(nu(30.0)) == "546.637121724624"
 
     def test_strictly_increasing(self):
         grid = np.geomspace(1e-3, 30.0, 60)
@@ -394,7 +416,7 @@ class TestPastSinhOverflow:
 
     @pytest.mark.parametrize("r", [400.0, 1000.0])
     def test_degree_one_carries_nu(self, r):
-        assert rel_err(3.0 * math.pi * mode_norm(1, r), nu(r)) < 1e-12
+        assert rel_err(3.0 * math.pi * mode_norm(1, r), nu(r)) < 1e-15
 
 
 NONFINITE = [math.nan, math.inf, -math.inf]
