@@ -40,9 +40,9 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 import numpy as np
-from numpy.polynomial import legendre as npleg
 
 from .radial import MAX_ELL, profile, profiles, psi
+from .tubefield import _gl, _theta_grid
 
 __all__ = [
     "BallPoint",
@@ -285,15 +285,7 @@ def _quad_nodes(r: float, order: int):
         raise ValueError(f"quadrature order must be >= 4, got {order}")
     if not (math.isfinite(r) and r > 0):
         raise ValueError(f"ball radius must be finite and positive, got {r}")
-    x, w = npleg.leggauss(order)
-    r_nodes = 0.5 * r * (x + 1.0)
-    r_weights = 0.5 * r * w
-    phi_nodes = 0.5 * math.pi * (x + 1.0)
-    phi_weights = 0.5 * math.pi * w
-    n_theta = 2 * order
-    theta_nodes = np.arange(n_theta) * (2.0 * math.pi / n_theta)
-    theta_weight = 2.0 * math.pi / n_theta
-    return r_nodes, r_weights, phi_nodes, phi_weights, theta_nodes, theta_weight
+    return (*_gl(0.0, r, order), *_gl(0.0, math.pi, order), *_theta_grid(order))
 
 
 def _weighted_gram(rows, weights):

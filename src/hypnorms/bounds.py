@@ -62,6 +62,11 @@ class MainBounds(NamedTuple):
     flagged: bool
 
 
+def _sandwich(thurston: float, vol: float, inj: float) -> tuple[float, float]:
+    # the two sides pi th/sqrt(vol) and 10 pi th/sqrt(inj) of the main comparison
+    return math.pi * thurston / math.sqrt(vol), 10.0 * math.pi * thurston / math.sqrt(inj)
+
+
 @dataclass(frozen=True)
 class NormDatum:
     """Geometric data of one manifold-and-class pair.
@@ -93,8 +98,7 @@ class NormDatum:
             if self.harmonic < 0:
                 raise ValueError(f"harmonic norm must be nonnegative, got {self.harmonic}")
             if self.check_consistency:
-                lo = math.pi * self.thurston / math.sqrt(self.vol)
-                hi = 10.0 * math.pi * self.thurston / math.sqrt(self.inj)
+                lo, hi = _sandwich(self.thurston, self.vol, self.inj)
                 if not lo * (1 - self.tol) <= self.harmonic <= hi * (1 + self.tol):
                     raise ValueError(
                         f"harmonic norm {self.harmonic} outside the sandwich "
@@ -111,8 +115,7 @@ def thm_main_bounds(d: NormDatum) -> MainBounds:
     """
     if d.thurston <= 0:
         raise ValueError("thm_main_bounds needs a nonzero class (thurston > 0)")
-    lower = math.pi * d.thurston / math.sqrt(d.vol)
-    upper = 10.0 * math.pi * d.thurston / math.sqrt(d.inj)
+    lower, upper = _sandwich(d.thurston, d.vol, d.inj)
     return MainBounds(lower, upper, lower > upper)
 
 

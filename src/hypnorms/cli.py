@@ -46,6 +46,18 @@ class UsageError(Exception):
     pass
 
 
+class _Tols(dict):
+    """--tol overrides that remember every name a command looks up."""
+
+    def __init__(self):
+        super().__init__()
+        self.looked_up: dict[str, None] = {}
+
+    def get(self, name, default=None):
+        self.looked_up[name] = None
+        return super().get(name, default)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Knobs shared by every subcommand."""
@@ -60,10 +72,12 @@ class RunConfig:
             raise UsageError(f"quadrature order must be >= 4, got {self.quad_order}")
         if self.fmt not in ("json", "csv"):
             raise UsageError(f"format must be json or csv, got {self.fmt!r}")
+        if self.seed < 0:
+            raise UsageError(f"seed must be nonnegative, got {self.seed}")
 
 
-def _parse_tols(pairs: list[str] | None) -> dict[str, float]:
-    out: dict[str, float] = {}
+def _parse_tols(pairs: list[str] | None) -> _Tols:
+    out = _Tols()
     for pair in pairs or ():
         name, sep, val = pair.partition("=")
         if not sep or not name:
@@ -72,6 +86,8 @@ def _parse_tols(pairs: list[str] | None) -> dict[str, float]:
             out[name] = float(val)
         except ValueError:
             raise UsageError(f"--tol value for {name!r} is not a number: {val!r}")
+        if not 0.0 <= out[name] < math.inf:
+            raise UsageError(f"--tol value for {name!r} must be finite and >= 0, got {val!r}")
     return out
 
 
@@ -116,13 +132,15 @@ def _parse_grid(text: str, *, integer: bool = False, log: bool = False) -> list:
         raise UsageError(f"malformed grid {text!r}")
 
 
-def _require_tols_used(tols: dict[str, float], checks: list[Check]) -> None:
-    # a --tol that no check of the command took would otherwise pass silently
-    held = {(c.name, c.tol) for c in checks}
-    unused = [f"{k}={v!r}" for k, v in tols.items() if (k, v) not in held]
+def _require_tols_used(tols: _Tols) -> None:
+    # a --tol that no check of the command looked up would otherwise pass
+    # silently: a typo, or a check whose tolerance is fixed
+    unused = [f"{k}={v!r}" for k, v in tols.items() if k not in tols.looked_up]
     if unused:
-        names = ", ".join(dict.fromkeys(c.name for c in checks))
-        raise UsageError(f"--tol {' '.join(unused)} matches no check here; the checks are: {names}")
+        names = ", ".join(tols.looked_up) or "none"
+        raise UsageError(
+            f"--tol {' '.join(unused)} matches no check here; checks that take one: {names}"
+        )
 
 
 def _check_dict(c: Check) -> dict:
@@ -355,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             rows, checks = cmd_family(args.kind, args, config)
             command = f"family {args.kind}"
-        _require_tols_used(config.tol, checks)
+        _require_tols_used(config.tol)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -21,6 +21,7 @@ itself.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -92,10 +93,24 @@ def tube_form_norm(t: TubeChart) -> float:
     return math.sqrt(norm_sq)
 
 
-def _gl(a: float, b: float, order: int):
+@functools.cache
+def _rule(order: int):
+    # the Gauss-Legendre rule on [-1, 1], built once per order and read-only
     x, w = npleg.leggauss(order)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gl(a: float, b: float, order: int):
+    """Gauss-Legendre nodes a + (b - a)(x + 1)/2 and weights (b - a) w/2 on [a, b]."""
+    x, w = _rule(order)
+    return a + 0.5 * (b - a) * (x + 1.0), 0.5 * (b - a) * w
+
+
+def _theta_grid(order: int):
+    """2*order equally spaced angles on the circle and their trapezoid weight."""
+    n = 2 * order
+    return np.arange(n) * (2.0 * math.pi / n), 2.0 * math.pi / n
 
 
 def tube_l2_norm_sq(
@@ -103,67 +118,59 @@ def tube_l2_norm_sq(
     field: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple],
     order: int = 24,
 ) -> float:
-    """integral over the tube of |field|^2 dVol, tensor Gauss-Legendre.
+    """integral over the tube of |field|^2 dVol, tensor quadrature.
 
-    Gauss-Legendre in r and z with `order` nodes each, uniform in theta
-    with 2*order nodes.  field(r, theta, z) is called once, on broadcast
-    arrays of shapes (order, 1, 1), (1, 2*order, 1) and (1, 1, order), and
-    returns coordinate components (w_r, w_theta, w_z) that broadcast to the
-    grid; a constant such as 0.0 is fine, so field must use numpy
-    operations rather than math functions.  The squared pointwise norm is
-    w_r^2 + w_theta^2/sinh^2 + w_z^2/cosh^2.
+    Gauss-Legendre in r and z with `order` nodes each.  field(r, theta, z)
+    is called once, on broadcast arrays of shapes (order, 1, 1),
+    (1, 2*order, 1) and (1, 1, order), and returns coordinate components
+    (w_r, w_theta, w_z) that broadcast to the grid; a constant such as 0.0
+    is fine, so field must use numpy operations rather than math functions.
+    The theta weight is 2 pi over the theta length of their broadcast shape:
+    the trapezoid rule on the 2*order angles when some component depends on
+    theta, and one angle of weight 2 pi, exact, when none does.  The squared
+    pointwise norm is w_r^2 + w_theta^2/sinh^2 + w_z^2/cosh^2.
     """
     r_nodes, r_w = _gl(0.0, t.R, order)
     z_nodes, z_w = _gl(0.0, t.epsilon, order)
-    n_theta = 2 * order
-    theta_nodes = np.arange(n_theta) * (2.0 * math.pi / n_theta)
-    theta_w = 2.0 * math.pi / n_theta
-    shape = (order, n_theta, order)
+    theta_nodes, _ = _theta_grid(order)
     a, b, c = (
-        np.broadcast_to(np.asarray(w, dtype=float), shape)
+        np.asarray(w, dtype=float)
         for w in field(r_nodes[:, None, None], theta_nodes[None, :, None], z_nodes[None, None, :])
     )
+    n_theta = np.broadcast_shapes((1, 1, 1), a.shape, b.shape, c.shape)[1]
     sh = np.sinh(r_nodes)[:, None, None]
     ch = np.cosh(r_nodes)[:, None, None]
     sq = a * a + (b / sh) ** 2 + (c / ch) ** 2
-    weight = (r_w * theta_w)[:, None, None] * z_w[None, None, :] * (sh * ch)
+    weight = (r_w * (2.0 * math.pi / n_theta))[:, None, None] * z_w[None, None, :] * (sh * ch)
     return float(np.sum(sq * weight))
 
 
 def _bump(r, R):
+    """The bump sin^3(pi u), u = (r - 0.1 R)/(0.8 R), zero off 0 < u < 1, and its r-derivative."""
     u = (np.asarray(r, dtype=float) - 0.1 * R) / (0.8 * R)
     inside = (u > 0.0) & (u < 1.0)
-    return np.where(inside, np.sin(math.pi * np.clip(u, 0.0, 1.0)) ** 3, 0.0)
-
-
-def _dbump(r, R):
-    u = (np.asarray(r, dtype=float) - 0.1 * R) / (0.8 * R)
-    inside = (u > 0.0) & (u < 1.0)
-    uc = np.clip(u, 0.0, 1.0)
-    return np.where(
-        inside,
-        3.0 * math.pi / (0.8 * R) * np.sin(math.pi * uc) ** 2 * np.cos(math.pi * uc),
-        0.0,
-    )
+    pu = math.pi * np.clip(u, 0.0, 1.0)
+    sin_u, cos_u = np.sin(pu), np.cos(pu)
+    bump = np.where(inside, sin_u**3, 0.0)
+    return bump, np.where(inside, 3.0 * math.pi / (0.8 * R) * sin_u**2 * cos_u, 0.0)
 
 
 def competitor_norm_sq(t: TubeChart, s: float, order: int = 48) -> float:
-    """||dz/eps + s d(bump(r) sin(2 pi z/eps))||^2 by quadrature.
+    """||dz/eps + s d(bump(r) sin(2 pi z/eps))||^2 through tube_l2_norm_sq.
 
-    The perturbation is theta-independent, so the theta integral contributes
-    an exact 2 pi and the (r, z) quadrature runs on numpy grids.
+    With g(z) = sin(2 pi z/eps) the form has components
+    (s bump'(r) g(z), 0, 1/eps + s bump(r) g'(z)).  None depends on theta,
+    so tube_l2_norm_sq integrates the circle exactly (one angle of weight
+    2 pi) and Gauss-Legendre with `order` nodes in r and in z.
     """
-    r_nodes, r_w = _gl(0.0, t.R, order)
-    z_nodes, z_w = _gl(0.0, t.epsilon, order)
-    sh, ch = np.sinh(r_nodes), np.cosh(r_nodes)
-    B, dB = _bump(r_nodes, t.R), _dbump(r_nodes, t.R)
-    g = np.sin(2.0 * math.pi * z_nodes / t.epsilon)
-    dg = (2.0 * math.pi / t.epsilon) * np.cos(2.0 * math.pi * z_nodes / t.epsilon)
-    w_r = (s * dB)[:, None] * g[None, :]
-    w_z = 1.0 / t.epsilon + s * B[:, None] * dg[None, :]
-    sq = w_r**2 + w_z**2 / ch[:, None] ** 2
-    weight = (r_w * sh * ch)[:, None] * z_w[None, :]
-    return 2.0 * math.pi * float(np.sum(sq * weight))
+
+    def field(r, theta, z):
+        bump, dbump = _bump(r, t.R)
+        g = np.sin(2.0 * math.pi * z / t.epsilon)
+        dg = (2.0 * math.pi / t.epsilon) * np.cos(2.0 * math.pi * z / t.epsilon)
+        return s * dbump * g, 0.0, 1.0 / t.epsilon + s * bump * dg
+
+    return tube_l2_norm_sq(t, field, order=order)
 
 
 def tube_lower_bound(t: TubeChart, *, order: int = 48) -> float:

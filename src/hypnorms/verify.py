@@ -62,9 +62,7 @@ class Check:
 
 
 def _tol(overrides: dict[str, float] | None, name: str, default: float) -> float:
-    if overrides and name in overrides:
-        return float(overrides[name])
-    return default
+    return float(overrides.get(name, default)) if overrides else default
 
 
 def suite_ball(order: int = 24, seed: int = 0, tol: dict | None = None) -> list[Check]:

@@ -12,7 +12,10 @@ The library assembles its ball Gram matrices from factor Grams and
 evaluates tube fields on one broadcast grid.  full_mesh_psi_gram,
 full_mesh_omega_gram and pointwise_tube_l2_norm_sq sum the same tensor
 grids without any factoring: full (phi, theta) meshes with one radial
-profile row per mode, and one field call per tube node.
+profile row per mode, and one field call per tube node.  The library
+integrates the tube competitors through its general tube quadrature;
+rz_competitor_norm_sq is their own (r, z) sum, with the bump and its
+derivative written out and the theta integral taken as an exact 2 pi.
 """
 
 import math
@@ -29,7 +32,7 @@ from hypnorms.ballfield import (
     sph_harm_dtheta_over_sin,
 )
 from hypnorms.radial import dpsi, psi
-from hypnorms.tubefield import _gl
+from hypnorms.tubefield import _gl, _theta_grid
 
 QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-10, limit=200)
 
@@ -168,9 +171,7 @@ def pointwise_tube_l2_norm_sq(t, field, order=24):
     """tube_l2_norm_sq on the same grid, one scalar field call per node."""
     r_nodes, r_w = _gl(0.0, t.R, order)
     z_nodes, z_w = _gl(0.0, t.epsilon, order)
-    n_theta = 2 * order
-    theta_nodes = np.arange(n_theta) * (2.0 * math.pi / n_theta)
-    theta_w = 2.0 * math.pi / n_theta
+    theta_nodes, theta_w = _theta_grid(order)
     total = 0.0
     for r, wr in zip(r_nodes, r_w):
         sh, ch = math.sinh(r), math.cosh(r)
@@ -180,3 +181,35 @@ def pointwise_tube_l2_norm_sq(t, field, order=24):
                 sq = a * a + (b / sh) ** 2 + (c / ch) ** 2
                 total += wr * theta_w * wz * sq * sh * ch
     return total
+
+
+def _rz_bump(r, R):
+    u = (np.asarray(r, dtype=float) - 0.1 * R) / (0.8 * R)
+    inside = (u > 0.0) & (u < 1.0)
+    return np.where(inside, np.sin(math.pi * np.clip(u, 0.0, 1.0)) ** 3, 0.0)
+
+
+def _rz_dbump(r, R):
+    u = (np.asarray(r, dtype=float) - 0.1 * R) / (0.8 * R)
+    inside = (u > 0.0) & (u < 1.0)
+    uc = np.clip(u, 0.0, 1.0)
+    return np.where(
+        inside,
+        3.0 * math.pi / (0.8 * R) * np.sin(math.pi * uc) ** 2 * np.cos(math.pi * uc),
+        0.0,
+    )
+
+
+def rz_competitor_norm_sq(t, s, order=48):
+    """||dz/eps + s d(bump(r) sin(2 pi z/eps))||^2 as 2 pi times an (r, z) sum."""
+    r_nodes, r_w = _gl(0.0, t.R, order)
+    z_nodes, z_w = _gl(0.0, t.epsilon, order)
+    sh, ch = np.sinh(r_nodes), np.cosh(r_nodes)
+    B, dB = _rz_bump(r_nodes, t.R), _rz_dbump(r_nodes, t.R)
+    g = np.sin(2.0 * math.pi * z_nodes / t.epsilon)
+    dg = (2.0 * math.pi / t.epsilon) * np.cos(2.0 * math.pi * z_nodes / t.epsilon)
+    w_r = (s * dB)[:, None] * g[None, :]
+    w_z = 1.0 / t.epsilon + s * B[:, None] * dg[None, :]
+    sq = w_r**2 + w_z**2 / ch[:, None] ** 2
+    weight = (r_w * sh * ch)[:, None] * z_w[None, :]
+    return 2.0 * math.pi * float(np.sum(sq * weight))

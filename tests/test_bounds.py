@@ -179,6 +179,16 @@ class TestNormDatum:
         d = NormDatum(1.0, 1.0, 1.0, harmonic=100.0, check_consistency=False)
         assert d.harmonic == 100.0
 
+    @pytest.mark.parametrize("vol, inj, th", [(2.0, 0.5, 3.0), (0.7, 0.013, 1.9), (76.4, 0.3, 2.6)])
+    def test_gate_edges_are_the_main_bounds(self, vol, inj, th):
+        # with tol = 0 the gate admits exactly [lower, upper] of thm_main_bounds
+        lower, upper, _ = thm_main_bounds(NormDatum(vol, inj, th))
+        for edge in (lower, upper):
+            assert NormDatum(vol, inj, th, harmonic=edge, tol=0.0).harmonic == edge
+        for outside in (math.nextafter(lower, 0.0), math.nextafter(upper, math.inf)):
+            with pytest.raises(ValueError, match="sandwich"):
+                NormDatum(vol, inj, th, harmonic=outside, tol=0.0)
+
     @pytest.mark.parametrize("field", ["vol", "inj", "thurston", "harmonic"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_rejected(self, field, bad):

@@ -44,6 +44,10 @@ class TestRunConfig:
         with pytest.raises(UsageError):
             RunConfig(fmt="xml")
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(UsageError, match="seed"):
+            RunConfig(seed=-1)
+
 
 class TestGridParsing:
     def test_comma_floats(self):
@@ -118,6 +122,14 @@ class TestGridParsing:
         with pytest.raises(UsageError):
             _parse_tols(["a=x"])
 
+    @pytest.mark.parametrize("val", ["nan", "inf", "-inf", "-1", "-1e-300", "1e400"])
+    def test_tol_not_finite_nonnegative(self, val):
+        with pytest.raises(UsageError, match="finite and >= 0"):
+            _parse_tols([f"a={val}"])
+
+    def test_tol_zero_accepted(self):
+        assert _parse_tols(["a=0"]) == {"a": 0.0}
+
 
 class TestNuCommand:
     def test_csv_three_rows(self, capsys):
@@ -176,6 +188,42 @@ class TestTolOverrides:
         for name in names:
             assert name in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "homalg", "--tol", "homalg-symplectic=0"],
+            ["verify", "homalg", "--tol", "homalg-twist-word=0"],
+            ["verify", "homalg", "--tol", "homalg-mv-generators=0"],
+            ["verify", "bns", "--tol", "bns-fibered-characters=1"],
+            ["verify", "bns", "--tol", "bns-exponent-sums=0"],
+            ["family", "filling", "--n", "10,100", "--tol", "filling-ratio-increasing=0"],
+        ],
+    )
+    def test_fixed_tol_refused_at_its_own_value(self, capsys, argv):
+        # the value given equals the check's fixed tolerance; the name decides
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "matches no check" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "homalg", "--tol", "homalg-growth=nan"],
+            ["nu", "--r", "1", "--tol", "branch-sup=inf"],
+            ["verify", "tube", "--tol", "tube-competitor=-1"],
+        ],
+    )
+    def test_nonfinite_or_negative_tol_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "finite and >= 0" in err
+
+    def test_overridable_tol_still_taken(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "homalg", "--tol", "homalg-growth=1e-3")
+        assert code == 0
+        by_name = {c["name"]: c for c in load_json(out)["checks"]}
+        assert by_name["homalg-growth"]["tol"] == 1e-3
+
 
 class TestVerifyCommand:
     @pytest.mark.parametrize("suite", ["ball", "tube", "dfbound", "homalg", "bns"])
@@ -199,6 +247,21 @@ class TestVerifyCommand:
     def test_bad_quad_order_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "ball", "--quad-order", "2")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "ball"],
+            ["verify", "dfbound"],
+            ["verify", "bns"],
+            ["nu", "--r", "1"],
+            ["family", "covers", "--degrees", "1,2"],
+        ],
+    )
+    def test_negative_seed_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert "seed" in err and "Traceback" not in err
 
 
 class TestFamilyCommand:

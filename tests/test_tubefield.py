@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypnorms import ballfield, tubefield, verify
 from hypnorms.tubefield import (
     TubeChart,
     competitor_norm_sq,
@@ -15,13 +16,15 @@ from hypnorms.tubefield import (
     tube_lower_bound,
     tube_volume,
 )
-from quad_oracles import pointwise_tube_l2_norm_sq
+from quad_oracles import pointwise_tube_l2_norm_sq, rz_competitor_norm_sq
 
 GRID = [
     TubeChart(eps, R)
     for eps in (0.05, 0.3, 1.0)
     for R in (0.4, 1.2, 2.5)
 ]
+# the charts of the filling family, eps = 2/n^2 and R = asinh n
+FILLING = [TubeChart(2.0 / n**2, math.asinh(n)) for n in (10, 10**3, 10**6)]
 
 
 class TestChart:
@@ -135,6 +138,90 @@ class TestBroadcastQuadrature:
             pointwise_tube_l2_norm_sq(t, lambda r, th, z: (0.0, 0.0, 2.5)), rel=1e-13
         )
 
+    @pytest.mark.parametrize("t", GRID + FILLING, ids=lambda t: f"eps{t.epsilon:.3g}_R{t.R:.3g}")
+    @pytest.mark.parametrize("order", [4, 24, 48])
+    def test_theta_constant_field_on_one_angle(self, t, order):
+        # a theta-independent field takes one angle of weight 2 pi; forced
+        # onto the full theta grid it takes the trapezoid rule's 2*order
+        def field(r, th, z):
+            return np.sin(z / t.epsilon) * r, 0.5 * r, np.cosh(r)
+
+        def forced(r, th, z):
+            return tuple(w + 0.0 * th for w in field(r, th, z))
+
+        one = tube_l2_norm_sq(t, field, order=order)
+        assert one == pytest.approx(tube_l2_norm_sq(t, forced, order=order), rel=1e-14)
+
+    def test_theta_dependent_field_keeps_trapezoid_rule(self):
+        t = TubeChart(0.3, 1.2)
+
+        def field(r, th, z):
+            return np.cos(3.0 * th) * r, np.sin(th) ** 2, np.cosh(r) + 0.0 * th
+
+        for order in (4, 12):
+            assert tube_l2_norm_sq(t, field, order=order) == pytest.approx(
+                pointwise_tube_l2_norm_sq(t, field, order=order), rel=1e-13
+            )
+
+
+class TestCompetitorQuadrature:
+    @pytest.mark.parametrize("t", GRID + FILLING, ids=lambda t: f"eps{t.epsilon:.3g}_R{t.R:.3g}")
+    @pytest.mark.parametrize("order", [4, 24, 48])
+    def test_matches_rz_oracle(self, t, order):
+        for s in (0.1, -0.1, 0.01, -0.01):
+            assert competitor_norm_sq(t, s, order=order) == pytest.approx(
+                rz_competitor_norm_sq(t, s, order=order), rel=1e-13
+            )
+
+    def test_one_field_call_without_theta_dependence(self, monkeypatch):
+        shapes = []
+        inner = tubefield.tube_l2_norm_sq
+
+        def spy(t, field, order=24):
+            def recorded(r, th, z):
+                out = field(r, th, z)
+                shapes.append(np.broadcast_shapes(*(np.shape(w) for w in out)))
+                return out
+
+            return inner(t, recorded, order=order)
+
+        monkeypatch.setattr(tubefield, "tube_l2_norm_sq", spy)
+        competitor_norm_sq(TubeChart(0.3, 1.2), 0.1, order=8)
+        assert shapes == [(8, 1, 8)]
+
+
+class TestGaussLegendreRule:
+    def test_built_once_per_order(self, monkeypatch):
+        built = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counting(order):
+            built.append(order)
+            return leggauss(order)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        tubefield._rule.cache_clear()
+        try:
+            for _ in range(2):
+                verify.run_suite("tube")
+                ballfield.omega_gram(2, 1.0, order=24)
+                ballfield.omega_gram(2, 1.0, order=16)
+        finally:
+            tubefield._rule.cache_clear()
+        assert sorted(built) == [16, 24, 48]
+
+    def test_cached_rule_read_only_and_never_aliased(self):
+        x, w = tubefield._rule(12)
+        assert not x.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        for a, b in ((-1.0, 1.0), (0.0, 2.0), (0.0, math.pi)):
+            nodes, weights = tubefield._gl(a, b, 12)
+            assert nodes.flags.writeable and weights.flags.writeable
+            assert not np.shares_memory(nodes, x) and not np.shares_memory(weights, w)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(12)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+
 
 class TestLowerBound:
     def test_equals_form_norm(self):
@@ -143,9 +230,7 @@ class TestLowerBound:
 
     @pytest.mark.parametrize("s", [0.1, -0.1, 0.01, -0.01])
     def test_competitors_never_improve(self, s):
-        # the last three are filling-family charts, eps = 2/n^2 and R = asinh n
-        filling = [TubeChart(2.0 / n**2, math.asinh(n)) for n in (10, 10**3, 10**6)]
-        for t in [TubeChart(0.29, 2.0), TubeChart(0.01, 2.4311), TubeChart(1.0, 0.5)] + filling:
+        for t in [TubeChart(0.29, 2.0), TubeChart(0.01, 2.4311), TubeChart(1.0, 0.5)] + FILLING:
             base_sq = tube_form_norm(t) ** 2
             assert competitor_norm_sq(t, s) > base_sq
 
