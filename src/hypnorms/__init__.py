@@ -16,7 +16,6 @@ from .ballfield import (
     check_df_bound,
     expansion_field,
     mode_indices,
-    omega_field,
     omega_gram,
     psi_gram,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "check_df_bound",
     "expansion_field",
     "mode_indices",
-    "omega_field",
     "omega_gram",
     "psi_gram",
     # tubefield

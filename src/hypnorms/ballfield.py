@@ -1,8 +1,8 @@
 """Harmonic basis fields on geodesic balls in hyperbolic 3-space.
 
-Points carry spherical coordinates (r, phi, theta) with colatitude phi and the
-metric dr^2 + sinh^2(r)(dphi^2 + sin^2(phi) dtheta^2); the volume element is
-sinh^2(r) sin(phi) dr dphi dtheta.  The basis harmonic functions are
+The ball B_r carries spherical coordinates (r, phi, theta) with colatitude phi
+and the metric dr^2 + sinh^2(r)(dphi^2 + sin^2(phi) dtheta^2); the volume
+element is sinh^2(r) sin(phi) dr dphi dtheta.  The basis harmonic functions are
 Psi_lm = psi_ell(r) Y_lm(phi, theta) and their differentials omega_lm = d Psi_lm
 have orthonormal-coframe components
 
@@ -28,94 +28,60 @@ sin(phi); they use the exact rewrites
     d/dphi Pbar_l^m      = ((l+m)(l-m+1) Pbar_l^(m-1) - Pbar_l^(m+1)) / 2,
     Pbar_l^m / sin(phi)  = (Pbar_(l-1)^(m+1) + (l+m-1)(l+m) Pbar_(l-1)^(m-1)) / (2m)
 
-for m >= 1, so every value is accurate up to and at the poles.  At exact
-poles the (phi, theta) frame itself is singular; components are returned as
-the fixed-theta limits.
+for m >= 1, so every value is accurate up to and at the poles.
+
+An expansion's differential is integrated, never sampled: ball_l2_norm_sq
+reads the L^2 norm off the Gram matrix of its modes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
-from .radial import MAX_ELL, profile, profiles, psi
+from .radial import MAX_ELL, profiles
 from .tubefield import _gl, _theta_grid
 
 __all__ = [
-    "BallPoint",
     "BallField",
-    "CovectorFrame",
     "DfBoundReport",
     "HarmonicExpansion",
     "ball_l2_norm_sq",
     "check_df_bound",
-    "eval_Psi",
-    "eval_omega",
     "expansion_field",
     "mode_indices",
-    "omega_field",
     "omega_gram",
     "psi_gram",
-    "sph_harm",
-    "sph_harm_dphi",
-    "sph_harm_dtheta_over_sin",
 ]
-
-@dataclass(frozen=True)
-class BallPoint:
-    """Spherical coordinates on a ball: geodesic radius, colatitude, longitude."""
-
-    r: float
-    phi: float
-    theta: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.r) and self.r >= 0):
-            raise ValueError(f"radius must be finite and nonnegative, got {self.r}")
-        if not 0.0 <= self.phi <= math.pi:
-            raise ValueError(f"colatitude must lie in [0, pi], got {self.phi}")
-        if not 0.0 <= self.theta < 2.0 * math.pi:
-            raise ValueError(f"longitude must lie in [0, 2 pi), got {self.theta}")
-
-
-class CovectorFrame(NamedTuple):
-    """Components of a 1-form against the orthonormal coframe at a point."""
-
-    c_r: float
-    c_phi: float
-    c_theta: float
-
-    def norm(self) -> float:
-        return math.sqrt(self.c_r**2 + self.c_phi**2 + self.c_theta**2)
 
 
 @dataclass(frozen=True)
 class HarmonicExpansion:
     """Truncated coefficient table a_lm of a harmonic function on a ball.
 
-    coefficients maps (ell, m) to a finite real a_lm; every stored index must
-    satisfy |m| <= ell <= truncation.  Tail estimation is the caller's
-    business.
+    coefficients maps (ell, m) to a finite real a_lm; truncation and every
+    stored index are integers (not bools) with |m| <= ell <= truncation.
+    Tail estimation is the caller's business.
     """
 
     coefficients: Mapping[tuple[int, int], float]
     truncation: int
 
     def __post_init__(self):
-        if self.truncation < 0:
-            raise ValueError("truncation must be nonnegative")
+        # type(x) is int, not isinstance: a bool is an int subclass, read as 0 or 1
+        if type(self.truncation) is not int or self.truncation < 0:
+            raise ValueError(f"truncation must be a nonnegative integer, got {self.truncation!r}")
         object.__setattr__(self, "coefficients", dict(self.coefficients))
         for (ell, m), a in self.coefficients.items():
+            if type(ell) is not int or type(m) is not int:
+                raise ValueError(f"index ({ell!r}, {m!r}) must be a pair of integers")
             if not (0 <= ell <= self.truncation and abs(m) <= ell):
                 raise ValueError(f"index ({ell}, {m}) violates |m| <= ell <= {self.truncation}")
             if not math.isfinite(a):
                 raise ValueError(f"coefficient a_({ell},{m}) must be finite, got {a}")
-
-    def coefficient(self, ell: int, m: int) -> float:
-        return self.coefficients.get((ell, m), 0.0)
 
     def items(self):
         return sorted(self.coefficients.items())
@@ -172,12 +138,6 @@ def _dtrig(m: int, theta):
     return -m * math.sqrt(2.0) * np.cos(-m * th)
 
 
-def _maybe_scalar(value, *inputs):
-    if all(np.isscalar(x) or np.asarray(x).ndim == 0 for x in inputs):
-        return float(value)
-    return value
-
-
 def _dphi_factor(ell: int, am: int, x):
     # d/dphi Pbar_ell^am(cos phi)
     if am == 0:
@@ -192,88 +152,14 @@ def _over_sin_factor(ell: int, am: int, x):
     ) / (2 * am)
 
 
-def sph_harm(ell: int, m: int, phi, theta):
-    """Real orthonormal spherical harmonic (convention in module docstring)."""
-    if abs(m) > ell:
-        raise ValueError(f"need |m| <= ell, got (ell, m) = ({ell}, {m})")
-    x = np.cos(np.asarray(phi, dtype=float))
-    val = _norm_const(ell, m) * _assoc(ell, abs(m), x) * _trig(m, theta)
-    return _maybe_scalar(val, phi, theta)
-
-
-def sph_harm_dphi(ell: int, m: int, phi, theta):
-    """d Y_lm / d phi."""
-    if abs(m) > ell:
-        raise ValueError(f"need |m| <= ell, got (ell, m) = ({ell}, {m})")
-    x = np.cos(np.asarray(phi, dtype=float))
-    val = _norm_const(ell, m) * _dphi_factor(ell, abs(m), x) * _trig(m, theta)
-    return _maybe_scalar(val, phi, theta)
-
-
-def sph_harm_dtheta_over_sin(ell: int, m: int, phi, theta):
-    """(1/sin phi) dY_lm/dtheta, the theta frame factor; finite at the poles."""
-    if abs(m) > ell:
-        raise ValueError(f"need |m| <= ell, got (ell, m) = ({ell}, {m})")
-    phi_arr = np.asarray(phi, dtype=float)
-    if m == 0:
-        val = np.zeros(np.broadcast(phi_arr, np.asarray(theta, dtype=float)).shape)
-        return _maybe_scalar(val, phi, theta)
-    x = np.cos(phi_arr)
-    val = _norm_const(ell, m) * _over_sin_factor(ell, abs(m), x) * _dtrig(m, theta)
-    return _maybe_scalar(val, phi, theta)
-
-
-def eval_Psi(ell: int, m: int, p: BallPoint) -> float:
-    """psi_ell(r) Y_lm(phi, theta)."""
-    return psi(ell, p.r) * sph_harm(ell, m, p.phi, p.theta)
-
-
-def eval_omega(ell: int, m: int, p: BallPoint) -> CovectorFrame:
-    """Orthonormal-frame components of d Psi_lm at p.
-
-    At r = 0 the degree-1 fields have a genuine covector limit (psi_1/sinh r
-    and psi_1' both tend to 2/3); degree 0 gives the zero covector and degree
-    >= 2 vanishes to order ell - 1.  profile() returns psi' at r = 0 as that
-    limit, 2/3 for ell = 1 and 0 above, so it stands in for psi/sinh r there.
-    """
-    if abs(m) > ell:
-        raise ValueError(f"need |m| <= ell, got (ell, m) = ({ell}, {m})")
-    if ell == 0:
-        return CovectorFrame(0.0, 0.0, 0.0)
-    psi_r, dpsi_r, _ = profile(ell, p.r)
-    over_sinh = psi_r / math.sinh(p.r) if p.r > 0 else dpsi_r
-    return CovectorFrame(
-        dpsi_r * sph_harm(ell, m, p.phi, p.theta),
-        over_sinh * sph_harm_dphi(ell, m, p.phi, p.theta),
-        over_sinh * sph_harm_dtheta_over_sin(ell, m, p.phi, p.theta),
-    )
-
-
+@dataclass(frozen=True)
 class BallField:
-    """The differential of a finite harmonic expansion, as a covector field.
+    """The differential d Psi of a harmonic expansion Psi, as a 1-form on a ball.
 
-    Callable point by point; ball_l2_norm_sq integrates it through the Gram
-    matrix of its modes.
+    ball_l2_norm_sq integrates it through the Gram matrix of its modes.
     """
 
-    def __init__(self, expansion: HarmonicExpansion):
-        self.expansion = expansion
-
-    def __call__(self, p: BallPoint) -> CovectorFrame:
-        cr = cphi = ctheta = 0.0
-        for (ell, m), a in self.expansion.items():
-            if a == 0.0 or ell == 0:
-                continue
-            f = eval_omega(ell, m, p)
-            cr += a * f.c_r
-            cphi += a * f.c_phi
-            ctheta += a * f.c_theta
-        return CovectorFrame(cr, cphi, ctheta)
-
-
-def omega_field(ell: int, m: int) -> BallField:
-    """The single-mode field omega_lm."""
-    return BallField(HarmonicExpansion({(ell, m): 1.0}, truncation=ell))
+    expansion: HarmonicExpansion
 
 
 def expansion_field(expansion: HarmonicExpansion) -> BallField:
@@ -281,8 +167,6 @@ def expansion_field(expansion: HarmonicExpansion) -> BallField:
 
 
 def _quad_nodes(r: float, order: int):
-    if order < 4:
-        raise ValueError(f"quadrature order must be >= 4, got {order}")
     if not (math.isfinite(r) and r > 0):
         raise ValueError(f"ball radius must be finite and positive, got {r}")
     return (*_gl(0.0, r, order), *_gl(0.0, math.pi, order), *_theta_grid(order))

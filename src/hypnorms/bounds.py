@@ -31,29 +31,17 @@ import numpy as np
 from .radial import nu
 
 __all__ = [
-    "Bracket",
     "MainBounds",
     "NormDatum",
     "PolytopeNorm",
-    "area_norm_bounds",
-    "bsv_bounds",
-    "bsv_witness",
-    "degree_bound",
     "dual_norm",
     "inf_of_duals_check",
-    "km_lower",
     "polytope_gauge",
-    "split_lower_bound",
     "supnorm_factor",
     "thm_main_bounds",
 ]
 
 MU_DEFAULT = 0.29
-
-
-class Bracket(NamedTuple):
-    lower: float
-    upper: float
 
 
 class MainBounds(NamedTuple):
@@ -119,18 +107,6 @@ def thm_main_bounds(d: NormDatum) -> MainBounds:
     return MainBounds(lower, upper, lower > upper)
 
 
-def bsv_bounds(d: NormDatum, C1: float, C2: float) -> Bracket:
-    """Cover-stable form: C1 th/vol <= ||phi|| <= C2 th with caller constants."""
-    if not (0 < C1 < math.inf and 0 < C2 < math.inf):
-        raise ValueError(f"constants must be finite and positive, got C1={C1}, C2={C2}")
-    return Bracket(C1 * d.thurston / d.vol, C2 * d.thurston)
-
-
-def bsv_witness(d: NormDatum) -> tuple[float, float]:
-    """Constants making bsv_bounds reproduce thm_main_bounds for this datum."""
-    return math.pi * math.sqrt(d.vol), 10.0 * math.pi / math.sqrt(d.inj)
-
-
 def supnorm_factor(inj: float, b1_positive: bool, mu: float | None = None) -> float:
     """Pointwise-over-L2 factor for harmonic 1-forms: |alpha| <= factor ||alpha||.
 
@@ -157,38 +133,6 @@ def supnorm_factor(inj: float, b1_positive: bool, mu: float | None = None) -> fl
     if inj >= mu / 2.0:
         return 1.0 / math.sqrt(nu(inj))
     return math.sqrt(mu / nu(mu / 2.0)) / math.sqrt(inj)
-
-
-def degree_bound(mu: float, inj: float) -> float:
-    """Max sheet count of a radius-mu/2 ball: mu/min(inj, mu/2), so always >= 2."""
-    if not (0 < mu < math.inf and 0 < inj < math.inf):
-        raise ValueError(f"need finite mu, inj > 0, got mu={mu}, inj={inj}")
-    return mu / min(inj, mu / 2.0)
-
-
-def area_norm_bounds(thurston: float) -> Bracket:
-    """pi th <= ||phi||_A <= 2 pi th (the least-area sandwich)."""
-    if not 0 <= thurston < math.inf:
-        raise ValueError(f"Thurston norm must be finite and nonnegative, got {thurston}")
-    return Bracket(math.pi * thurston, 2.0 * math.pi * thurston)
-
-
-def km_lower(vol: float, thurston: float) -> float:
-    """Scalar-curvature lower bound 2 pi th/(3 sqrt(vol)); 2/3 of the main one."""
-    if not 0 < vol < math.inf:
-        raise ValueError(f"volume must be finite and positive, got {vol}")
-    if not 0 <= thurston < math.inf:
-        raise ValueError(f"Thurston norm must be finite and nonnegative, got {thurston}")
-    return 2.0 * math.pi * thurston / (3.0 * math.sqrt(vol))
-
-
-def split_lower_bound(piece_norms: Sequence[float]) -> float:
-    """Sum of per-piece norms, a lower bound for the glued manifold's norm."""
-    if len(piece_norms) == 0:
-        raise ValueError("need at least one piece")
-    if not all(0 <= x < math.inf for x in piece_norms):
-        raise ValueError(f"piece norms must be finite and nonnegative, got {piece_norms}")
-    return float(sum(piece_norms))
 
 
 def _as_fraction_vector(v) -> tuple[Fraction, ...]:

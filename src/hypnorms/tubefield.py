@@ -102,7 +102,12 @@ def _rule(order: int):
 
 
 def _gl(a: float, b: float, order: int):
-    """Gauss-Legendre nodes a + (b - a)(x + 1)/2 and weights (b - a) w/2 on [a, b]."""
+    """Gauss-Legendre nodes a + (b - a)(x + 1)/2 and weights (b - a) w/2 on [a, b].
+
+    Raises ValueError unless order is an integer >= 4 (a bool is not one).
+    """
+    if type(order) is not int or order < 4:
+        raise ValueError(f"quadrature order must be an integer >= 4, got {order!r}")
     x, w = _rule(order)
     return a + 0.5 * (b - a) * (x + 1.0), 0.5 * (b - a) * w
 

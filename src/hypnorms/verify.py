@@ -40,7 +40,7 @@ from .homalg import (
     symplectic_check,
     twist_word_matrix,
 )
-from .radial import mode_norm, nu
+from .radial import mode_norm
 from .tubefield import (
     TubeChart,
     competitor_norm_sq,

@@ -16,6 +16,14 @@ profile row per mode, and one field call per tube node.  The library
 integrates the tube competitors through its general tube quadrature;
 rz_competitor_norm_sq is their own (r, z) sum, with the bump and its
 derivative written out and the theta integral taken as an exact 2 pi.
+
+The library integrates an expansion's differential only through Gram
+matrices and never evaluates it at a point.  The pointwise evaluator lives
+here: sph_harm, sph_harm_dphi and sph_harm_dtheta_over_sin are the real
+spherical harmonics of the ballfield convention on scalars or meshes, built
+from the library's phi and theta factors; covector_at gives the coframe
+components of d Psi at one point (r, phi, theta); and pointwise_l2_norm_sq
+sums their squares over ball_l2_norm_sq's grid, one point at a time.
 """
 
 import math
@@ -25,13 +33,16 @@ import numpy as np
 from scipy.integrate import quad
 
 from hypnorms.ballfield import (
+    _assoc,
+    _dphi_factor,
+    _dtrig,
+    _norm_const,
+    _over_sin_factor,
     _quad_nodes,
+    _trig,
     mode_indices,
-    sph_harm,
-    sph_harm_dphi,
-    sph_harm_dtheta_over_sin,
 )
-from hypnorms.radial import dpsi, psi
+from hypnorms.radial import dpsi, profiles, psi
 from hypnorms.tubefield import _gl, _theta_grid
 
 QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-10, limit=200)
@@ -129,6 +140,54 @@ def q_ladder_profile(ell: int, r: float):
         p = ell * (q_prev - x * q)
         flux = ell * (ell + 1) * q
         return float(p), float(flux / mp.sinh(r) ** 2), float(p * flux)
+
+
+def sph_harm(ell, m, phi, theta):
+    """Real orthonormal Y_lm (ballfield convention), |m| <= ell."""
+    return _norm_const(ell, m) * _assoc(ell, abs(m), np.cos(phi)) * _trig(m, theta)
+
+
+def sph_harm_dphi(ell, m, phi, theta):
+    """d Y_lm / d phi."""
+    return _norm_const(ell, m) * _dphi_factor(ell, abs(m), np.cos(phi)) * _trig(m, theta)
+
+
+def sph_harm_dtheta_over_sin(ell, m, phi, theta):
+    """(1/sin phi) d Y_lm / d theta, finite at the poles."""
+    if m == 0:
+        return np.zeros(np.broadcast(phi, theta).shape)
+    return _norm_const(ell, m) * _over_sin_factor(ell, abs(m), np.cos(phi)) * _dtrig(m, theta)
+
+
+def covector_at(expansion, r, phi, theta):
+    """Orthonormal-coframe components (c_r, c_phi, c_theta) of d Psi at one point.
+
+    Mode (ell, m) adds a_lm (psi_ell' Y_lm, psi_ell/sinh(r) dY_lm/dphi,
+    psi_ell/(sinh(r) sin(phi)) dY_lm/dtheta).  At r = 0 psi_ell/sinh r is
+    its limit psi_ell'(0), 2/3 for ell = 1 and 0 above, so degree 1 has a
+    genuine covector there.  At the poles the components are the
+    fixed-theta limits.
+    """
+    p, dp, _ = profiles(expansion.truncation, r)
+    c_r = c_phi = c_theta = 0.0
+    for (ell, m), a in expansion.items():
+        over_sinh = p[ell] / math.sinh(r) if r > 0 else dp[ell]
+        c_r += a * dp[ell] * sph_harm(ell, m, phi, theta)
+        c_phi += a * over_sinh * sph_harm_dphi(ell, m, phi, theta)
+        c_theta += a * over_sinh * sph_harm_dtheta_over_sin(ell, m, phi, theta)
+    return c_r, c_phi, c_theta
+
+
+def pointwise_l2_norm_sq(expansion, r, order):
+    """ball_l2_norm_sq on the same tensor grid, sampled point by point."""
+    r_nodes, r_w, phi_nodes, phi_w, theta_nodes, theta_w = _quad_nodes(r, order)
+    total = 0.0
+    for ri, wr in zip(r_nodes, r_w):
+        for phij, wphi in zip(phi_nodes, phi_w):
+            weight = wr * math.sinh(ri) ** 2 * wphi * math.sin(phij) * theta_w
+            for thetak in theta_nodes:
+                total += weight * sum(c * c for c in covector_at(expansion, ri, phij, thetak))
+    return total
 
 
 def _mesh_tables(modes, phi_nodes, theta_nodes):

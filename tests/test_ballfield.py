@@ -1,40 +1,41 @@
 """Ball fields: harmonic convention anchors, quadrature, orthogonality, df bound.
 
 The spherical-harmonic values pinned here were computed by hand from the
-convention in the module docstring (real, orthonormal, no Condon-Shortley
-phase); derivative checks use finite differences of eval_Psi, which only
-relies on the scalar evaluation being right.
+convention in the ballfield docstring (real, orthonormal, no Condon-Shortley
+phase).  They check the library's phi and theta factors through the
+pointwise oracles of quad_oracles; derivative checks use finite differences
+of Psi_lm = psi_ell Y_lm, which only rely on the scalar evaluation being
+right.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy.special import lpmv
 
 from hypnorms.ballfield import (
-    BallField,
-    BallPoint,
-    CovectorFrame,
     HarmonicExpansion,
     ball_l2_norm_sq,
     check_df_bound,
-    eval_Psi,
-    eval_omega,
     expansion_field,
     mode_indices,
-    omega_field,
     omega_gram,
     psi_gram,
+    _omega_gram,
+)
+from hypnorms.radial import dpsi, mode_norm, nu, psi
+from quad_oracles import (
+    covector_at,
+    full_mesh_omega_gram,
+    full_mesh_psi_gram,
+    mode_norm_quad,
+    nu_quad,
+    pointwise_l2_norm_sq,
     sph_harm,
     sph_harm_dphi,
     sph_harm_dtheta_over_sin,
-    _omega_gram,
-    _quad_nodes,
 )
-from hypnorms.radial import dpsi, mode_norm, nu, psi
-from quad_oracles import full_mesh_omega_gram, full_mesh_psi_gram, mode_norm_quad, nu_quad
 
 THREE_PI = 3.0 * math.pi
 
@@ -44,16 +45,8 @@ def random_expansion(rng, lmax, lmin=1):
     return HarmonicExpansion(coeffs, truncation=lmax)
 
 
-def pointwise_l2_norm_sq(field, r, order):
-    """Oracle for ball_l2_norm_sq: the same tensor grid, sampled point by point."""
-    r_nodes, r_w, phi_nodes, phi_w, theta_nodes, theta_w = _quad_nodes(r, order)
-    total = 0.0
-    for ri, wr in zip(r_nodes, r_w):
-        for phij, wphi in zip(phi_nodes, phi_w):
-            weight = wr * math.sinh(ri) ** 2 * wphi * math.sin(phij) * theta_w
-            for thetak in theta_nodes:
-                total += weight * field(BallPoint(ri, phij, thetak)).norm() ** 2
-    return total
+def unit_mode(ell, m):
+    return HarmonicExpansion({(ell, m): 1.0}, truncation=ell)
 
 
 class TestSphHarm:
@@ -70,14 +63,6 @@ class TestSphHarm:
         assert sph_harm(1, -1, math.pi / 2, math.pi / 2) == pytest.approx(
             math.sqrt(3.0 / (8 * math.pi)) * math.sqrt(2.0), rel=1e-14
         )
-
-    def test_index_validation(self):
-        with pytest.raises(ValueError):
-            sph_harm(1, 2, 0.3, 0.3)
-        with pytest.raises(ValueError):
-            sph_harm_dphi(2, -3, 0.3, 0.3)
-        with pytest.raises(ValueError):
-            sph_harm_dtheta_over_sin(0, 1, 0.3, 0.3)
 
     def test_angular_derivatives_match_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -147,28 +132,6 @@ class TestSphHarm:
             assert vec[i] == sph_harm(3, 2, float(phi[i]), float(theta[i]))
 
 
-class TestBallPoint:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BallPoint(-0.1, 0.5, 0.5)
-        with pytest.raises(ValueError):
-            BallPoint(1.0, 3.2, 0.5)
-        with pytest.raises(ValueError):
-            BallPoint(1.0, 0.5, 6.5)
-        BallPoint(0.0, 0.0, 0.0)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("slot", [0, 1, 2])
-    def test_nonfinite_coordinates(self, slot, bad):
-        coords = [1.0, 0.5, 0.5]
-        coords[slot] = bad
-        with pytest.raises(ValueError):
-            BallPoint(*coords)
-
-    def test_frame_norm(self):
-        assert CovectorFrame(3.0, 4.0, 0.0).norm() == 5.0
-
-
 class TestExpansion:
     def test_index_validation(self):
         with pytest.raises(ValueError):
@@ -183,13 +146,18 @@ class TestExpansion:
         with pytest.raises(ValueError, match="finite"):
             HarmonicExpansion({(1, 0): 1.0, (2, 1): bad}, truncation=2)
 
-    def test_coefficient_lookup(self):
-        e = HarmonicExpansion({(1, -1): 2.5}, truncation=3)
-        assert e.coefficient(1, -1) == 2.5
-        assert e.coefficient(2, 0) == 0.0
+    @pytest.mark.parametrize("coeffs, truncation", [
+        ({(True, 0): 1.0}, 1), ({(1, False): 1.0}, 1), ({(1.5, 0): 1.0}, 2), ({(1.0, 0): 1.0}, 1),
+        ({(1, 0.0): 1.0}, 1), ({}, 2.5), ({}, 2.0), ({(1, 0): 1.0}, True),
+    ], ids=["bool-ell", "bool-m", "float-ell", "whole-float-ell", "float-m", "float-truncation",
+            "whole-float-truncation", "bool-truncation"])
+    def test_indices_are_integers(self, coeffs, truncation):
+        # (True, 0) used to read as degree 1 in check_df_bound and break the Gram form
+        with pytest.raises(ValueError, match="integer"):
+            HarmonicExpansion(coeffs, truncation)
 
 
-class TestEvalOmega:
+class TestCovectorOracle:
     def test_matches_finite_differences_of_Psi(self):
         rng = np.random.default_rng(11)
         h = 1e-6
@@ -199,60 +167,45 @@ class TestEvalOmega:
             r = rng.uniform(0.2, 3.0)
             phi = rng.uniform(0.2, math.pi - 0.2)
             th = rng.uniform(0.1, 2 * math.pi - 0.1)
-            f = eval_omega(ell, m, BallPoint(r, phi, th))
-            dr = (eval_Psi(ell, m, BallPoint(r + h, phi, th)) - eval_Psi(ell, m, BallPoint(r - h, phi, th))) / (2 * h)
-            dphi = (eval_Psi(ell, m, BallPoint(r, phi + h, th)) - eval_Psi(ell, m, BallPoint(r, phi - h, th))) / (
-                2 * h * math.sinh(r)
-            )
-            dth = (eval_Psi(ell, m, BallPoint(r, phi, th + h)) - eval_Psi(ell, m, BallPoint(r, phi, th - h))) / (
+
+            def Psi(r, phi, th):
+                return psi(ell, r) * sph_harm(ell, m, phi, th)
+
+            c_r, c_phi, c_theta = covector_at(unit_mode(ell, m), r, phi, th)
+            dr = (Psi(r + h, phi, th) - Psi(r - h, phi, th)) / (2 * h)
+            dphi = (Psi(r, phi + h, th) - Psi(r, phi - h, th)) / (2 * h * math.sinh(r))
+            dth = (Psi(r, phi, th + h) - Psi(r, phi, th - h)) / (
                 2 * h * math.sinh(r) * math.sin(phi)
             )
-            assert f.c_r == pytest.approx(dr, abs=1e-8, rel=1e-6)
-            assert f.c_phi == pytest.approx(dphi, abs=1e-8, rel=1e-6)
-            assert f.c_theta == pytest.approx(dth, abs=1e-8, rel=1e-6)
+            assert c_r == pytest.approx(dr, abs=1e-8, rel=1e-6)
+            assert c_phi == pytest.approx(dphi, abs=1e-8, rel=1e-6)
+            assert c_theta == pytest.approx(dth, abs=1e-8, rel=1e-6)
 
     def test_center_limits(self):
-        p0 = BallPoint(0.0, 0.4, 1.0)
-        assert eval_omega(0, 0, p0) == CovectorFrame(0.0, 0.0, 0.0)
-        assert eval_omega(2, 1, p0) == CovectorFrame(0.0, 0.0, 0.0)
-        assert eval_omega(5, -3, p0) == CovectorFrame(0.0, 0.0, 0.0)
+        for ell, m in ((0, 0), (2, 1), (5, -3)):
+            assert covector_at(unit_mode(ell, m), 0.0, 0.4, 1.0) == (0.0, 0.0, 0.0)
         # each degree-one mode has |omega(0)| = 1/sqrt(3 pi), any direction
         for m in (-1, 0, 1):
-            f = eval_omega(1, m, BallPoint(0.0, 0.9, 2.0))
-            assert f.norm() == pytest.approx(1.0 / math.sqrt(THREE_PI), rel=1e-12)
+            c = covector_at(unit_mode(1, m), 0.0, 0.9, 2.0)
+            assert math.hypot(*c) == pytest.approx(1.0 / math.sqrt(THREE_PI), rel=1e-12)
 
     def test_center_approached_continuously(self):
         for m in (-1, 0, 1):
-            far = eval_omega(1, m, BallPoint(1e-8, 0.9, 2.0))
-            lim = eval_omega(1, m, BallPoint(0.0, 0.9, 2.0))
+            far = covector_at(unit_mode(1, m), 1e-8, 0.9, 2.0)
+            lim = covector_at(unit_mode(1, m), 0.0, 0.9, 2.0)
             for a, b in zip(far, lim):
                 assert a == pytest.approx(b, abs=1e-12)
 
     def test_pointwise_norm_identity(self):
         # 3 pi |omega_10|^2 = (9/4)((psi_1' cos phi)^2 + (psi_1 sin phi / sinh r)^2)
         for r, phi in ((0.4, 0.3), (1.3, 0.9), (2.6, 2.1)):
-            f = eval_omega(1, 0, BallPoint(r, phi, 0.3))
-            lhs = THREE_PI * (f.c_r**2 + f.c_phi**2 + f.c_theta**2)
+            c_r, c_phi, c_theta = covector_at(unit_mode(1, 0), r, phi, 0.3)
+            lhs = THREE_PI * (c_r**2 + c_phi**2 + c_theta**2)
             rhs = 2.25 * (
                 (dpsi(1, r) * math.cos(phi)) ** 2
                 + (psi(1, r) * math.sin(phi) / math.sinh(r)) ** 2
             )
             assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    @given(
-        ell=st.integers(min_value=1, max_value=4),
-        r=st.floats(min_value=0.05, max_value=4.0),
-        phi=st.floats(min_value=0.0, max_value=math.pi),
-        theta=st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_single_mode_field_matches_eval(self, ell, r, phi, theta):
-        m = -ell + 1 if ell > 1 else 0
-        p = BallPoint(r, phi, theta)
-        direct = eval_omega(ell, m, p)
-        via_field = omega_field(ell, m)(p)
-        for a, b in zip(direct, via_field):
-            assert a == pytest.approx(b, rel=1e-14, abs=1e-300)
 
 
 class TestQuadrature:
@@ -264,9 +217,8 @@ class TestQuadrature:
         assert got == pytest.approx(nu(1.0), rel=1e-8)
 
     def test_grid_and_pointwise_paths_agree(self):
-        f = omega_field(2, 1)
-        fast = ball_l2_norm_sq(f, 0.8, order=8)
-        slow = pointwise_l2_norm_sq(f, 0.8, order=8)
+        fast = ball_l2_norm_sq(expansion_field(unit_mode(2, 1)), 0.8, order=8)
+        slow = pointwise_l2_norm_sq(unit_mode(2, 1), 0.8, order=8)
         assert fast == pytest.approx(slow, rel=1e-13)
 
     def test_mixed_expansion_matches_pointwise_oracle(self):
@@ -274,9 +226,8 @@ class TestQuadrature:
         # (no differential) and a zero coefficient all pass through the Gram form
         exp = HarmonicExpansion({(0, 0): 5.0, (1, -1): 0.7, (2, 0): 0.0, (2, 2): -1.3,
                                  (3, 1): 0.4}, truncation=3)
-        f = expansion_field(exp)
-        fast = ball_l2_norm_sq(f, 1.1, order=6)
-        assert fast == pytest.approx(pointwise_l2_norm_sq(f, 1.1, order=6), rel=1e-13)
+        fast = ball_l2_norm_sq(expansion_field(exp), 1.1, order=6)
+        assert fast == pytest.approx(pointwise_l2_norm_sq(exp, 1.1, order=6), rel=1e-13)
 
     def test_parseval(self):
         rng = np.random.default_rng(3)
@@ -287,8 +238,8 @@ class TestQuadrature:
         assert direct == pytest.approx(by_modes, rel=1e-6)
 
     def test_cross_term_by_polarization(self):
-        f = omega_field(1, 0)
-        g = omega_field(2, 1)
+        f = expansion_field(unit_mode(1, 0))
+        g = expansion_field(unit_mode(2, 1))
         plus = expansion_field(HarmonicExpansion({(1, 0): 1.0, (2, 1): 1.0}, truncation=2))
         minus = expansion_field(HarmonicExpansion({(1, 0): 1.0, (2, 1): -1.0}, truncation=2))
         inner = 0.25 * (ball_l2_norm_sq(plus, 1.0) - ball_l2_norm_sq(minus, 1.0))
@@ -301,12 +252,12 @@ class TestQuadrature:
     def test_nonfinite_norm_raises(self):
         # sinh^2 overflows at the outer radial nodes, so the Gram form is not finite
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="nonfinite L2 norm"):
-            ball_l2_norm_sq(omega_field(1, 0), 800.0, order=4)
+            ball_l2_norm_sq(expansion_field(unit_mode(1, 0)), 800.0, order=4)
 
-    def test_rejects_plain_callable(self):
-        f = omega_field(1, 0)
-        with pytest.raises(TypeError):
-            ball_l2_norm_sq(lambda p: f(p), 1.0, order=4)
+    def test_rejects_other_types(self):
+        for field in (unit_mode(1, 0), lambda r, phi, theta: (0.0, 0.0, 0.0)):
+            with pytest.raises(TypeError):
+                ball_l2_norm_sq(field, 1.0, order=4)
 
     def test_zero_expansion(self):
         assert ball_l2_norm_sq(expansion_field(HarmonicExpansion({(0, 0): 1.0}, 1)), 1.0) == 0.0
@@ -314,13 +265,14 @@ class TestQuadrature:
             ball_l2_norm_sq(expansion_field(HarmonicExpansion({}, 1)), 1.0, order=2)
 
     def test_argument_validation(self):
+        f = expansion_field(unit_mode(1, 0))
         with pytest.raises(ValueError):
-            ball_l2_norm_sq(omega_field(1, 0), 0.0)
+            ball_l2_norm_sq(f, 0.0)
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError):
-                ball_l2_norm_sq(omega_field(1, 0), bad)
+                ball_l2_norm_sq(f, bad)
         with pytest.raises(ValueError):
-            ball_l2_norm_sq(omega_field(1, 0), 1.0, order=2)
+            ball_l2_norm_sq(f, 1.0, order=2)
 
 
 class TestOrthogonality:

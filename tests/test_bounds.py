@@ -19,19 +19,12 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from hypnorms.bounds import (
-    Bracket,
     MainBounds,
     NormDatum,
     PolytopeNorm,
-    area_norm_bounds,
-    bsv_bounds,
-    bsv_witness,
-    degree_bound,
     dual_norm,
     inf_of_duals_check,
-    km_lower,
     polytope_gauge,
-    split_lower_bound,
     supnorm_factor,
     thm_main_bounds,
 )
@@ -239,27 +232,6 @@ class TestMainBounds:
             assert got.lower <= got.upper * (1.0 + 1e-15)
 
 
-class TestBsv:
-    def test_unit_constants(self):
-        assert bsv_bounds(NormDatum(4.0, 1.0, 2.0), 1.0, 1.0) == Bracket(0.5, 2.0)
-
-    def test_zero_class_degenerates(self):
-        assert bsv_bounds(NormDatum(4.0, 1.0, 0.0), 3.0, 5.0) == Bracket(0.0, 0.0)
-
-    def test_witness_reproduces_main_bounds(self):
-        for d in (NormDatum(2.7, 0.4, 1.3), NormDatum(1.0, 1.0, 1.0), NormDatum(9.7, 0.05, 4.0)):
-            got = bsv_bounds(d, *bsv_witness(d))
-            main = thm_main_bounds(d)
-            assert got.lower == pytest.approx(main.lower, rel=1e-14)
-            assert got.upper == pytest.approx(main.upper, rel=1e-14)
-
-    def test_constant_validation(self):
-        with pytest.raises(ValueError):
-            bsv_bounds(NormDatum(1.0, 1.0, 1.0), 0.0, 1.0)
-        with pytest.raises(ValueError):
-            bsv_bounds(NormDatum(1.0, 1.0, 1.0), 1.0, -2.0)
-
-
 class TestSupnormFactor:
     def test_thick_case(self):
         got = supnorm_factor(1.0, True)
@@ -318,88 +290,6 @@ class TestSupnormFactor:
             supnorm_factor(1.0, True, mu=-0.29)
 
 
-class TestDegreeBound:
-    def test_thick_sheet_count_is_two(self):
-        assert degree_bound(0.29, 0.145) == 2.0
-        assert degree_bound(0.29, 5.0) == 2.0
-
-    def test_thin_example(self):
-        assert degree_bound(0.29, 0.029) == pytest.approx(10.0, rel=1e-12)
-
-    @given(
-        mu=st.floats(min_value=1e-3, max_value=2.0),
-        inj=st.floats(min_value=1e-6, max_value=10.0),
-    )
-    def test_at_least_two(self, mu, inj):
-        assert degree_bound(mu, inj) >= 2.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            degree_bound(0.0, 1.0)
-        with pytest.raises(ValueError):
-            degree_bound(0.29, 0.0)
-
-
-class TestAreaNorm:
-    def test_unit_class(self):
-        assert area_norm_bounds(1.0) == Bracket(math.pi, 2.0 * math.pi)
-
-    def test_zero_class(self):
-        assert area_norm_bounds(0.0) == Bracket(0.0, 0.0)
-
-    def test_cauchy_schwarz_composition(self):
-        # dividing the area lower bound by sqrt(vol) is the main lower bound
-        for vol, th in ((1.0, 1.0), (7.3, 2.5), (0.4, 11.0)):
-            composed = area_norm_bounds(th).lower / math.sqrt(vol)
-            assert composed == pytest.approx(thm_main_bounds(NormDatum(vol, 1.0, th)).lower, rel=1e-14)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            area_norm_bounds(-1.0)
-
-
-class TestKmLower:
-    def test_example(self):
-        assert km_lower(1.0, 3.0) == pytest.approx(2.0 * math.pi, rel=1e-15)
-
-    def test_zero_class(self):
-        assert km_lower(5.0, 0.0) == 0.0
-
-    @given(
-        vol=st.floats(min_value=1e-3, max_value=1e4),
-        th=st.floats(min_value=1e-6, max_value=1e6),
-    )
-    def test_two_thirds_of_main_lower(self, vol, th):
-        ratio = km_lower(vol, th) / thm_main_bounds(NormDatum(vol, 1.0, th)).lower
-        assert ratio == pytest.approx(2.0 / 3.0, rel=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            km_lower(0.0, 1.0)
-        with pytest.raises(ValueError):
-            km_lower(1.0, -1.0)
-
-
-class TestSplitLowerBound:
-    def test_example(self):
-        assert split_lower_bound([2.0, 3.0]) == 5.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            split_lower_bound([])
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            split_lower_bound([1.0, -0.5])
-
-    @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=10))
-    def test_is_the_sum(self, xs):
-        assert split_lower_bound(xs) == pytest.approx(sum(xs), rel=1e-12, abs=1e-12)
-
-
-UNIT_DATUM = NormDatum(vol=1.0, inj=1.0, thurston=1.0)
-
-
 class TestNonfiniteScalars:
     """Each scalar bound rejects nan and +-inf with ValueError."""
 
@@ -409,14 +299,6 @@ class TestNonfiniteScalars:
         [
             pytest.param(lambda x: supnorm_factor(x, True), id="supnorm_factor-inj"),
             pytest.param(lambda x: supnorm_factor(0.5, True, mu=x), id="supnorm_factor-mu"),
-            pytest.param(lambda x: degree_bound(0.29, x), id="degree_bound-inj"),
-            pytest.param(lambda x: degree_bound(x, 0.1), id="degree_bound-mu"),
-            pytest.param(lambda x: km_lower(x, 1.0), id="km_lower-vol"),
-            pytest.param(lambda x: km_lower(1.0, x), id="km_lower-thurston"),
-            pytest.param(area_norm_bounds, id="area_norm_bounds"),
-            pytest.param(lambda x: bsv_bounds(UNIT_DATUM, x, 1.0), id="bsv_bounds-C1"),
-            pytest.param(lambda x: bsv_bounds(UNIT_DATUM, 1.0, x), id="bsv_bounds-C2"),
-            pytest.param(lambda x: split_lower_bound([1.0, x]), id="split_lower_bound"),
         ],
     )
     def test_rejected(self, call, bad):

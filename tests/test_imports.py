@@ -1,9 +1,11 @@
-"""Imports: the package loads no scipy module, and every export resolves.
+"""Imports: the package loads no scipy module, every export resolves, and
+every import is used.
 
 scipy is a test-only dependency (the quadrature and lpmv oracles); a cold
 `hypnorms` process imports numpy and the standard library only.
 """
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -39,3 +41,19 @@ def test_every_export_resolves(name):
     module = hypnorms if name == "__init__" else importlib.import_module(f"hypnorms.{name}")
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", ["__init__"] + SUBMODULES)
+def test_every_import_is_used(name):
+    # a name a module imports is read in that module or re-exported by its __all__
+    module = hypnorms if name == "__init__" else importlib.import_module(f"hypnorms.{name}")
+    with open(module.__file__) as f:
+        tree = ast.parse(f.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - read - set(module.__all__)) == []

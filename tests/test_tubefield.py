@@ -222,6 +222,20 @@ class TestGaussLegendreRule:
         ref_x, ref_w = np.polynomial.legendre.leggauss(12)
         assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
 
+    @pytest.mark.parametrize("order", [0, 1, 3, True, 4.0, 24.5])
+    @pytest.mark.parametrize("call", [
+        lambda n: tube_l2_norm_sq(TubeChart(0.3, 1.2), lambda r, th, z: (0.0, 0.0, 1.0), order=n),
+        lambda n: competitor_norm_sq(TubeChart(0.3, 1.2), 0.1, order=n),
+        lambda n: tube_lower_bound(TubeChart(0.3, 1.2), order=n),
+        lambda n: ballfield.omega_gram(2, 1.0, order=n),
+        lambda n: ballfield.psi_gram(2, 1.0, order=n),
+    ], ids=["tube_l2_norm_sq", "competitor_norm_sq", "tube_lower_bound", "omega_gram",
+            "psi_gram"])
+    def test_order_is_an_integer_of_at_least_four(self, call, order):
+        # order=1 used to put a competitor at 1.86, below the core's 12.43
+        with pytest.raises(ValueError, match="quadrature order"):
+            call(order)
+
 
 class TestLowerBound:
     def test_equals_form_norm(self):
