@@ -90,11 +90,11 @@ class HarmonicExpansion:
 def mode_indices(lmax: int, lmin: int = 0) -> list[tuple[int, int]]:
     """All (ell, m) with lmin <= ell <= lmax, |m| <= ell, in lexicographic order.
 
-    Raises ValueError unless lmin <= lmax <= MAX_ELL, the highest degree
-    radial.profile evaluates.
+    Raises ValueError unless lmin and lmax are integers (not bools) with
+    lmin <= lmax <= MAX_ELL, the highest degree radial.profile evaluates.
     """
-    if not lmin <= lmax <= MAX_ELL:
-        raise ValueError(f"lmax must lie in [{lmin}, {MAX_ELL}], got {lmax}")
+    if type(lmin) is not int or type(lmax) is not int or not lmin <= lmax <= MAX_ELL:
+        raise ValueError(f"lmax must be an integer in [{lmin!r}, {MAX_ELL}], got {lmax!r}")
     return [(ell, m) for ell in range(lmin, lmax + 1) for m in range(-ell, ell + 1)]
 
 

@@ -151,12 +151,13 @@ def profiles(lmax: int, r: float) -> tuple[list, list, list]:
     One Legendre-Q ladder in ell, run backward below r = 3.5 and forward
     from there on (module docstring); a value at a given ell does not
     depend on lmax.  r = 0 gives the limits.  Raises ValueError for lmax
-    outside [0, MAX_ELL], for r not finite and nonnegative, and when a
-    value would leave the float range (the flux ~ ell(ell+1) r overflows
-    near r = 1e305).
+    that is not an integer in [0, MAX_ELL] (a bool is not one), for r not
+    finite and nonnegative, and when a value would leave the float range
+    (the flux ~ ell(ell+1) r overflows near r = 1e305).
     """
-    if not 0 <= lmax <= MAX_ELL:
-        raise ValueError(f"mode index must lie in [0, {MAX_ELL}], got {lmax}")
+    # type(x) is int, not isinstance: a bool is an int subclass, read as 0 or 1
+    if type(lmax) is not int or not 0 <= lmax <= MAX_ELL:
+        raise ValueError(f"mode index must be an integer in [0, {MAX_ELL}], got {lmax!r}")
     _require_nonneg(r)
     out = (_backward if r < _SEAM else _forward)(lmax, r)
     if not all(math.isfinite(v) for values in out for v in values):

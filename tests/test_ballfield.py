@@ -50,6 +50,14 @@ def unit_mode(ell, m):
 
 
 class TestSphHarm:
+    def test_index_validation(self):
+        with pytest.raises(ValueError):
+            sph_harm(1, 2, 0.3, 0.3)
+        with pytest.raises(ValueError):
+            sph_harm_dphi(2, -3, 0.3, 0.3)
+        with pytest.raises(ValueError):
+            sph_harm_dtheta_over_sin(0, 1, 0.3, 0.3)
+
     def test_convention_anchors(self):
         assert sph_harm(0, 0, 1.1, 2.2) == pytest.approx(1.0 / math.sqrt(4 * math.pi), rel=1e-15)
         phi = 0.7
@@ -327,6 +335,20 @@ class TestSeparableGram:
         # omega_gram takes 1 <= lmax <= 40, psi_gram 0 <= lmax <= 40
         with pytest.raises(ValueError, match="lmax"):
             gram(lmax, 1.0, order=4)
+
+    @pytest.mark.parametrize("gram", [omega_gram, psi_gram])
+    @pytest.mark.parametrize("lmax", [True, 2.5, 2.0], ids=["bool", "float", "whole-float"])
+    def test_degree_is_an_integer(self, gram, lmax):
+        with pytest.raises(ValueError, match="integer"):
+            gram(lmax, 1.0, order=4)
+
+    @pytest.mark.parametrize("lmax, lmin", [(True, 0), (2.5, 0), (2.0, 0), (2, True), (2, 1.0)],
+                             ids=["bool-lmax", "float-lmax", "whole-float-lmax", "bool-lmin",
+                                  "whole-float-lmin"])
+    def test_mode_indices_are_integers(self, lmax, lmin):
+        # mode_indices(True) listed the degree-1 modes; 2.5 reached range() as a TypeError
+        with pytest.raises(ValueError, match="integer"):
+            mode_indices(lmax, lmin=lmin)
 
     @pytest.mark.parametrize("gram", [omega_gram, psi_gram])
     def test_past_sinh_overflow_raises(self, gram):

@@ -241,6 +241,13 @@ class TestRecurrence:
         with pytest.raises(ValueError, match="40"):
             profiles(lmax, 1.0)
 
+    @pytest.mark.parametrize("fn", [profiles, profile, psi, dpsi, mode_norm])
+    @pytest.mark.parametrize("ell", [True, 1.5, 2.0], ids=["bool", "float", "whole-float"])
+    def test_degree_is_an_integer(self, fn, ell):
+        # psi(True, r) was psi(1, r); psi(1.5, r) failed inside the ladder with TypeError
+        with pytest.raises(ValueError, match="integer"):
+            fn(ell, 1.0)
+
 
 class TestPastFloatRange:
     """The flux ~ ell(ell+1) r leaves the float range near r = 1e305."""
