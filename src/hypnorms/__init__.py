@@ -6,118 +6,78 @@ model fields (tubefield), inequality plumbing between norms (bounds), the
 symplectic homology action of a monodromy (homalg), Brown's fibering
 criterion (fibering), parametric example families (families), and the
 named invariant suites behind the CLI (verify).  The names most scripts
-need are re-exported here.
+need are re-exported here.  They load on first access (PEP 562), so
+importing the package, or an exact module such as homalg, does not import
+numpy.
 """
 
-from .radial import dpsi, mode_norm, nu, psi
-from .ballfield import (
-    HarmonicExpansion,
-    ball_l2_norm_sq,
-    check_df_bound,
-    expansion_field,
-    mode_indices,
-    omega_gram,
-    psi_gram,
-)
-from .tubefield import (
-    TubeChart,
-    competitor_norm_sq,
-    remark_ratio,
-    tube_form_norm,
-    tube_l2_norm_sq,
-    tube_lower_bound,
-    tube_volume,
-)
-from .bounds import (
-    NormDatum,
-    PolytopeNorm,
-    dual_norm,
-    polytope_gauge,
-    supnorm_factor,
-    thm_main_bounds,
-)
-from .homalg import (
-    GROWTH_RATE,
-    MONODROMY,
-    SYMPLECTIC_FORM,
-    fbar_power,
-    mv_generator,
-    symplectic_check,
-    transvection,
-    twist_word_matrix,
-)
-from .fibering import (
-    BrownStatus,
-    X064_RELATOR,
-    brown_status,
-    fibered_characters,
-    parse_word,
-)
-from .families import (
-    CoverFamilyParams,
-    FillingFamilyParams,
-    GluingFamilyParams,
-    cover_family,
-    filling_family,
-    gluing_family,
-)
-from .verify import SUITES, run_suite
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # radial
-    "dpsi",
-    "mode_norm",
-    "nu",
-    "psi",
-    # ballfield
-    "HarmonicExpansion",
-    "ball_l2_norm_sq",
-    "check_df_bound",
-    "expansion_field",
-    "mode_indices",
-    "omega_gram",
-    "psi_gram",
-    # tubefield
-    "TubeChart",
-    "competitor_norm_sq",
-    "remark_ratio",
-    "tube_form_norm",
-    "tube_l2_norm_sq",
-    "tube_lower_bound",
-    "tube_volume",
-    # bounds
-    "NormDatum",
-    "PolytopeNorm",
-    "dual_norm",
-    "polytope_gauge",
-    "supnorm_factor",
-    "thm_main_bounds",
-    # homalg
-    "GROWTH_RATE",
-    "MONODROMY",
-    "SYMPLECTIC_FORM",
-    "fbar_power",
-    "mv_generator",
-    "symplectic_check",
-    "transvection",
-    "twist_word_matrix",
-    # fibering
-    "BrownStatus",
-    "X064_RELATOR",
-    "brown_status",
-    "fibered_characters",
-    "parse_word",
-    # families
-    "CoverFamilyParams",
-    "FillingFamilyParams",
-    "GluingFamilyParams",
-    "cover_family",
-    "filling_family",
-    "gluing_family",
-    # verify
-    "SUITES",
-    "run_suite",
-]
+_EXPORTS = {
+    "radial": ("dpsi", "mode_norm", "nu", "psi"),
+    "ballfield": (
+        "HarmonicExpansion",
+        "ball_l2_norm_sq",
+        "check_df_bound",
+        "expansion_field",
+        "mode_indices",
+        "omega_gram",
+        "psi_gram",
+    ),
+    "tubefield": (
+        "TubeChart",
+        "competitor_norm_sq",
+        "remark_ratio",
+        "tube_form_norm",
+        "tube_l2_norm_sq",
+        "tube_lower_bound",
+        "tube_volume",
+    ),
+    "bounds": (
+        "NormDatum",
+        "PolytopeNorm",
+        "dual_norm",
+        "polytope_gauge",
+        "supnorm_factor",
+        "thm_main_bounds",
+    ),
+    "homalg": (
+        "GROWTH_RATE",
+        "MONODROMY",
+        "SYMPLECTIC_FORM",
+        "fbar_power",
+        "mv_generator",
+        "symplectic_check",
+        "transvection",
+        "twist_word_matrix",
+    ),
+    "fibering": (
+        "BrownStatus",
+        "X064_RELATOR",
+        "brown_status",
+        "fibered_characters",
+        "parse_word",
+    ),
+    "families": (
+        "CoverFamilyParams",
+        "FillingFamilyParams",
+        "GluingFamilyParams",
+        "cover_family",
+        "filling_family",
+        "gluing_family",
+    ),
+    "verify": ("SUITES", "run_suite"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value

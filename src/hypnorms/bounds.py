@@ -7,7 +7,9 @@ in exact vertex form (rationals).  Their facet inequalities are found once per
 norm, exactly, by double description in integer arithmetic; the gauge is then
 max_i a_i.x over the facets and the dual norm max_j v_j.psi over the
 vertices, so the only rounding is in those final float dot products.  The same
-exact routine gives the vertices of the sup ball of a family of norms.
+exact routine gives the vertices of the sup ball of a family of norms.  Only
+the polytope-norm code that builds or reads float arrays imports numpy, so the
+sandwich and the sup-norm factor load without it.
 
 The sup-norm factor has two regimes split at inj = mu/2 (default mu = 0.29,
 which needs positive first Betti number): an embedded ball of radius inj for
@@ -24,11 +26,12 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
-from typing import NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .radial import nu
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MainBounds",
@@ -161,6 +164,8 @@ def _dot(a, b) -> int:
 
 def _float_rows(rows) -> np.ndarray:
     """Integer rows (q..., m) as the float points q/m, each correctly rounded."""
+    import numpy as np
+
     return np.array([[c / r[-1] for c in r[:-1]] for r in rows])
 
 
@@ -291,7 +296,7 @@ class PolytopeNorm:
                 g = max(Fraction(_dot(a, q), a[-1] * m) for a in facets)
                 raise ValueError(f"listed vertex {v} has gauge {g}, not on the unit sphere")
         facet_array = _float_rows(facets)
-        vertex_array = np.array([[float(c) for c in v] for v in vecs])
+        vertex_array = _float_rows([_integer_row(v) for v in vecs])
         facet_array.flags.writeable = vertex_array.flags.writeable = False
         object.__setattr__(self, "_facets", facets)
         object.__setattr__(self, "_facet_array", facet_array)
@@ -306,6 +311,8 @@ class PolytopeNorm:
 
 
 def _max_dot(p: PolytopeNorm, rows: np.ndarray, x) -> float:
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     if x.shape != (p.dim,):
         raise ValueError(f"vector of dimension {x.shape} against {p.dim}-dim norm")
@@ -347,6 +354,8 @@ def inf_of_duals_check(
     dim = norms[0].dim
     if any(p.dim != dim for p in norms):
         raise ValueError("all norms must share one dimension")
+    import numpy as np
+
     ball = _sup_ball_vertices(norms)
     for psi in test_vectors:
         psi = np.asarray(psi, dtype=float)

@@ -22,8 +22,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .bounds import NormDatum
 from .families import (
     CoverFamilyParams,
@@ -39,7 +37,7 @@ from .verify import SUITES, Check, run_suite
 __all__ = ["RunConfig", "main", "cmd_nu", "cmd_verify", "cmd_family"]
 
 _GRID_POINTS = 25  # points of a float a..b range; integer ranges step by (b - a) // 25
-_INT64 = np.iinfo(np.int64)  # integer ranges are numpy arrays
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1  # integer range endpoints are 64-bit
 
 
 class UsageError(Exception):
@@ -110,15 +108,17 @@ def _parse_grid(text: str, *, integer: bool = False, log: bool = False) -> list:
             lo, hi = num(lo_s), num(hi_s)
             if not lo < hi:
                 raise UsageError(f"grid range needs lo < hi, got {text!r}")
-            if integer and not (_INT64.min <= lo and hi <= _INT64.max):
+            if integer and not (_INT64_MIN <= lo and hi <= _INT64_MAX):
                 raise UsageError(f"integer grid endpoints must fit in 64 bits, got {text!r}")
+            if integer and not log:
+                return [*range(lo, hi, max(1, (hi - lo) // _GRID_POINTS)), hi]
+            # float points stay numpy's: the printed grids depend on its exact floats
+            import numpy as np
+
             if log:
                 if lo <= 0:
                     raise UsageError("log grid needs positive endpoints")
                 vals = np.geomspace(lo, hi, _GRID_POINTS)
-            elif integer:
-                step = max(1, (hi - lo) // _GRID_POINTS)
-                vals = np.append(np.arange(lo, hi, step), hi)
             else:
                 vals = np.linspace(lo, hi, _GRID_POINTS)
             if integer:
@@ -195,6 +195,8 @@ def cmd_nu(grid: list[float], config: RunConfig) -> tuple[list[dict], list[Check
                 "ratio_large": v / (6.0 * math.pi * r),
             }
         )
+    import numpy as np  # the branch-sup grid is numpy's geomspace, bit for bit
+
     t478 = config.tol.get("branch-constant", 0.01)
     v478 = math.sqrt(0.29 / nu(0.145))
     sup_grid = np.geomspace(0.145, 50.0, 120)

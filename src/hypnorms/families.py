@@ -24,7 +24,6 @@ from typing import NamedTuple
 
 from .bounds import NormDatum
 from .homalg import GROWTH_RATE, fbar_power
-from .tubefield import TubeChart, tube_form_norm
 
 __all__ = [
     "CoverFamilyParams",
@@ -130,6 +129,8 @@ def filling_family(p: FillingFamilyParams, n: int) -> FillingPoint:
     consistency gate only when the model is in range, which is the point.
     ratio = harmonic_lower/thurston grows like sqrt(log n).
     """
+    from .tubefield import TubeChart, tube_form_norm  # numpy stays off the exact families
+
     thurston = n * p.th_alpha + p.th_beta - 2.0
     if thurston <= 0:
         raise ValueError(f"model needs n*th_alpha + th_beta > 2, got n = {n}")

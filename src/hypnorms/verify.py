@@ -4,25 +4,17 @@ Each suite function runs a fixed list of checks and returns Check records
 carrying a self-describing anchor string, the computed value, the
 tolerance it was held to, and the verdict.  Tolerances can be overridden
 per check name; randomized sweeps draw from a seeded generator so a fixed
-configuration reproduces byte-identical reports.
+configuration reproduces byte-identical reports.  The float suites (ball,
+tube, dfbound) import numpy and the array modules when they run, so the
+exact suites (homalg, bns) run without numpy.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
-import numpy as np
-
-from .ballfield import (
-    HarmonicExpansion,
-    check_df_bound,
-    ball_l2_norm_sq,
-    expansion_field,
-    mode_indices,
-    omega_gram,
-    psi_gram,
-)
 from .fibering import (
     X064_RELATOR,
     Word,
@@ -41,13 +33,6 @@ from .homalg import (
     twist_word_matrix,
 )
 from .radial import mode_norm
-from .tubefield import (
-    TubeChart,
-    competitor_norm_sq,
-    tube_form_norm,
-    tube_l2_norm_sq,
-    tube_volume,
-)
 
 __all__ = ["Check", "SUITES", "run_suite"]
 
@@ -67,6 +52,17 @@ def _tol(overrides: dict[str, float] | None, name: str, default: float) -> float
 
 def suite_ball(order: int = 24, seed: int = 0, tol: dict | None = None) -> list[Check]:
     """Orthogonality of the scalar and covector mode families, plus Parseval."""
+    import numpy as np
+
+    from .ballfield import (
+        HarmonicExpansion,
+        ball_l2_norm_sq,
+        expansion_field,
+        mode_indices,
+        omega_gram,
+        psi_gram,
+    )
+
     checks = []
     for r in (0.5, 2.0):
         for label, gram in (("psi", psi_gram), ("omega", omega_gram)):
@@ -109,6 +105,16 @@ def suite_tube(order: int = 24, seed: int = 0, tol: dict | None = None) -> list[
     eps = 2/n^2 and R = asinh n, which is what certifies its harmonic
     lower bounds.
     """
+    import numpy as np
+
+    from .tubefield import (
+        TubeChart,
+        competitor_norm_sq,
+        tube_form_norm,
+        tube_l2_norm_sq,
+        tube_volume,
+    )
+
     charts = [
         TubeChart(epsilon=e, R=R)
         for e in (0.05, 0.3, 1.0)
@@ -143,6 +149,10 @@ def suite_tube(order: int = 24, seed: int = 0, tol: dict | None = None) -> list[
 
 def suite_dfbound(order: int = 24, seed: int = 0, tol: dict | None = None) -> list[Check]:
     """Sharpness of the center-gradient bound on pure and random expansions."""
+    import numpy as np
+
+    from .ballfield import HarmonicExpansion, check_df_bound, mode_indices
+
     radii = (0.3, 1.0, 3.0)
     pure = HarmonicExpansion({(1, 0): 1.0}, truncation=1)
     pure_dev = max(abs(check_df_bound(pure, r).ratio - 1.0) for r in radii)
@@ -193,22 +203,20 @@ def suite_bns(order: int = 24, seed: int = 0, tol: dict | None = None) -> list[C
     """Fibering data for the census relator plus cyclic-invariance sweep."""
     sums = exponent_sums(X064_RELATOR)
     found = fibered_characters(X064_RELATOR, 10)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     mismatches = 0
     tried = 0
     while tried < 100:
-        letters = tuple(
-            int(x) for x in rng.choice((1, -1, 2, -2), size=int(rng.integers(1, 21)))
-        )
+        letters = tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(1, 20)))
         w = Word(letters).cyc_reduce()
         if not w.letters:
             continue
         tried += 1
-        p = int(rng.integers(-5, 6))
-        q = int(rng.integers(-5, 6))
+        p = rng.randint(-5, 5)
+        q = rng.randint(-5, 5)
         if p == 0 and q == 0:
             p = 1
-        k = int(rng.integers(0, len(w.letters)))
+        k = rng.randrange(len(w.letters))
         rotated = Word(w.letters[k:] + w.letters[:k])
         if brown_status(w, (p, q)) is not brown_status(rotated, (p, q)):
             mismatches += 1

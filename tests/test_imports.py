@@ -1,8 +1,11 @@
-"""Imports: the package loads no scipy module, every export resolves, and
-every import is used.
+"""Imports: the package loads no scipy module, the exact commands load no
+numpy, every export resolves, and every import is used.
 
-scipy is a test-only dependency (the quadrature and lpmv oracles); a cold
-`hypnorms` process imports numpy and the standard library only.
+scipy is a test-only dependency (the quadrature and lpmv oracles).  The
+package re-exports its names lazily, and numpy is imported only by the
+array modules (ballfield, tubefield) and by the code that builds or reads
+arrays, so `import hypnorms`, `import hypnorms.cli` and the exact
+subcommands run on the standard library alone.
 """
 
 import ast
@@ -17,6 +20,24 @@ import pytest
 import hypnorms
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(hypnorms.__path__))
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# the CLI invocations that do only integer, Fraction and math work
+EXACT_INVOCATIONS = [
+    ["verify", "homalg"],
+    ["verify", "bns"],
+    ["family", "covers", "--degrees", "1,2,4,8"],
+    ["family", "gluing", "--n", "1..100"],
+    ["family", "gluing", "--n", "10..1000"],
+]
+
+
+def fresh_python(code: str, *argv: str) -> str:
+    """stdout of `code` run in a new interpreter that imports hypnorms from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, check=True).stdout
 
 
 def test_cli_import_loads_no_scipy():
@@ -24,12 +45,27 @@ def test_cli_import_loads_no_scipy():
         "import sys, hypnorms, hypnorms.cli; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    assert fresh_python(code).strip() == "[]"
+
+
+def test_package_and_cli_imports_load_no_numpy():
+    code = (
+        "import sys, hypnorms; print('numpy' in sys.modules); "
+        "import hypnorms.cli; print('numpy' in sys.modules)"
+    )
+    assert fresh_python(code).split() == ["False", "False"]
+
+
+@pytest.mark.parametrize("argv", EXACT_INVOCATIONS, ids=" ".join)
+def test_exact_invocation_loads_no_numpy(argv):
+    code = (
+        "import contextlib, io, sys\n"
+        "from hypnorms.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    assert fresh_python(code, *argv).split() == ["0", "False"]
 
 
 def test_submodules_found():
@@ -41,6 +77,17 @@ def test_every_export_resolves(name):
     module = hypnorms if name == "__init__" else importlib.import_module(f"hypnorms.{name}")
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from hypnorms import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(hypnorms.__all__)
+
+
+def test_unknown_export_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hypnorms.no_such_name
 
 
 @pytest.mark.parametrize("name", ["__init__"] + SUBMODULES)
