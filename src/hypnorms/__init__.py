@@ -7,8 +7,8 @@ symplectic homology action of a monodromy (homalg), Brown's fibering
 criterion (fibering), parametric example families (families), and the
 named invariant suites behind the CLI (verify).  The names most scripts
 need are re-exported here.  They load on first access (PEP 562), so
-importing the package, or an exact module such as homalg, does not import
-numpy.
+importing the package does not import numpy, and the exact layer (bounds,
+homalg, fibering, the cover and gluing families) runs without it.
 """
 
 import importlib

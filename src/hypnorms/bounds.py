@@ -7,9 +7,9 @@ in exact vertex form (rationals).  Their facet inequalities are found once per
 norm, exactly, by double description in integer arithmetic; the gauge is then
 max_i a_i.x over the facets and the dual norm max_j v_j.psi over the
 vertices, so the only rounding is in those final float dot products.  The same
-exact routine gives the vertices of the sup ball of a family of norms.  Only
-the polytope-norm code that builds or reads float arrays imports numpy, so the
-sandwich and the sup-norm factor load without it.
+exact routine gives the vertices of the sup ball of a family of norms.  The
+module runs on the standard library alone: a few dozen float rows are no
+array workload.
 
 The sup-norm factor has two regimes split at inj = mu/2 (default mu = 0.29,
 which needs positive first Betti number): an embedded ball of radius inj for
@@ -23,15 +23,14 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Rational
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from numbers import Rational, Real
+from operator import mul
+from typing import NamedTuple, Sequence
 
 from .radial import nu
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "MainBounds",
@@ -45,6 +44,7 @@ __all__ = [
 ]
 
 MU_DEFAULT = 0.29
+DUALS_REL_TOL = 1e-9  # relative gap at which inf_of_duals_check reports False
 
 
 class MainBounds(NamedTuple):
@@ -64,7 +64,8 @@ class NormDatum:
 
     harmonic is optional; when present (and check_consistency is left on) it
     must sit inside the two-sided comparison pi th/sqrt(vol) <= harmonic <=
-    10 pi th/sqrt(inj) up to tol, the consistency gate for measured data.
+    10 pi th/sqrt(inj) up to the relative tol (0 <= tol < 1), the
+    consistency gate for measured data.
     """
 
     vol: float
@@ -79,6 +80,8 @@ class NormDatum:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        if not 0 <= self.tol < 1:
+            raise ValueError(f"tol must be finite with 0 <= tol < 1, got {self.tol}")
         if self.vol <= 0:
             raise ValueError(f"volume must be positive, got {self.vol}")
         if self.inj <= 0:
@@ -141,14 +144,11 @@ def supnorm_factor(inj: float, b1_positive: bool, mu: float | None = None) -> fl
 def _as_fraction_vector(v) -> tuple[Fraction, ...]:
     out = []
     for c in v:
-        if isinstance(c, (Rational, int, str)):
-            out.append(Fraction(c))
-        elif isinstance(c, float):
-            if not math.isfinite(c):
-                raise ValueError(f"vertex coordinate {c!r} is not finite")
-            out.append(Fraction(c))  # exact binary value
-        else:
+        if not isinstance(c, (Rational, float, str)):
             raise TypeError(f"vertex coordinate {c!r} is not rational-convertible")
+        if isinstance(c, float) and not math.isfinite(c):
+            raise ValueError(f"vertex coordinate {c!r} is not finite")
+        out.append(Fraction(c))  # a float's exact binary value
     return tuple(out)
 
 
@@ -159,14 +159,16 @@ def _integer_row(v: tuple[Fraction, ...]) -> tuple[int, ...]:
 
 
 def _dot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
-def _float_rows(rows) -> np.ndarray:
-    """Integer rows (q..., m) as the float points q/m, each correctly rounded."""
-    import numpy as np
+def _float_rows(rows) -> tuple[tuple[float, ...], ...]:
+    """One of each pair of integer rows (+-q..., m), as q/m correctly rounded.
 
-    return np.array([[c / r[-1] for c in r[:-1]] for r in rows])
+    The row sets here are centrally symmetric and a float dot product is odd
+    in the row, so max |a.x| over the kept rows is max a.x over all of them.
+    """
+    return tuple(tuple(c / r[-1] for c in r[:-1]) for r in rows if next(filter(None, r)) > 0)
 
 
 def _initial_cone(rows: list[tuple[int, ...]]) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -272,8 +274,8 @@ class PolytopeNorm:
 
     vertices: tuple[tuple[Fraction, ...], ...]
     _facets: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _facet_array: np.ndarray = field(init=False, repr=False, compare=False)
-    _vertex_array: np.ndarray = field(init=False, repr=False, compare=False)
+    _facet_rows: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
+    _vertex_rows: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, vertices):
         vecs = tuple(_as_fraction_vector(v) for v in vertices)
@@ -295,74 +297,63 @@ class PolytopeNorm:
             if max(_dot(a, q) - a[-1] * m for a in facets) != 0:
                 g = max(Fraction(_dot(a, q), a[-1] * m) for a in facets)
                 raise ValueError(f"listed vertex {v} has gauge {g}, not on the unit sphere")
-        facet_array = _float_rows(facets)
-        vertex_array = _float_rows([_integer_row(v) for v in vecs])
-        facet_array.flags.writeable = vertex_array.flags.writeable = False
         object.__setattr__(self, "_facets", facets)
-        object.__setattr__(self, "_facet_array", facet_array)
-        object.__setattr__(self, "_vertex_array", vertex_array)
+        object.__setattr__(self, "_facet_rows", _float_rows(facets))
+        object.__setattr__(self, "_vertex_rows", _float_rows(points))
 
     @property
     def dim(self) -> int:
         return len(self.vertices[0])
 
-    def float_vertices(self) -> np.ndarray:
-        return self._vertex_array.copy()
 
-
-def _max_dot(p: PolytopeNorm, rows: np.ndarray, x) -> float:
-    import numpy as np
-
-    x = np.asarray(x, dtype=float)
-    if x.shape != (p.dim,):
-        raise ValueError(f"vector of dimension {x.shape} against {p.dim}-dim norm")
-    if not all(map(math.isfinite, x.tolist())):
-        raise ValueError(f"vector must be finite, got {x}")
-    return float((rows @ x).max())
+def _max_dot(rows, x, dim: int) -> float:
+    """max a.x over all rows a (of _float_rows); ValueError unless x is dim finite reals."""
+    # a string, a set or a mapping iterates to something other than its components;
+    # plain floats and ints skip the slower Real check
+    ordered = type(x) in (tuple, list) or not isinstance(x, (str, bytes, bytearray, Set, Mapping))
+    try:
+        v = tuple(x) if ordered else ()
+        if len(v) == dim and ({float, int}.issuperset(map(type, v))
+                              or all(isinstance(c, Real) for c in v)):
+            v = tuple(map(float, v))
+            if all(map(math.isfinite, v)):
+                return max(abs(sum(map(mul, a, v))) for a in rows)
+    except (TypeError, OverflowError):
+        pass
+    raise ValueError(f"expected a finite vector of {dim} real numbers, got {x!r}")
 
 
 def polytope_gauge(p: PolytopeNorm, x) -> float:
     """The norm of x under p (Minkowski gauge of the unit ball): max over facets of a_i.x."""
-    return _max_dot(p, p._facet_array, x)
+    return _max_dot(p._facet_rows, x, p.dim)
 
 
 def dual_norm(p: PolytopeNorm, psi) -> float:
     """sup over the unit ball of <psi, .>, attained at a vertex."""
-    return _max_dot(p, p._vertex_array, psi)
+    return _max_dot(p._vertex_rows, psi, p.dim)
 
 
-def _sup_ball_vertices(norms: Sequence[PolytopeNorm]) -> np.ndarray:
-    # unit ball of sup_n x_n = intersection of the unit balls, cut out by
-    # every facet of every norm; its vertices are the polar of those facets
-    facets = list(dict.fromkeys(a for p in norms for a in p._facets))
-    return _float_rows(_polar_vertices(facets))
-
-
-def inf_of_duals_check(
-    norms: Sequence[PolytopeNorm], test_vectors: Sequence, rel_tol: float = 1e-9
-) -> bool:
+def inf_of_duals_check(norms: Sequence[PolytopeNorm], test_vectors: Sequence) -> bool:
     """Does (sup_n x_n)* equal inf_n x_n* on the given test vectors?
 
     The left side is computed from the exact vertex description of the
-    sup-norm unit ball (the intersection of the family's balls).  The answer
-    is reported honestly: the identity can genuinely fail pointwise (the inf
-    of duals need not be convex), and False is a meaningful result, not an
-    error.
+    sup-norm unit ball (the intersection of the family's balls), and the two
+    sides agree when they differ by at most DUALS_REL_TOL relative.  The
+    answer is reported honestly: the identity can genuinely fail pointwise
+    (the inf of duals need not be convex), and False is a meaningful result,
+    not an error.
     """
     if len(norms) == 0:
         raise ValueError("need at least one norm in the family")
     dim = norms[0].dim
     if any(p.dim != dim for p in norms):
         raise ValueError("all norms must share one dimension")
-    import numpy as np
-
-    ball = _sup_ball_vertices(norms)
+    # the sup ball is cut out by every facet of every norm: the polar of their union
+    facets = list(dict.fromkeys(a for p in norms for a in p._facets))
+    ball = _float_rows(_polar_vertices(facets))
     for psi in test_vectors:
-        psi = np.asarray(psi, dtype=float)
-        if psi.shape != (dim,):
-            raise ValueError(f"test vector of dimension {psi.shape} against {dim}")
-        lhs = float(np.max(ball @ psi))
+        lhs = _max_dot(ball, psi, dim)
         rhs = min(dual_norm(p, psi) for p in norms)
-        if abs(lhs - rhs) > rel_tol * max(abs(rhs), 1e-30):
+        if abs(lhs - rhs) > DUALS_REL_TOL * max(abs(rhs), 1e-30):
             return False
     return True

@@ -314,6 +314,12 @@ def _gluing_rows(n_grid: list[int], config: RunConfig) -> tuple[list[dict], list
 
 
 def cmd_family(kind: str, args, config: RunConfig) -> tuple[list[dict], list[Check]]:
+    # covers reads --degrees alone, filling and gluing every other family flag
+    given = {"--degrees": args.degrees is not None, "--n": args.n is not None,
+             "--log-grid": args.log_grid}
+    unread = [f for f, on in given.items() if on and (f == "--degrees") != (kind == "covers")]
+    if unread:
+        raise UsageError(f"family {kind} does not read {', '.join(unread)}")
     if kind == "covers":
         if not args.degrees:
             raise UsageError("covers needs --degrees")

@@ -126,9 +126,7 @@ class Character:
     q: int
 
     def __init__(self, p: int, q: int):
-        for x in (p, q):
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise TypeError("character values must be integers")
+        _as_pair((p, q))  # the integer rule of a (p, q) pair
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
@@ -171,12 +169,16 @@ def _as_pair(chi) -> tuple[int, int]:
     if isinstance(chi, Character):
         return chi.p, chi.q
     p, q = chi
-    return int(p), int(q)
+    for x in (p, q):
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise TypeError(f"character values must be integers, got {x!r}")
+    return p, q
 
 
 def brown_status(relator: Word, chi) -> BrownStatus:
     """Classify a character by the min/max-once walk criterion.
 
+    chi is a Character or a pair (p, q) of Python ints, not bool (TypeError).
     The relator is cyclically reduced first; characters that are zero or do
     not kill the relator are not characters of the quotient group and
     report not_applicable.  Otherwise the walk of partial sums along one

@@ -59,7 +59,7 @@ def sampled_dual(p, psi, n=720):
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     psi = np.asarray(psi, dtype=float)
     best = max(float(psi @ boundary_point(p, u)) for u in dirs)
-    verts = p.float_vertices()
+    verts = np.array(p.vertices, dtype=float)
     weights = rng.dirichlet([0.05] * len(verts), size=n)
     best_mix = float(((weights @ verts) @ psi).max())
     return max(best, best_mix)
@@ -67,7 +67,7 @@ def sampled_dual(p, psi, n=720):
 
 def facet_dual(p, psi):
     """Dual norm as an LP over the H-representation of the ball (facet form)."""
-    eq = ConvexHull(p.float_vertices()).equations
+    eq = ConvexHull(np.array(p.vertices, dtype=float)).equations
     res = linprog(
         c=-np.asarray(psi, dtype=float),
         A_ub=eq[:, :-1],
@@ -126,7 +126,8 @@ def _gauge_lp(vertex_array, x):
 
 def hull_sup_support(norms, psi):
     """Support function of the sup ball, from a qhull halfspace intersection."""
-    halfspaces = np.vstack([ConvexHull(p.float_vertices()).equations for p in norms])
+    halfspaces = np.vstack([ConvexHull(np.array(p.vertices, dtype=float)).equations
+                            for p in norms])
     ball = HalfspaceIntersection(halfspaces, np.zeros(norms[0].dim)).intersections
     return float(np.max(ball @ np.asarray(psi, dtype=float)))
 
@@ -181,6 +182,13 @@ class TestNormDatum:
         for outside in (math.nextafter(lower, 0.0), math.nextafter(upper, math.inf)):
             with pytest.raises(ValueError, match="sandwich"):
                 NormDatum(vol, inj, th, harmonic=outside, tol=0.0)
+
+    @pytest.mark.parametrize("tol, harmonic", [(math.inf, 1e6), (2.0, 0.0), (1.0, 4.0),
+                                               (math.nan, 4.0), (-1e-9, 4.0)])
+    def test_tol_is_finite_in_unit_interval(self, tol, harmonic):
+        # tol = inf took harmonic = 1e6 and tol = 2 took 0 against [pi, 10 pi]
+        with pytest.raises(ValueError, match="tol"):
+            NormDatum(1.0, 1.0, 1.0, harmonic=harmonic, tol=tol)
 
     @pytest.mark.parametrize("field", ["vol", "inj", "thurston", "harmonic"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -360,6 +368,28 @@ class TestPolytopeNorm:
             with pytest.raises(ValueError, match="finite"):
                 dual_norm(p, bad)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [np.ones((2, 1)), 3.0, "12", b"12", {3.0, 4.0}, {0: 3.0, 1: 4.0}, [1.0],
+         [1.0, 2.0, 3.0], [math.nan, 1.0], (1.0, -math.inf)],
+        ids=["nested", "scalar", "string", "bytes", "set", "mapping", "short", "long", "nan",
+             "inf"],
+    )
+    @pytest.mark.parametrize(
+        "query",
+        [
+            pytest.param(polytope_gauge, id="gauge"),
+            pytest.param(dual_norm, id="dual"),
+            pytest.param(lambda p, x: inf_of_duals_check(
+                [p, PolytopeNorm([(2, 0), (0, 2), (-2, 0), (0, -2)])], [x]), id="sup-ball"),
+        ],
+    )
+    def test_query_vector_rejected(self, query, bad):
+        # "12" must not be read as the vector (1, 2), b"12" as (49, 50), nor a
+        # mapping as its keys
+        with pytest.raises(ValueError):
+            query(PolytopeNorm(DIAMOND), bad)
+
     def test_dual_of_dual_recovers_norm(self):
         # polar of the L1 ball is the sup ball; bipolar gives L1 back
         p = PolytopeNorm(DIAMOND)
@@ -423,7 +453,8 @@ class TestFacetFormAgainstOracles:
     def test_gauge_matches_lp_oracle(self, dim, data):
         p = data.draw(integer_hulls(dim))
         x = data.draw(query_vectors(dim))
-        assert polytope_gauge(p, x) == pytest.approx(_gauge_lp(p.float_vertices(), x), rel=1e-9)
+        lp = _gauge_lp(np.array(p.vertices, dtype=float), x)
+        assert polytope_gauge(p, x) == pytest.approx(lp, rel=1e-9)
 
     @settings(max_examples=60, deadline=None)
     @given(dim=st.sampled_from((2, 3, 4)), data=st.data())
@@ -487,6 +518,13 @@ class TestInfOfDuals:
         s = Fraction(707, 1000)
         square = PolytopeNorm([(s, s), (-s, s), (s, -s), (-s, -s)])
         assert inf_of_duals_check([diamond, square], [[1.0, 1.0], [1.0, -1.0]])
+
+    def test_tolerance_is_fixed(self):
+        p = PolytopeNorm(DIAMOND)
+        with pytest.raises(TypeError):
+            inf_of_duals_check([p], [[1.0, 0.2]], rel_tol=1e-9)
+        with pytest.raises(TypeError):
+            inf_of_duals_check([p], [[1.0, 0.2]], 1e-9)
 
     def test_errors(self):
         with pytest.raises(ValueError):

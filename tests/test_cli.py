@@ -335,6 +335,21 @@ class TestFamilyCommand:
         assert "10^5" in err
         assert time.perf_counter() - start < 10.0
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["family", "covers", "--degrees", "1..1000", "--log-grid"], "--log-grid"),
+            (["family", "covers", "--degrees", "1,2", "--n", "7"], "--n"),
+            (["family", "gluing", "--n", "1..3", "--degrees", "5"], "--degrees"),
+            (["family", "filling", "--n", "10,100", "--degrees", "1"], "--degrees"),
+        ],
+    )
+    def test_unread_flag_usage_error(self, capsys, argv, flag):
+        # a family flag the chosen family does not read, like an unused --tol
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert flag in err
+
     def test_filling_degenerate_n_usage_error(self, capsys):
         # n=1 collapses the filled slope norm to zero
         code, _, _ = run_cli(capsys, "family", "filling", "--n", "1,2")

@@ -169,6 +169,12 @@ class TestBrownStatus:
     def test_accepts_character_objects(self):
         assert brown_status(X064_RELATOR, Character(1, 1)) is BrownStatus.BOTH_DIRECTIONS
 
+    @pytest.mark.parametrize("chi", [(1.5, 1.9), (1.0, 1.0), ("1", "1"), (True, True), (1, False)])
+    def test_tuple_character_must_be_ints(self, chi):
+        # the same rule as Character: Python ints, not bool
+        with pytest.raises(TypeError):
+            brown_status(X064_RELATOR, chi)
+
     @given(words(), characters())
     @settings(max_examples=300)
     def test_negation_symmetry(self, w, chi):

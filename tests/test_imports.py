@@ -1,11 +1,13 @@
-"""Imports: the package loads no scipy module, the exact commands load no
-numpy, every export resolves, and every import is used.
+"""Imports: the package loads no scipy module, the exact commands and the
+exact library calls load no numpy, every export resolves, and every import
+is used.
 
 scipy is a test-only dependency (the quadrature and lpmv oracles).  The
 package re-exports its names lazily, and numpy is imported only by the
 array modules (ballfield, tubefield) and by the code that builds or reads
-arrays, so `import hypnorms`, `import hypnorms.cli` and the exact
-subcommands run on the standard library alone.
+arrays, so `import hypnorms`, `import hypnorms.cli`, the exact subcommands
+and the exact layer (polytope norms, the cover and gluing families, MV
+lattices, the fibering scan) run on the standard library alone.
 """
 
 import ast
@@ -66,6 +68,29 @@ def test_exact_invocation_loads_no_numpy(argv):
         "print(code, 'numpy' in sys.modules)\n"
     )
     assert fresh_python(code, *argv).split() == ["0", "False"]
+
+
+def test_exact_library_calls_load_no_numpy():
+    # polytope norms, the families' exact rows, MV lattices and the fibering scan
+    code = (
+        "import sys\n"
+        "from hypnorms.bounds import (NormDatum, PolytopeNorm, dual_norm, inf_of_duals_check,\n"
+        "                             polytope_gauge)\n"
+        "from hypnorms.families import (CoverFamilyParams, GluingFamilyParams, cover_family,\n"
+        "                               gluing_family)\n"
+        "from hypnorms.fibering import X064_RELATOR, fibered_characters\n"
+        "from hypnorms.homalg import mv_intersection\n"
+        "diamond = PolytopeNorm([(1, 0), (0, 1), (-1, 0), (0, -1)])\n"
+        "square = PolytopeNorm([('7/10', '7/10'), ('-7/10', '7/10'), ('7/10', '-7/10'),\n"
+        "                       ('-7/10', '-7/10')])\n"
+        "polytope_gauge(diamond, (1.0, 0.5)), dual_norm(diamond, [3, 4])\n"
+        "inf_of_duals_check([diamond, square], [(1.0, 0.2), (1.0, 1.0)])\n"
+        "cover_family(CoverFamilyParams(NormDatum(1.0, 1.0, 1.0, harmonic=4.0), (1, 2, 4)))\n"
+        "gluing_family(GluingFamilyParams(), 5), mv_intersection(3)\n"
+        "fibered_characters(X064_RELATOR, 3)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert fresh_python(code).strip() == "False"
 
 
 def test_submodules_found():
