@@ -36,6 +36,12 @@ from .verify import SUITES, Check, run_suite
 
 __all__ = ["RunConfig", "main", "cmd_nu", "cmd_verify", "cmd_family"]
 
+# the only commands that read these RunConfig knobs; giving one to any other
+# command is a usage error, as an unused --tol is
+_KNOB_READERS = {
+    "quad_order": ("verify ball", "verify tube"),
+    "seed": ("verify ball", "verify dfbound", "verify bns"),
+}
 _GRID_POINTS = 25  # points of a float a..b range; integer ranges step by (b - a) // 25
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1  # integer range endpoints are 64-bit
 
@@ -58,7 +64,7 @@ class _Tols(dict):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs shared by every subcommand."""
+    """The knobs of one run; each command reads only some of them."""
 
     tol: dict[str, float] = field(default_factory=dict)
     quad_order: int = 24
@@ -338,8 +344,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--tol", action="append", metavar="NAME=VAL")
-    common.add_argument("--quad-order", type=int, default=24)
-    common.add_argument("--seed", type=int, default=0)
+    # absent unless given, so main can refuse them where nothing reads them
+    common.add_argument("--quad-order", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_nu = sub.add_parser("nu", parents=[common], help="radial norm-density table")
@@ -364,23 +371,28 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    if args.command == "nu":
+        command = "nu"
+    elif args.command == "verify":
+        command = f"verify {args.suite}"
+    else:
+        command = f"family {args.kind}"
     try:
-        config = RunConfig(
-            tol=_parse_tols(args.tol),
-            quad_order=args.quad_order,
-            fmt=args.format,
-            seed=args.seed,
-        )
+        knobs = {k: getattr(args, k) for k in _KNOB_READERS if hasattr(args, k)}
+        unread = [
+            f"{command} does not read --{k.replace('_', '-')}; only {', '.join(readers)} do"
+            for k, readers in _KNOB_READERS.items() if k in knobs and command not in readers
+        ]
+        if unread:
+            raise UsageError("; ".join(unread))
+        config = RunConfig(tol=_parse_tols(args.tol), fmt=args.format, **knobs)
         if args.command == "nu":
             grid = _parse_grid(args.r, integer=False, log=args.log_grid)
             rows, checks = cmd_nu(grid, config)
-            command = "nu"
         elif args.command == "verify":
             rows, checks = cmd_verify(args.suite, config)
-            command = f"verify {args.suite}"
         else:
             rows, checks = cmd_family(args.kind, args, config)
-            command = f"family {args.kind}"
         _require_tols_used(config.tol)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -1,24 +1,28 @@
 """Word algebra and Brown's fibering criterion for two-generator groups.
 
 Free words over {a, b} and their inverses, integral characters on the
-abelianization, and the walk-based criterion deciding which characters of
-a two-generator one-relator group have finitely generated kernel, hence
-define fibrations over the circle.
+abelianization, and Brown's criterion deciding which characters of a
+two-generator one-relator group have finitely generated kernel, hence
+define fibrations over the circle (Brown 1987, Invent. Math. 90).
 
-The criterion is applied in its cyclic form: the walk of partial character
-sums along the relator is periodic once the character kills the relator,
-and the decision reads off how often the minimum and the maximum are
-attained over one period (positions 0 .. len-1).  Counting over one period
-rather than the endpoint-inclusive walk is what makes the answer invariant
-under cyclic permutation of the relator.
+The criterion is read off the walk polygon.  The relator is cyclically
+reduced, and W is the set of its partial exponent sums over one period
+(positions 0 .. len-1); conv(W) is the polygon.  A character that kills
+the relator attains its minimum over the walk exactly once iff its min
+face of conv(W) is one vertex and the walk visits that vertex once; the
+same holds for the maximum.  Counting over one period rather than the
+endpoint-inclusive walk is what makes the answer invariant under cyclic
+permutation of the relator.  The polygons of the last few relators are
+cached; a character then costs a few dot products on the vertices.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 __all__ = [
     "Word",
@@ -175,33 +179,66 @@ def _as_pair(chi) -> tuple[int, int]:
     return p, q
 
 
-def brown_status(relator: Word, chi) -> BrownStatus:
-    """Classify a character by the min/max-once walk criterion.
+class _Polygon(NamedTuple):
+    """Exponent sums and the walk polygon of a cyclically reduced relator."""
 
-    chi is a Character or a pair (p, q) of Python ints, not bool (TypeError).
-    The relator is cyclically reduced first; characters that are zero or do
-    not kill the relator are not characters of the quotient group and
-    report not_applicable.  Otherwise the walk of partial sums along one
-    period of the cyclic relator is examined: the character (together with
-    its negative) spans a pair of fibered directions iff the walk attains
-    its minimum exactly once and its maximum exactly once.
+    sums: tuple[int, int]
+    vertices: tuple[tuple[int, int], ...]  # strict hull, counterclockwise
+    visits: tuple[int, ...]  # how often one period of the walk visits each vertex
+
+
+_STEP = {1: (1, 0), -1: (-1, 0), 2: (0, 1), -2: (0, -1)}
+
+
+def _half_hull(points) -> list[tuple[int, int]]:
+    """One monotone chain: drop the last point while it is not a strict left turn."""
+    chain: list[tuple[int, int]] = []
+    for x, y in points:
+        while len(chain) >= 2:
+            (ox, oy), (ux, uy) = chain[-2], chain[-1]
+            if (ux - ox) * (y - oy) > (uy - oy) * (x - ox):
+                break
+            chain.pop()
+        chain.append((x, y))
+    return chain
+
+
+@functools.lru_cache(maxsize=8)
+def _polygon(letters: tuple[int, ...]) -> _Polygon:
+    """The walk polygon of a cyclically reduced relator.
+
+    Monotone chain on the distinct walk points; collinear points are not
+    vertices, so a face attained by one point is a vertex.  The polygons of
+    the last few relators are kept, so a scan or a run of brown_status
+    calls on one relator builds its polygon once.
     """
-    p, q = _as_pair(chi)
-    w = relator.cyc_reduce()
-    if not w.letters:
+    if not letters:
         raise ValueError("empty relator")
-    if p == 0 and q == 0:
+    visits: dict[tuple[int, int], int] = {}
+    x = y = 0
+    for letter in letters:
+        visits[x, y] = visits.get((x, y), 0) + 1
+        dx, dy = _STEP[letter]
+        x, y = x + dx, y + dy
+    points = sorted(visits)
+    if len(points) == 1:
+        hull = points
+    else:
+        hull = _half_hull(points)[:-1] + _half_hull(reversed(points))[:-1]
+    return _Polygon((x, y), tuple(hull), tuple(visits[v] for v in hull))
+
+
+def _status(poly: _Polygon, p: int, q: int) -> BrownStatus:
+    sa, sb = poly.sums
+    if (p == 0 and q == 0) or p * sa + q * sb != 0:
         return BrownStatus.NOT_APPLICABLE
-    step = {1: p, -1: -p, 2: q, -2: -q}
-    if sum(step[x] for x in w.letters) != 0:
-        return BrownStatus.NOT_APPLICABLE
-    values = [0]
-    acc = 0
-    for x in w.letters[:-1]:
-        acc += step[x]
-        values.append(acc)
-    unique_min = values.count(min(values)) == 1
-    unique_max = values.count(max(values)) == 1
+    values = [p * x + q * y for x, y in poly.vertices]
+
+    def attained_once(extreme: int) -> bool:
+        return values.count(extreme) == 1 and poly.visits[values.index(extreme)] == 1
+
+    unique_min = attained_once(min(values))
+    unique_max = attained_once(max(values))
     if unique_min and unique_max:
         return BrownStatus.BOTH_DIRECTIONS
     if unique_min or unique_max:
@@ -209,21 +246,64 @@ def brown_status(relator: Word, chi) -> BrownStatus:
     return BrownStatus.NEITHER
 
 
+def brown_status(relator: Word, chi) -> BrownStatus:
+    """Classify a character by the min/max-once criterion on the walk polygon.
+
+    chi is a Character or a pair (p, q) of Python ints, not bool (TypeError).
+    The relator is cyclically reduced first (ValueError if nothing is left);
+    characters that are zero or do not kill the relator are not characters
+    of the quotient group and report not_applicable.  Otherwise chi is
+    compared on the vertices of the walk polygon: a side (min or max) is
+    attained once when exactly one vertex attains it and one period of the
+    walk visits that vertex once.  The character (together with its
+    negative) spans a pair of fibered directions iff both sides are.
+    """
+    p, q = _as_pair(chi)
+    return _status(_polygon(relator.cyc_reduce().letters), p, q)
+
+
 def fibered_characters(relator: Word, bound: int) -> list[Character]:
     """All primitive characters with |p|, |q| <= bound fibering both ways.
 
-    A nonempty result certifies that the group fibers over the circle:
-    a finitely generated kernel forces a fibration.
+    Ordered by p, then q.  With nonzero exponent sums only the two
+    primitive characters perpendicular to them kill the relator.  With zero
+    sums the polygon has at least three vertices, and a character fibers
+    unless it is normal to an edge (its min or max face is that edge) or lies
+    in the normal cone of a vertex the walk visits more than once.  A
+    nonempty result certifies that the group fibers over the circle: a
+    finitely generated kernel forces a fibration.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
+    poly = _polygon(relator.cyc_reduce().letters)
+    sa, sb = poly.sums
+    if sa or sb:
+        g = math.gcd(sa, sb)
+        perpendicular = sorted([(-sb // g, sa // g), (sb // g, -sa // g)])
+        return [Character(p, q) for p, q in perpendicular
+                if abs(p) <= bound and abs(q) <= bound
+                and _status(poly, p, q) is BrownStatus.BOTH_DIRECTIONS]
+    verts = poly.vertices
+    edge_normals = set()
+    # chi has v as its unique min or max vertex iff chi.e1 and chi.e2 have
+    # one strict sign, for the edges e1 = next - v and e2 = prev - v
+    cones = []
+    for i, v in enumerate(verts):
+        nxt, prev = verts[(i + 1) % len(verts)], verts[i - 1]
+        dx, dy = nxt[0] - v[0], nxt[1] - v[1]
+        g = math.gcd(dx, dy)
+        edge_normals |= {(-dy // g, dx // g), (dy // g, -dx // g)}
+        if poly.visits[i] > 1:
+            cones.append((dx, dy, prev[0] - v[0], prev[1] - v[1]))
+    span = range(-bound, bound + 1)
     out = []
-    for p in range(-bound, bound + 1):
-        for q in range(-bound, bound + 1):
-            if math.gcd(p, q) != 1:
+    for p in span:
+        for q in span:
+            if math.gcd(p, q) != 1 or (p, q) in edge_normals:
                 continue
-            if brown_status(relator, (p, q)) is BrownStatus.BOTH_DIRECTIONS:
-                out.append(Character(p, q))
+            if cones and any((p * a + q * b) * (p * c + q * d) > 0 for a, b, c, d in cones):
+                continue
+            out.append(Character(p, q))
     return out
 
 

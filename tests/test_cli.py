@@ -278,6 +278,40 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert "seed" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["family", "covers", "--degrees", "1,2", "--seed", "7"], "--seed"),
+            (["family", "gluing", "--n", "1..3", "--seed", "0"], "--seed"),
+            (["nu", "--r", "1", "--seed", "0"], "--seed"),
+            (["verify", "homalg", "--seed", "7"], "--seed"),
+            (["verify", "tube", "--seed", "0"], "--seed"),
+            (["verify", "homalg", "--quad-order", "30"], "--quad-order"),
+            (["verify", "dfbound", "--quad-order", "24"], "--quad-order"),
+            (["verify", "bns", "--quad-order", "24"], "--quad-order"),
+            (["nu", "--r", "1", "--quad-order", "24"], "--quad-order"),
+            (["family", "filling", "--n", "10,100", "--quad-order", "24"], "--quad-order"),
+        ],
+    )
+    def test_unread_seed_or_quad_order_usage_error(self, capsys, argv, flag):
+        # refused whatever the value, the default included, as an unused --tol is
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"does not read {flag}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "suite, flags",
+        [
+            ("ball", ["--quad-order", "24", "--seed", "0"]),
+            ("tube", ["--quad-order", "24"]),
+            ("dfbound", ["--seed", "0"]),
+            ("bns", ["--seed", "0"]),
+        ],
+    )
+    def test_seed_and_quad_order_taken_where_read(self, capsys, suite, flags):
+        # the defaults given explicitly reproduce the plain report
+        assert run_cli(capsys, "verify", suite, *flags) == run_cli(capsys, "verify", suite)
+
 
 class TestFamilyCommand:
     def test_covers_constant_ratio(self, capsys):

@@ -1,11 +1,18 @@
-"""Word reduction, characters, and the fibering walk criterion."""
+"""Word reduction, characters, and Brown's criterion on the walk polygon.
+
+The library reads the criterion off one cached hull per relator; the
+per-letter walk below is the oracle it must agree with, status for status
+and list for list.
+"""
 
 import math
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hypnorms import fibering
 from hypnorms.fibering import (
     X064_RELATOR,
     BrownStatus,
@@ -18,6 +25,7 @@ from hypnorms.fibering import (
 )
 
 LETTERS = (1, -1, 2, -2)
+STEP = {1: (1, 0), -1: (-1, 0), 2: (0, 1), -2: (0, -1)}
 
 
 def words():
@@ -28,6 +36,58 @@ def characters():
     return st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(
         lambda c: math.gcd(*c) == 1
     )
+
+
+@st.composite
+def relators(draw):
+    """Nonempty cyclically reduced relators, half of them with zero exponent sums."""
+    head = draw(st.lists(st.sampled_from(LETTERS), min_size=1, max_size=12))
+    if draw(st.booleans()):
+        tail = draw(st.permutations([-x for x in head]))
+    else:
+        tail = draw(st.lists(st.sampled_from(LETTERS), max_size=12))
+    w = Word(head + list(tail)).cyc_reduce()
+    assume(w.letters)
+    return w
+
+
+def _walk_status(relator: Word, chi) -> BrownStatus:
+    """Oracle: Brown's criterion by walking one period of the relator letter by letter."""
+    p, q = chi
+    w = relator.cyc_reduce()
+    if not w.letters:
+        raise ValueError("empty relator")
+    if p == 0 and q == 0:
+        return BrownStatus.NOT_APPLICABLE
+    step = {1: p, -1: -p, 2: q, -2: -q}
+    if sum(step[x] for x in w.letters) != 0:
+        return BrownStatus.NOT_APPLICABLE
+    values = [0]
+    acc = 0
+    for x in w.letters[:-1]:
+        acc += step[x]
+        values.append(acc)
+    unique_min = values.count(min(values)) == 1
+    unique_max = values.count(max(values)) == 1
+    if unique_min and unique_max:
+        return BrownStatus.BOTH_DIRECTIONS
+    if unique_min or unique_max:
+        return BrownStatus.ONE_DIRECTION
+    return BrownStatus.NEITHER
+
+
+def _walk_scan(relator: Word, bound: int) -> list[tuple[int, int]]:
+    """Oracle: every primitive (p, q) in the box, by p then q, walked one by one."""
+    return [
+        (p, q)
+        for p in range(-bound, bound + 1)
+        for q in range(-bound, bound + 1)
+        if math.gcd(p, q) == 1 and _walk_status(relator, (p, q)) is BrownStatus.BOTH_DIRECTIONS
+    ]
+
+
+def _pairs(found: list[Character]) -> list[tuple[int, int]]:
+    return [(c.p, c.q) for c in found]
 
 
 class TestWord:
@@ -228,3 +288,173 @@ class TestFiberedCharacters:
     def test_bound_validation(self):
         with pytest.raises(ValueError):
             fibered_characters(X064_RELATOR, 0)
+
+
+class TestWalkOracle:
+    """The polygon route against the per-letter walk."""
+
+    @given(relators(), st.data())
+    @settings(max_examples=400)
+    def test_status_matches_walk(self, w, data):
+        sa, sb = exponent_sums(w)
+        if (sa or sb) and data.draw(st.booleans()):
+            k = data.draw(st.integers(-3, 3))
+            chi = (-sb * k, sa * k)  # kills the relator; k = 0 is the zero character
+        else:
+            chi = data.draw(st.tuples(st.integers(-6, 6), st.integers(-6, 6)))
+        assert brown_status(w, chi) is _walk_status(w, chi)
+
+    def test_seeded_sweep_matches_walk_in_every_status(self):
+        rng = random.Random(0)
+        seen = set()
+        for _ in range(1500):
+            head = [rng.choice(LETTERS) for _ in range(rng.randint(1, 10))]
+            tail = [-x for x in head]
+            rng.shuffle(tail)
+            w = Word(head + (tail if rng.random() < 0.7 else [])).cyc_reduce()
+            if not w.letters:
+                continue
+            chi = (rng.randint(-4, 4), rng.randint(-4, 4))
+            status = brown_status(w, chi)
+            assert status is _walk_status(w, chi), (str(w), chi)
+            seen.add(status)
+        assert seen == set(BrownStatus)
+
+    @given(relators(), st.integers(1, 8))
+    @settings(max_examples=200)
+    def test_scan_matches_walk(self, w, bound):
+        assert _pairs(fibered_characters(w, bound)) == _walk_scan(w, bound)
+
+    @pytest.mark.parametrize("bound", [1, 2, 5, 12])
+    def test_x064_scan_matches_walk(self, bound):
+        assert _pairs(fibered_characters(X064_RELATOR, bound)) == _walk_scan(X064_RELATOR, bound)
+
+
+class TestWalkPolygon:
+    """One named case for each branch of the polygon route."""
+
+    def test_x064_hull(self):
+        poly = fibering._polygon(X064_RELATOR.letters)
+        assert poly.sums == (0, 0)
+        assert poly.vertices == ((0, 0), (2, -1), (3, -1), (3, 1), (1, 2), (0, 2))
+        assert poly.visits == (1,) * 6
+
+    def test_character_normal_to_a_hull_edge(self):
+        # (1, 2) is perpendicular to the X064 edge (2, -1): its min face is the
+        # edge from (0, 0) to (2, -1), its max face the edge from (3, 1) to (1, 2)
+        assert brown_status(X064_RELATOR, (1, 2)) is BrownStatus.NEITHER
+        assert _walk_status(X064_RELATOR, (1, 2)) is BrownStatus.NEITHER
+        # X064's hull is a hexagon with edge directions (2, -1), (1, 0) and
+        # (0, 1); every other primitive character fibers
+        found = _pairs(fibered_characters(X064_RELATOR, 3))
+        edge_normals = {(1, 2), (-1, -2), (0, 1), (0, -1), (1, 0), (-1, 0)}
+        primitive = [(p, q) for p in range(-3, 4) for q in range(-3, 4) if math.gcd(p, q) == 1]
+        assert found == [pq for pq in primitive if pq not in edge_normals]
+
+    def test_hull_vertex_visited_twice(self):
+        # the walk passes the vertex (-2, 1) at positions 3 and 9
+        w = parse_word("AAbaBBAbbaaB")
+        poly = fibering._polygon(w.letters)
+        assert poly.sums == (0, 0)
+        assert dict(zip(poly.vertices, poly.visits))[(-2, 1)] == 2
+        # (1, -2) has its min at that vertex alone: one side only
+        assert brown_status(w, (1, -2)) is BrownStatus.ONE_DIRECTION
+        assert _walk_status(w, (1, -2)) is BrownStatus.ONE_DIRECTION
+        # (1, 2) has its extremes at vertices visited once
+        assert brown_status(w, (1, 2)) is BrownStatus.BOTH_DIRECTIONS
+        found = _pairs(fibered_characters(w, 2))
+        assert (1, -2) not in found and (1, 2) in found
+        assert found == _walk_scan(w, 2)
+
+    def test_segment_hull(self):
+        # aab walks (0,0), (1,0), (2,0): the hull is a segment
+        w = parse_word("aab")
+        poly = fibering._polygon(w.letters)
+        assert (poly.sums, poly.vertices, poly.visits) == ((2, 1), ((0, 0), (2, 0)), (1, 1))
+        assert brown_status(w, (1, -2)) is BrownStatus.BOTH_DIRECTIONS
+        assert _pairs(fibered_characters(w, 2)) == [(-1, 2), (1, -2)] == _walk_scan(w, 2)
+        # on a^3 the only killing characters are constant along the segment
+        assert brown_status(parse_word("a^3"), (0, 1)) is BrownStatus.NEITHER
+        assert fibered_characters(parse_word("a^3"), 4) == []
+
+    def test_one_point_hull(self):
+        poly = fibering._polygon(parse_word("a").letters)
+        assert (poly.sums, poly.vertices, poly.visits) == ((1, 0), ((0, 0),), (1,))
+        assert _pairs(fibered_characters(parse_word("a"), 3)) == [(0, -1), (0, 1)]
+
+    def test_nonzero_sum_relator(self):
+        # sums (2, 1): only the characters +-(1, -2) kill the relator
+        w = parse_word("abbaB")
+        assert exponent_sums(w) == (2, 1)
+        assert len(fibering._polygon(w.letters).vertices) > 2
+        assert brown_status(w, (1, -2)) is BrownStatus.BOTH_DIRECTIONS
+        assert brown_status(w, (1, 1)) is BrownStatus.NOT_APPLICABLE
+        assert fibered_characters(w, 1) == []
+        assert _pairs(fibered_characters(w, 2)) == [(-1, 2), (1, -2)] == _walk_scan(w, 2)
+
+    def test_polygon_is_cached_per_reduced_relator(self):
+        fibering._polygon.cache_clear()
+        fibered_characters(X064_RELATOR, 5)
+        brown_status(X064_RELATOR, (1, 1))
+        # a conjugate reduces to the same letters, hence the same polygon
+        brown_status(Word((2, *X064_RELATOR.letters, -2)), (2, 1))
+        info = fibering._polygon.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+
+def _fox_alexander(letters) -> dict[tuple[int, int], int]:
+    """Delta = (dr/da)^ab / (t_b - 1) by Fox calculus, for exponent sums (0, 0).
+
+    A letter a at a position whose prefix abelianizes to P contributes
+    +t^P to dr/da, and a letter a^-1 contributes -t^(P - e_a).
+    """
+    fox: dict[tuple[int, int], int] = {}
+    x = y = 0
+    for letter in letters:
+        if letter == 1:
+            fox[x, y] = fox.get((x, y), 0) + 1
+        x, y = x + STEP[letter][0], y + STEP[letter][1]
+        if letter == -1:
+            fox[x, y] = fox.get((x, y), 0) - 1
+    delta = {}
+    for i in {i for i, _ in fox}:
+        column = {j: c for (k, j), c in fox.items() if k == i}
+        lo, hi = min(column), max(column)
+        quotient = 0  # synthetic division by t_b - 1, from the top degree down
+        for j in range(hi, lo, -1):
+            quotient += column.get(j, 0)
+            if quotient:
+                delta[i, j - 1] = quotient
+        assert quotient + column[lo] == 0  # t_b - 1 divides the column
+    return delta
+
+
+def _extreme_points(points) -> set[tuple[int, int]]:
+    """Points that alone maximize some small integer direction (enough for small polygons)."""
+    out = set()
+    for u in range(-12, 13):
+        for v in range(-12, 13):
+            values = {pt: u * pt[0] + v * pt[1] for pt in points}
+            top = max(values.values())
+            winners = [pt for pt, val in values.items() if val == top]
+            if len(winners) == 1:
+                out.add(winners[0])
+    return out
+
+
+class TestFoxCalculusOracle:
+    def test_x064_alexander_polynomial(self):
+        # Delta = t_a^2 + t_a^2 t_b^-1 - t_a - t_b - 1
+        expected = {(2, 0): 1, (2, -1): 1, (1, 0): -1, (0, 1): -1, (0, 0): -1}
+        assert _fox_alexander(X064_RELATOR.letters) == expected
+
+    def test_x064_hull_is_newton_polygon_plus_unit_square(self):
+        # conv(W) = Newton(Delta) + [0,1]^2 up to translation (Friedl-Tillmann)
+        newton = _fox_alexander(X064_RELATOR.letters)
+        minkowski = {(x + i, y + j) for x, y in newton for i in (0, 1) for j in (0, 1)}
+        hull = fibering._polygon(X064_RELATOR.letters).vertices
+        ox, oy = min(minkowski)
+        hx, hy = min(hull)
+        shifted = {(x - ox + hx, y - oy + hy) for x, y in _extreme_points(minkowski)}
+        assert shifted == set(hull)
+        assert set(hull) == {(0, 0), (2, -1), (3, -1), (3, 1), (1, 2), (0, 2)}
