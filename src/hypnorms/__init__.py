@@ -68,7 +68,7 @@ _EXPORTS = {
         "filling_family",
         "gluing_family",
     ),
-    "verify": ("SUITES", "run_suite"),
+    "verify": ("SUITES", "SUITE_KNOBS", "run_suite"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -32,15 +32,16 @@ from .families import (
     gluing_family,
 )
 from .radial import nu
-from .verify import SUITES, Check, run_suite
+from .verify import SUITE_KNOBS, SUITES, Check, run_suite
 
 __all__ = ["RunConfig", "main", "cmd_nu", "cmd_verify", "cmd_family"]
 
-# the only commands that read these RunConfig knobs; giving one to any other
-# command is a usage error, as an unused --tol is
+# the only commands that read these RunConfig knobs, the suites whose
+# parameters take them; giving one to any other command is a usage error,
+# as an unused --tol is
 _KNOB_READERS = {
-    "quad_order": ("verify ball", "verify tube"),
-    "seed": ("verify ball", "verify dfbound", "verify bns"),
+    knob: tuple(f"verify {name}" for name, knobs in SUITE_KNOBS.items() if param in knobs)
+    for knob, param in (("quad_order", "order"), ("seed", "seed"))
 }
 _GRID_POINTS = 25  # points of a float a..b range; integer ranges step by (b - a) // 25
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1  # integer range endpoints are 64-bit

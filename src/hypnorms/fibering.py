@@ -5,24 +5,27 @@ abelianization, and Brown's criterion deciding which characters of a
 two-generator one-relator group have finitely generated kernel, hence
 define fibrations over the circle (Brown 1987, Invent. Math. 90).
 
-The criterion is read off the walk polygon.  The relator is cyclically
-reduced, and W is the set of its partial exponent sums over one period
-(positions 0 .. len-1); conv(W) is the polygon.  A character that kills
-the relator attains its minimum over the walk exactly once iff its min
-face of conv(W) is one vertex and the walk visits that vertex once; the
-same holds for the maximum.  Counting over one period rather than the
-endpoint-inclusive walk is what makes the answer invariant under cyclic
-permutation of the relator.  The polygons of the last few relators are
-cached; a character then costs a few dot products on the vertices.
+The relator is cyclically reduced, and W is the set of its partial
+exponent sums over one period (positions 0 .. len-1), each point with the
+number of times the walk visits it; conv(W) is the walk polygon.  A
+character that kills the relator attains its minimum over the walk once
+iff exactly one point of W attains it and the walk visits that point
+once; the same holds for the maximum.  Counting over one period rather
+than the endpoint-inclusive walk is what makes the answer invariant under
+cyclic permutation of the relator.  brown_status compares one character
+on the points of W.  fibered_characters reads the polygon instead: such a
+point is a vertex of conv(W), so a character fails exactly when it is
+normal to an edge or lies in the normal cone of a vertex visited more
+than once, and the scan builds the hull once rather than walking the
+relator per character.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 __all__ = [
     "Word",
@@ -179,15 +182,25 @@ def _as_pair(chi) -> tuple[int, int]:
     return p, q
 
 
-class _Polygon(NamedTuple):
-    """Exponent sums and the walk polygon of a cyclically reduced relator."""
-
-    sums: tuple[int, int]
-    vertices: tuple[tuple[int, int], ...]  # strict hull, counterclockwise
-    visits: tuple[int, ...]  # how often one period of the walk visits each vertex
-
-
 _STEP = {1: (1, 0), -1: (-1, 0), 2: (0, 1), -2: (0, -1)}
+
+
+def _walk(letters: tuple[int, ...]) -> tuple[tuple[int, int], dict[tuple[int, int], int]]:
+    """Exponent sums and the visit count of each point of one walk period.
+
+    The walk starts at the origin and visits positions 0 .. len-1 of the
+    cyclically reduced relator; the position after the last letter is the
+    pair of exponent sums.
+    """
+    if not letters:
+        raise ValueError("empty relator")
+    visits: dict[tuple[int, int], int] = {}
+    x = y = 0
+    for letter in letters:
+        visits[x, y] = visits.get((x, y), 0) + 1
+        dx, dy = _STEP[letter]
+        x, y = x + dx, y + dy
+    return (x, y), visits
 
 
 def _half_hull(points) -> list[tuple[int, int]]:
@@ -203,39 +216,27 @@ def _half_hull(points) -> list[tuple[int, int]]:
     return chain
 
 
-@functools.lru_cache(maxsize=8)
-def _polygon(letters: tuple[int, ...]) -> _Polygon:
-    """The walk polygon of a cyclically reduced relator.
+def _hull(points) -> list[tuple[int, int]]:
+    """Strict convex hull, counterclockwise from the least point.
 
-    Monotone chain on the distinct walk points; collinear points are not
-    vertices, so a face attained by one point is a vertex.  The polygons of
-    the last few relators are kept, so a scan or a run of brown_status
-    calls on one relator builds its polygon once.
+    Monotone chain; collinear points are not vertices, so a face attained
+    by one point is a vertex.
     """
-    if not letters:
-        raise ValueError("empty relator")
-    visits: dict[tuple[int, int], int] = {}
-    x = y = 0
-    for letter in letters:
-        visits[x, y] = visits.get((x, y), 0) + 1
-        dx, dy = _STEP[letter]
-        x, y = x + dx, y + dy
-    points = sorted(visits)
+    points = sorted(points)
     if len(points) == 1:
-        hull = points
-    else:
-        hull = _half_hull(points)[:-1] + _half_hull(reversed(points))[:-1]
-    return _Polygon((x, y), tuple(hull), tuple(visits[v] for v in hull))
+        return points
+    return _half_hull(points)[:-1] + _half_hull(reversed(points))[:-1]
 
 
-def _status(poly: _Polygon, p: int, q: int) -> BrownStatus:
-    sa, sb = poly.sums
+def _status(sums: tuple[int, int], visits: dict[tuple[int, int], int], p: int, q: int) -> BrownStatus:
+    sa, sb = sums
     if (p == 0 and q == 0) or p * sa + q * sb != 0:
         return BrownStatus.NOT_APPLICABLE
-    values = [p * x + q * y for x, y in poly.vertices]
+    values = [p * x + q * y for x, y in visits]
+    counts = list(visits.values())
 
     def attained_once(extreme: int) -> bool:
-        return values.count(extreme) == 1 and poly.visits[values.index(extreme)] == 1
+        return values.count(extreme) == 1 and counts[values.index(extreme)] == 1
 
     unique_min = attained_once(min(values))
     unique_max = attained_once(max(values))
@@ -253,13 +254,14 @@ def brown_status(relator: Word, chi) -> BrownStatus:
     The relator is cyclically reduced first (ValueError if nothing is left);
     characters that are zero or do not kill the relator are not characters
     of the quotient group and report not_applicable.  Otherwise chi is
-    compared on the vertices of the walk polygon: a side (min or max) is
-    attained once when exactly one vertex attains it and one period of the
-    walk visits that vertex once.  The character (together with its
-    negative) spans a pair of fibered directions iff both sides are.
+    compared on the points of one walk period: a side (min or max) is
+    attained once when exactly one point attains it and the walk visits
+    that point once, which makes the point a vertex of the walk polygon
+    visited once.  The character (together with its negative) spans a pair
+    of fibered directions iff both sides are.
     """
     p, q = _as_pair(chi)
-    return _status(_polygon(relator.cyc_reduce().letters), p, q)
+    return _status(*_walk(relator.cyc_reduce().letters), p, q)
 
 
 def fibered_characters(relator: Word, bound: int) -> list[Character]:
@@ -275,15 +277,15 @@ def fibered_characters(relator: Word, bound: int) -> list[Character]:
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    poly = _polygon(relator.cyc_reduce().letters)
-    sa, sb = poly.sums
+    sums, visits = _walk(relator.cyc_reduce().letters)
+    sa, sb = sums
     if sa or sb:
         g = math.gcd(sa, sb)
         perpendicular = sorted([(-sb // g, sa // g), (sb // g, -sa // g)])
         return [Character(p, q) for p, q in perpendicular
                 if abs(p) <= bound and abs(q) <= bound
-                and _status(poly, p, q) is BrownStatus.BOTH_DIRECTIONS]
-    verts = poly.vertices
+                and _status(sums, visits, p, q) is BrownStatus.BOTH_DIRECTIONS]
+    verts = _hull(visits)
     edge_normals = set()
     # chi has v as its unique min or max vertex iff chi.e1 and chi.e2 have
     # one strict sign, for the edges e1 = next - v and e2 = prev - v
@@ -293,7 +295,7 @@ def fibered_characters(relator: Word, bound: int) -> list[Character]:
         dx, dy = nxt[0] - v[0], nxt[1] - v[1]
         g = math.gcd(dx, dy)
         edge_normals |= {(-dy // g, dx // g), (dy // g, -dx // g)}
-        if poly.visits[i] > 1:
+        if visits[v] > 1:
             cones.append((dx, dy, prev[0] - v[0], prev[1] - v[1]))
     span = range(-bound, bound + 1)
     out = []

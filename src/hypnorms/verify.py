@@ -4,13 +4,16 @@ Each suite function runs a fixed list of checks and returns Check records
 carrying a self-describing anchor string, the computed value, the
 tolerance it was held to, and the verdict.  Tolerances can be overridden
 per check name; randomized sweeps draw from a seeded generator so a fixed
-configuration reproduces byte-identical reports.  The float suites (ball,
+configuration reproduces byte-identical reports.  A suite takes as
+parameters only the knobs it reads (the quadrature order, the seed), so
+SUITE_KNOBS tells the front end where a knob has no effect.  The float suites (ball,
 tube, dfbound) import numpy and the array modules when they run, so the
 exact suites (homalg, bns) run without numpy.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 from dataclasses import dataclass
@@ -34,7 +37,7 @@ from .homalg import (
 )
 from .radial import mode_norm
 
-__all__ = ["Check", "SUITES", "run_suite"]
+__all__ = ["Check", "SUITES", "SUITE_KNOBS", "run_suite"]
 
 
 @dataclass(frozen=True)
@@ -98,7 +101,7 @@ def suite_ball(order: int = 24, seed: int = 0, tol: dict | None = None) -> list[
     return checks
 
 
-def suite_tube(order: int = 24, seed: int = 0, tol: dict | None = None) -> list[Check]:
+def suite_tube(order: int = 24, tol: dict | None = None) -> list[Check]:
     """Closed tube forms against 3D quadrature, and the competitor margin.
 
     The competitors also run on the charts of the filling family,
@@ -147,7 +150,7 @@ def suite_tube(order: int = 24, seed: int = 0, tol: dict | None = None) -> list[
     return out
 
 
-def suite_dfbound(order: int = 24, seed: int = 0, tol: dict | None = None) -> list[Check]:
+def suite_dfbound(seed: int = 0, tol: dict | None = None) -> list[Check]:
     """Sharpness of the center-gradient bound on pure and random expansions."""
     import numpy as np
 
@@ -173,7 +176,7 @@ def suite_dfbound(order: int = 24, seed: int = 0, tol: dict | None = None) -> li
     ]
 
 
-def suite_homalg(order: int = 24, seed: int = 0, tol: dict | None = None) -> list[Check]:
+def suite_homalg(tol: dict | None = None) -> list[Check]:
     """Exact integer identities: symplectic form, twist word, MV generators."""
     sympl = symplectic_check(MONODROMY, SYMPLECTIC_FORM)
     word = twist_word_matrix() == MONODROMY
@@ -199,7 +202,7 @@ def suite_homalg(order: int = 24, seed: int = 0, tol: dict | None = None) -> lis
     ]
 
 
-def suite_bns(order: int = 24, seed: int = 0, tol: dict | None = None) -> list[Check]:
+def suite_bns(seed: int = 0, tol: dict | None = None) -> list[Check]:
     """Fibering data for the census relator plus cyclic-invariance sweep."""
     sums = exponent_sums(X064_RELATOR)
     found = fibered_characters(X064_RELATOR, 10)
@@ -239,7 +242,16 @@ SUITES = {
 }
 
 
+# the knobs each suite reads: its parameters besides tol
+SUITE_KNOBS = {
+    name: frozenset(inspect.signature(suite).parameters) - {"tol"}
+    for name, suite in SUITES.items()
+}
+
+
 def run_suite(name: str, order: int = 24, seed: int = 0, tol: dict | None = None) -> list[Check]:
+    """Run one suite, passing it the knobs it reads (SUITE_KNOBS) and tol."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](order=order, seed=seed, tol=tol)
+    knobs = {"order": order, "seed": seed}
+    return SUITES[name](tol=tol, **{k: knobs[k] for k in SUITE_KNOBS[name]})

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hypnorms import verify
 from hypnorms.cli import RunConfig, UsageError, _parse_grid, _parse_tols, main
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
@@ -311,6 +312,17 @@ class TestVerifyCommand:
     def test_seed_and_quad_order_taken_where_read(self, capsys, suite, flags):
         # the defaults given explicitly reproduce the plain report
         assert run_cli(capsys, "verify", suite, *flags) == run_cli(capsys, "verify", suite)
+
+    def test_knob_readers_are_the_suites_taking_the_knob(self):
+        assert verify.SUITE_KNOBS == {
+            "ball": {"order", "seed"},
+            "tube": {"order"},
+            "dfbound": {"seed"},
+            "homalg": set(),
+            "bns": {"seed"},
+        }
+        # run_suite hands a suite only what it takes
+        assert verify.run_suite("homalg", order=3, seed=5) == verify.suite_homalg()
 
 
 class TestFamilyCommand:

@@ -1,8 +1,9 @@
 """Word reduction, characters, and Brown's criterion on the walk polygon.
 
-The library reads the criterion off one cached hull per relator; the
-per-letter walk below is the oracle it must agree with, status for status
-and list for list.
+The library compares a character on the visited points of one walk
+period and scans characters off the hull of those points; the per-letter
+walk below is the oracle both must agree with, status for status and list
+for list.
 """
 
 import math
@@ -88,6 +89,13 @@ def _walk_scan(relator: Word, bound: int) -> list[tuple[int, int]]:
 
 def _pairs(found: list[Character]) -> list[tuple[int, int]]:
     return [(c.p, c.q) for c in found]
+
+
+def _polygon(w: Word):
+    """(exponent sums, hull vertices, visit count of each vertex) of a reduced relator."""
+    sums, visits = fibering._walk(w.letters)
+    hull = tuple(fibering._hull(visits))
+    return sums, hull, tuple(visits[v] for v in hull)
 
 
 class TestWord:
@@ -334,10 +342,10 @@ class TestWalkPolygon:
     """One named case for each branch of the polygon route."""
 
     def test_x064_hull(self):
-        poly = fibering._polygon(X064_RELATOR.letters)
-        assert poly.sums == (0, 0)
-        assert poly.vertices == ((0, 0), (2, -1), (3, -1), (3, 1), (1, 2), (0, 2))
-        assert poly.visits == (1,) * 6
+        sums, hull, visits = _polygon(X064_RELATOR)
+        assert sums == (0, 0)
+        assert hull == ((0, 0), (2, -1), (3, -1), (3, 1), (1, 2), (0, 2))
+        assert visits == (1,) * 6
 
     def test_character_normal_to_a_hull_edge(self):
         # (1, 2) is perpendicular to the X064 edge (2, -1): its min face is the
@@ -354,9 +362,9 @@ class TestWalkPolygon:
     def test_hull_vertex_visited_twice(self):
         # the walk passes the vertex (-2, 1) at positions 3 and 9
         w = parse_word("AAbaBBAbbaaB")
-        poly = fibering._polygon(w.letters)
-        assert poly.sums == (0, 0)
-        assert dict(zip(poly.vertices, poly.visits))[(-2, 1)] == 2
+        sums, hull, visits = _polygon(w)
+        assert sums == (0, 0)
+        assert dict(zip(hull, visits))[(-2, 1)] == 2
         # (1, -2) has its min at that vertex alone: one side only
         assert brown_status(w, (1, -2)) is BrownStatus.ONE_DIRECTION
         assert _walk_status(w, (1, -2)) is BrownStatus.ONE_DIRECTION
@@ -369,8 +377,7 @@ class TestWalkPolygon:
     def test_segment_hull(self):
         # aab walks (0,0), (1,0), (2,0): the hull is a segment
         w = parse_word("aab")
-        poly = fibering._polygon(w.letters)
-        assert (poly.sums, poly.vertices, poly.visits) == ((2, 1), ((0, 0), (2, 0)), (1, 1))
+        assert _polygon(w) == ((2, 1), ((0, 0), (2, 0)), (1, 1))
         assert brown_status(w, (1, -2)) is BrownStatus.BOTH_DIRECTIONS
         assert _pairs(fibered_characters(w, 2)) == [(-1, 2), (1, -2)] == _walk_scan(w, 2)
         # on a^3 the only killing characters are constant along the segment
@@ -378,28 +385,18 @@ class TestWalkPolygon:
         assert fibered_characters(parse_word("a^3"), 4) == []
 
     def test_one_point_hull(self):
-        poly = fibering._polygon(parse_word("a").letters)
-        assert (poly.sums, poly.vertices, poly.visits) == ((1, 0), ((0, 0),), (1,))
+        assert _polygon(parse_word("a")) == ((1, 0), ((0, 0),), (1,))
         assert _pairs(fibered_characters(parse_word("a"), 3)) == [(0, -1), (0, 1)]
 
     def test_nonzero_sum_relator(self):
         # sums (2, 1): only the characters +-(1, -2) kill the relator
         w = parse_word("abbaB")
         assert exponent_sums(w) == (2, 1)
-        assert len(fibering._polygon(w.letters).vertices) > 2
+        assert len(_polygon(w)[1]) > 2
         assert brown_status(w, (1, -2)) is BrownStatus.BOTH_DIRECTIONS
         assert brown_status(w, (1, 1)) is BrownStatus.NOT_APPLICABLE
         assert fibered_characters(w, 1) == []
         assert _pairs(fibered_characters(w, 2)) == [(-1, 2), (1, -2)] == _walk_scan(w, 2)
-
-    def test_polygon_is_cached_per_reduced_relator(self):
-        fibering._polygon.cache_clear()
-        fibered_characters(X064_RELATOR, 5)
-        brown_status(X064_RELATOR, (1, 1))
-        # a conjugate reduces to the same letters, hence the same polygon
-        brown_status(Word((2, *X064_RELATOR.letters, -2)), (2, 1))
-        info = fibering._polygon.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
 
 
 def _fox_alexander(letters) -> dict[tuple[int, int], int]:
@@ -452,7 +449,7 @@ class TestFoxCalculusOracle:
         # conv(W) = Newton(Delta) + [0,1]^2 up to translation (Friedl-Tillmann)
         newton = _fox_alexander(X064_RELATOR.letters)
         minkowski = {(x + i, y + j) for x, y in newton for i in (0, 1) for j in (0, 1)}
-        hull = fibering._polygon(X064_RELATOR.letters).vertices
+        hull = _polygon(X064_RELATOR)[1]
         ox, oy = min(minkowski)
         hx, hy = min(hull)
         shifted = {(x - ox + hx, y - oy + hy) for x, y in _extreme_points(minkowski)}
