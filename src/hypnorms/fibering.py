@@ -6,18 +6,15 @@ two-generator one-relator group have finitely generated kernel, hence
 define fibrations over the circle (Brown 1987, Invent. Math. 90).
 
 The relator is cyclically reduced, and W is the set of its partial
-exponent sums over one period (positions 0 .. len-1), each point with the
-number of times the walk visits it; conv(W) is the walk polygon.  A
-character that kills the relator attains its minimum over the walk once
-iff exactly one point of W attains it and the walk visits that point
-once; the same holds for the maximum.  Counting over one period rather
-than the endpoint-inclusive walk is what makes the answer invariant under
-cyclic permutation of the relator.  brown_status compares one character
-on the points of W.  fibered_characters reads the polygon instead: such a
-point is a vertex of conv(W), so a character fails exactly when it is
-normal to an edge or lies in the normal cone of a vertex visited more
-than once, and the scan builds the hull once rather than walking the
-relator per character.
+exponent sums over one period (positions 0 .. len-1), each with its visit
+count; conv(W) is the walk polygon.  A character that kills the relator
+attains its minimum over the walk once iff one point of W attains it,
+visited once; that point is then one vertex of conv(W).  The same holds
+for the maximum.  Counting over one period rather than the
+endpoint-inclusive walk makes the answer invariant under cyclic
+permutation of the relator.  brown_status compares one character on W;
+fibered_characters builds conv(W) once and drops the characters normal to
+an edge or in the normal cone of a vertex visited more than once.
 """
 
 from __future__ import annotations

@@ -4,9 +4,7 @@ Each suite function runs a fixed list of checks and returns Check records
 carrying a self-describing anchor string, the computed value, the
 tolerance it was held to, and the verdict.  Tolerances can be overridden
 per check name; randomized sweeps draw from a seeded generator so a fixed
-configuration reproduces byte-identical reports.  A suite takes as
-parameters only the knobs it reads (the quadrature order, the seed), so
-SUITE_KNOBS tells the front end where a knob has no effect.  The float suites (ball,
+configuration reproduces byte-identical reports.  The float suites (ball,
 tube, dfbound) import numpy and the array modules when they run, so the
 exact suites (homalg, bns) run without numpy.
 """
@@ -242,7 +240,8 @@ SUITES = {
 }
 
 
-# the knobs each suite reads: its parameters besides tol
+# a suite takes as parameters only the knobs it reads (order, seed), so the
+# front end can refuse a knob where it has no effect
 SUITE_KNOBS = {
     name: frozenset(inspect.signature(suite).parameters) - {"tol"}
     for name, suite in SUITES.items()
