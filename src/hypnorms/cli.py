@@ -6,6 +6,10 @@ Subcommands expose the library as reproducible one-line invocations:
   verify   run a named invariant suite (ball, tube, dfbound, homalg, bns)
   family   per-n rows for the cover, filling, and gluing families
 
+Each of the nine commands (nu, five suites, three families) reads --format,
+--tol, and the flags _READS lists for it; any other flag given is a usage
+error, as is a --tol whose name no check of the command looks up.
+
 Output is JSON (default) or CSV, written to stdout only; diagnostics go
 to stderr.  A fixed invocation is byte-identical across runs: floats are
 emitted via repr, randomized sweeps are seeded, and no timestamps appear.
@@ -20,7 +24,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 from .bounds import NormDatum
 from .families import (
@@ -34,17 +37,22 @@ from .families import (
 from .radial import nu
 from .verify import SUITE_KNOBS, SUITES, Check, run_suite
 
-__all__ = ["RunConfig", "main", "cmd_nu", "cmd_verify", "cmd_family"]
+__all__ = ["main", "cmd_nu", "cmd_verify", "cmd_family"]
 
-# the only commands that read these RunConfig knobs, the suites whose
-# parameters take them; giving one to any other command is a usage error,
-# as an unused --tol is
-_KNOB_READERS = {
-    knob: tuple(f"verify {name}" for name, knobs in SUITE_KNOBS.items() if param in knobs)
-    for knob, param in (("quad_order", "order"), ("seed", "seed"))
+# the flags only some commands read, by argparse dest; each is left out of
+# the parsed arguments unless given
+_FLAGS = {"order": "--quad-order", "seed": "--seed", "n": "--n", "degrees": "--degrees",
+          "log_grid": "--log-grid"}
+# the flags each command reads; a suite reads the knobs it takes as parameters
+_READS = {
+    "nu": {"log_grid"},
+    **{f"verify {name}": knobs for name, knobs in SUITE_KNOBS.items()},
+    "family covers": {"degrees"},
+    "family filling": {"n", "log_grid"},
+    "family gluing": {"n", "log_grid"},
 }
 _GRID_POINTS = 25  # points of a float a..b range; integer ranges step by (b - a) // 25
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1  # integer range endpoints are 64-bit
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1  # integer grid points are 64-bit
 
 
 class UsageError(Exception):
@@ -63,22 +71,16 @@ class _Tols(dict):
         return super().get(name, default)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """The knobs of one run; each command reads only some of them."""
+def _int_at_least(lo: int):
+    """argparse type: an int >= lo; argparse reports any other value (exit 2)."""
 
-    tol: dict[str, float] = field(default_factory=dict)
-    quad_order: int = 24
-    fmt: str = "json"
-    seed: int = 0
+    def parse(text: str) -> int:
+        if int(text) < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {text}")
+        return int(text)
 
-    def __post_init__(self):
-        if self.quad_order < 4:
-            raise UsageError(f"quadrature order must be >= 4, got {self.quad_order}")
-        if self.fmt not in ("json", "csv"):
-            raise UsageError(f"format must be json or csv, got {self.fmt!r}")
-        if self.seed < 0:
-            raise UsageError(f"seed must be nonnegative, got {self.seed}")
+    parse.__name__ = "int"  # argparse names the type: "invalid int value: 'x'"
+    return parse
 
 
 def _parse_tols(pairs: list[str] | None) -> _Tols:
@@ -103,40 +105,39 @@ def _parse_grid(text: str, *, integer: bool = False, log: bool = False) -> list:
     integer range steps by max(1, (b - a) // 25) and always ends at b, so it
     holds every integer when b - a < 50 (1..50 gives 50 points) and 26 to 38
     points beyond; an integer log range rounds 25 geometric points and drops
-    duplicates.
+    duplicates.  Integer endpoints and list entries must fit in 64 bits.
     """
     text = (text or "").strip()
     if not text:
         raise UsageError("empty grid")
-    num = int if integer else float
+    is_range = ".." in text
     try:
-        if ".." in text:
-            lo_s, hi_s = text.split("..", 1)
-            lo, hi = num(lo_s), num(hi_s)
-            if not lo < hi:
-                raise UsageError(f"grid range needs lo < hi, got {text!r}")
-            if integer and not (_INT64_MIN <= lo and hi <= _INT64_MAX):
-                raise UsageError(f"integer grid endpoints must fit in 64 bits, got {text!r}")
-            if integer and not log:
-                return [*range(lo, hi, max(1, (hi - lo) // _GRID_POINTS)), hi]
-            # float points stay numpy's: the printed grids depend on its exact floats
-            import numpy as np
-
-            if log:
-                if lo <= 0:
-                    raise UsageError("log grid needs positive endpoints")
-                vals = np.geomspace(lo, hi, _GRID_POINTS)
-            else:
-                vals = np.linspace(lo, hi, _GRID_POINTS)
-            if integer:
-                # float points of a log range near 2**63 can round past an end
-                return sorted({min(max(int(v), lo), hi) for v in vals})
-            return [float(v) for v in vals]
-        return [num(tok) for tok in text.split(",")]
-    except UsageError:
-        raise
+        vals = [(int if integer else float)(tok)
+                for tok in (text.split("..", 1) if is_range else text.split(","))]
     except ValueError:
         raise UsageError(f"malformed grid {text!r}")
+    if integer and not all(_INT64_MIN <= v <= _INT64_MAX for v in vals):
+        raise UsageError(f"integer grid points must fit in 64 bits, got {text!r}")
+    if not is_range:
+        return vals
+    lo, hi = vals
+    if not lo < hi:
+        raise UsageError(f"grid range needs lo < hi, got {text!r}")
+    if integer and not log:
+        return [*range(lo, hi, max(1, (hi - lo) // _GRID_POINTS)), hi]
+    # float points stay numpy's: the printed grids depend on its exact floats
+    import numpy as np
+
+    if log:
+        if lo <= 0:
+            raise UsageError("log grid needs positive endpoints")
+        points = np.geomspace(lo, hi, _GRID_POINTS)
+    else:
+        points = np.linspace(lo, hi, _GRID_POINTS)
+    if integer:
+        # float points of a log range near 2**63 can round past an end
+        return sorted({min(max(int(v), lo), hi) for v in points})
+    return [float(v) for v in points]
 
 
 def _require_tols_used(tols: _Tols) -> None:
@@ -179,7 +180,7 @@ def _emit(command: str, rows: list[dict], checks: list[Check], fmt: str) -> None
     sys.stdout.write(buf.getvalue())
 
 
-def cmd_nu(grid: list[float], config: RunConfig) -> tuple[list[dict], list[Check]]:
+def cmd_nu(grid: list[float], tols: _Tols) -> tuple[list[dict], list[Check]]:
     """Norm-density table plus the two branch-constant checks."""
     if not all(math.isfinite(r) and r > 0 for r in grid):
         raise UsageError("nu table needs finite, strictly positive radii")
@@ -204,11 +205,11 @@ def cmd_nu(grid: list[float], config: RunConfig) -> tuple[list[dict], list[Check
         )
     import numpy as np  # the branch-sup grid is numpy's geomspace, bit for bit
 
-    t478 = config.tol.get("branch-constant", 0.01)
+    t478 = tols.get("branch-constant", 0.01)
     v478 = math.sqrt(0.29 / nu(0.145))
     sup_grid = np.geomspace(0.145, 50.0, 120)
     vsup = max(math.sqrt(e / nu(e)) for e in sup_grid)
-    t35 = config.tol.get("branch-sup", 3.5)
+    t35 = tols.get("branch-sup", 3.5)
     checks = [
         Check("branch-constant", "sqrt(0.29/nu(0.145)) = 4.78 +- 0.01",
               v478, t478, abs(v478 - 4.78) <= t478),
@@ -218,14 +219,13 @@ def cmd_nu(grid: list[float], config: RunConfig) -> tuple[list[dict], list[Check
     return rows, checks
 
 
-def cmd_verify(suite: str, config: RunConfig) -> tuple[list[dict], list[Check]]:
+def cmd_verify(suite: str, tols: _Tols, **knobs) -> tuple[list[dict], list[Check]]:
     """Run one named invariant suite; rows mirror the checks."""
-    checks = run_suite(suite, order=config.quad_order, seed=config.seed, tol=config.tol)
-    rows = [_check_dict(c) for c in checks]
-    return rows, checks
+    checks = run_suite(suite, tol=tols, **knobs)
+    return [_check_dict(c) for c in checks], checks
 
 
-def _covers_rows(degrees: list[int], config: RunConfig) -> tuple[list[dict], list[Check]]:
+def _covers_rows(degrees: list[int], tols: _Tols) -> tuple[list[dict], list[Check]]:
     base = NormDatum(vol=1.0, inj=1.0, thurston=1.0, harmonic=4.0)
     try:
         fam = cover_family(CoverFamilyParams(base, tuple(degrees)))
@@ -247,7 +247,7 @@ def _covers_rows(degrees: list[int], config: RunConfig) -> tuple[list[dict], lis
             }
         )
     spread = max(ratios) / min(ratios) - 1.0
-    t = config.tol.get("cover-ratio-constant", 1e-12)
+    t = tols.get("cover-ratio-constant", 1e-12)
     checks = [
         Check("cover-ratio-constant", "thurston/(harmonic sqrt(vol)) constant over degrees",
               spread, t, spread <= t)
@@ -255,7 +255,7 @@ def _covers_rows(degrees: list[int], config: RunConfig) -> tuple[list[dict], lis
     return rows, checks
 
 
-def _filling_rows(n_grid: list[int], config: RunConfig) -> tuple[list[dict], list[Check]]:
+def _filling_rows(n_grid: list[int], tols: _Tols) -> tuple[list[dict], list[Check]]:
     params = FillingFamilyParams()
     rows = []
     band = []
@@ -279,8 +279,8 @@ def _filling_rows(n_grid: list[int], config: RunConfig) -> tuple[list[dict], lis
                 "ratio_over_sqrt_log": over,
             }
         )
-    t_lo = config.tol.get("filling-band-low", 1.75)
-    t_hi = config.tol.get("filling-band-high", 1.82)
+    t_lo = tols.get("filling-band-low", 1.75)
+    t_hi = tols.get("filling-band-high", 1.82)
     increasing = all(b > a for a, b in zip(ratios, ratios[1:]))
     checks = [
         Check("filling-band-low", "ratio/sqrt(log n) bounded below on the grid",
@@ -293,7 +293,7 @@ def _filling_rows(n_grid: list[int], config: RunConfig) -> tuple[list[dict], lis
     return rows, checks
 
 
-def _gluing_rows(n_grid: list[int], config: RunConfig) -> tuple[list[dict], list[Check]]:
+def _gluing_rows(n_grid: list[int], tols: _Tols) -> tuple[list[dict], list[Check]]:
     params = GluingFamilyParams()
     rows = []
     last = None
@@ -312,7 +312,7 @@ def _gluing_rows(n_grid: list[int], config: RunConfig) -> tuple[list[dict], list
                 "rate_paper": pt.rate_paper,
             }
         )
-    t_ln = config.tol.get("gluing-rate-ln", 0.002)
+    t_ln = tols.get("gluing-rate-ln", 0.002)
     checks = [
         Check("gluing-rate-ln", "log_th_lower/vol near ln(lam)/vol_block at the last n",
               last.rate_ln, t_ln, abs(last.rate_ln - 0.128) <= t_ln),
@@ -320,24 +320,16 @@ def _gluing_rows(n_grid: list[int], config: RunConfig) -> tuple[list[dict], list
     return rows, checks
 
 
-def cmd_family(kind: str, args, config: RunConfig) -> tuple[list[dict], list[Check]]:
-    # covers reads --degrees alone, filling and gluing every other family flag
-    given = {"--degrees": args.degrees is not None, "--n": args.n is not None,
-             "--log-grid": args.log_grid}
-    unread = [f for f, on in given.items() if on and (f == "--degrees") != (kind == "covers")]
-    if unread:
-        raise UsageError(f"family {kind} does not read {', '.join(unread)}")
+def cmd_family(kind: str, tols: _Tols, n: str | None = None, degrees: str | None = None,
+               log_grid: bool = False) -> tuple[list[dict], list[Check]]:
     if kind == "covers":
-        if not args.degrees:
+        if not degrees:
             raise UsageError("covers needs --degrees")
-        degrees = _parse_grid(args.degrees, integer=True, log=False)
-        return _covers_rows(degrees, config)
-    if not args.n:
+        return _covers_rows(_parse_grid(degrees, integer=True), tols)
+    if not n:
         raise UsageError(f"{kind} needs --n")
-    n_grid = _parse_grid(args.n, integer=True, log=args.log_grid)
-    if kind == "filling":
-        return _filling_rows(n_grid, config)
-    return _gluing_rows(n_grid, config)
+    rows_of = _filling_rows if kind == "filling" else _gluing_rows
+    return rows_of(_parse_grid(n, integer=True, log=log_grid), tols)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -345,23 +337,22 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--tol", action="append", metavar="NAME=VAL")
-    # absent unless given, so main can refuse them where nothing reads them
-    common.add_argument("--quad-order", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    suppress = argparse.SUPPRESS  # the _FLAGS are absent unless given
+    common.add_argument("--quad-order", dest="order", type=_int_at_least(4), default=suppress)
+    common.add_argument("--seed", type=_int_at_least(0), default=suppress)
+    common.add_argument("--n", default=suppress, help="comma list or a..b range of n")
+    common.add_argument("--degrees", default=suppress, help="comma list of cover degrees")
+    common.add_argument("--log-grid", action="store_true", default=suppress)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_nu = sub.add_parser("nu", parents=[common], help="radial norm-density table")
     p_nu.add_argument("--r", required=True, help="comma list or a..b range")
-    p_nu.add_argument("--log-grid", action="store_true")
 
     p_verify = sub.add_parser("verify", parents=[common], help="run an invariant suite")
     p_verify.add_argument("suite", choices=sorted(SUITES))
 
     p_family = sub.add_parser("family", parents=[common], help="per-n family tables")
     p_family.add_argument("kind", choices=("covers", "filling", "gluing"))
-    p_family.add_argument("--n", help="comma list or a..b range of n")
-    p_family.add_argument("--degrees", help="comma list of cover degrees")
-    p_family.add_argument("--log-grid", action="store_true")
 
     return parser
 
@@ -372,33 +363,25 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    if args.command == "nu":
-        command = "nu"
-    elif args.command == "verify":
-        command = f"verify {args.suite}"
-    else:
-        command = f"family {args.kind}"
+    command = " ".join(getattr(args, k) for k in ("command", "suite", "kind") if k in args)
     try:
-        knobs = {k: getattr(args, k) for k in _KNOB_READERS if hasattr(args, k)}
-        unread = [
-            f"{command} does not read --{k.replace('_', '-')}; only {', '.join(readers)} do"
-            for k, readers in _KNOB_READERS.items() if k in knobs and command not in readers
-        ]
+        given = {dest: getattr(args, dest) for dest in _FLAGS if dest in args}
+        unread = [_FLAGS[dest] for dest in given if dest not in _READS[command]]
         if unread:
-            raise UsageError("; ".join(unread))
-        config = RunConfig(tol=_parse_tols(args.tol), fmt=args.format, **knobs)
+            raise UsageError(f"{command} does not read {', '.join(unread)}")
+        tols = _parse_tols(args.tol)
         if args.command == "nu":
-            grid = _parse_grid(args.r, integer=False, log=args.log_grid)
-            rows, checks = cmd_nu(grid, config)
+            grid = _parse_grid(args.r, log=given.get("log_grid", False))
+            rows, checks = cmd_nu(grid, tols)
         elif args.command == "verify":
-            rows, checks = cmd_verify(args.suite, config)
+            rows, checks = cmd_verify(args.suite, tols, **given)
         else:
-            rows, checks = cmd_family(args.kind, args, config)
-        _require_tols_used(config.tol)
+            rows, checks = cmd_family(args.kind, tols, **given)
+        _require_tols_used(tols)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    _emit(command, rows, checks, config.fmt)
+    _emit(command, rows, checks, args.format)
     return 0 if all(c.passed for c in checks) else 1
 
 

@@ -45,7 +45,9 @@ class CoverFamilyParams:
     degrees: tuple[int, ...]
 
     def __init__(self, base: NormDatum, degrees):
-        degrees = tuple(int(d) for d in degrees)
+        degrees = tuple(degrees)
+        if any(type(d) is not int for d in degrees):  # int() reads 2.7 as 2, True as 1
+            raise ValueError(f"each cover degree must be an int, got {degrees!r}")
         if base.harmonic is None:
             raise ValueError("cover base needs a harmonic norm")
         if not degrees or degrees[0] != 1:
@@ -184,9 +186,10 @@ def gluing_family(p: GluingFamilyParams, n: int) -> GluingPoint:
     constant it is usually quoted as); the toolkit does not adjudicate.
     n outside [1, 10^5] raises ValueError: the exact power has ~0.42 n digits,
     a few hundredths of a second of work at the cap and over a second at 10^6.
+    So does an n that is not an int (a float, a bool).
     """
-    if not 1 <= n <= 10**5:
-        raise ValueError(f"n must lie in [1, 10^5], got {n}")
+    if type(n) is not int or not 1 <= n <= 10**5:
+        raise ValueError(f"n must be an int in [1, 10^5], got {n!r}")
     power = fbar_power(n)
     vol = n * p.vol_block
     log_th_lower = math.log(p.th_unit) + math.log(abs(power.a) + abs(power.c))

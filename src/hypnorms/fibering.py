@@ -70,10 +70,11 @@ class Word:
 
     def cyc_reduce(self) -> "Word":
         """Cyclically reduced form: also strips inverse first/last pairs."""
-        ls = list(self.reduce().letters)
-        while len(ls) >= 2 and ls[0] == -ls[-1]:
-            ls = ls[1:-1]
-        return Word(ls)
+        ls = self.reduce().letters
+        i, j = 0, len(ls) - 1
+        while i < j and ls[i] == -ls[j]:
+            i, j = i + 1, j - 1
+        return Word(ls[i:j + 1])
 
     def inverse(self) -> "Word":
         return Word(tuple(-x for x in reversed(self.letters)))
@@ -270,10 +271,11 @@ def fibered_characters(relator: Word, bound: int) -> list[Character]:
     unless it is normal to an edge (its min or max face is that edge) or lies
     in the normal cone of a vertex the walk visits more than once.  A
     nonempty result certifies that the group fibers over the circle: a
-    finitely generated kernel forces a fibration.
+    finitely generated kernel forces a fibration.  A bound that is not an
+    int (a float, a bool) raises ValueError.
     """
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
+    if type(bound) is not int or bound < 1:
+        raise ValueError(f"bound must be an int >= 1, got {bound!r}")
     sums, visits = _walk(relator.cyc_reduce().letters)
     sa, sb = sums
     if sa or sb:

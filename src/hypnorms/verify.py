@@ -248,9 +248,11 @@ SUITE_KNOBS = {
 }
 
 
-def run_suite(name: str, order: int = 24, seed: int = 0, tol: dict | None = None) -> list[Check]:
-    """Run one suite, passing it the knobs it reads (SUITE_KNOBS) and tol."""
+def run_suite(name: str, tol: dict | None = None, **knobs) -> list[Check]:
+    """Run one suite with tol and the knobs given; ValueError for one it does not take."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    knobs = {"order": order, "seed": seed}
-    return SUITES[name](tol=tol, **{k: knobs[k] for k in SUITE_KNOBS[name]})
+    unread = sorted(knobs.keys() - SUITE_KNOBS[name])
+    if unread:
+        raise ValueError(f"suite {name!r} does not read {', '.join(unread)}")
+    return SUITES[name](tol=tol, **knobs)

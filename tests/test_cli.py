@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypnorms import verify
-from hypnorms.cli import RunConfig, UsageError, _parse_grid, _parse_tols, main
+from hypnorms.cli import UsageError, _parse_grid, _parse_tols, main
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
@@ -31,27 +31,6 @@ def load_json(out):
 
 def load_csv(out):
     return list(csv.DictReader(io.StringIO(out)))
-
-
-class TestRunConfig:
-    def test_defaults(self):
-        config = RunConfig()
-        assert config.quad_order == 24
-        assert config.fmt == "json"
-        assert config.seed == 0
-        assert config.tol == {}
-
-    def test_rejects_low_order(self):
-        with pytest.raises(UsageError):
-            RunConfig(quad_order=3)
-
-    def test_rejects_bad_format(self):
-        with pytest.raises(UsageError):
-            RunConfig(fmt="xml")
-
-    def test_rejects_negative_seed(self):
-        with pytest.raises(UsageError, match="seed"):
-            RunConfig(seed=-1)
 
 
 class TestGridParsing:
@@ -105,6 +84,17 @@ class TestGridParsing:
     def test_int_range_past_int64_rejected(self, text, log):
         with pytest.raises(UsageError, match="64 bits"):
             _parse_grid(text, integer=True, log=log)
+
+    @pytest.mark.parametrize("text", [f"1,{10**400}", f"10,{10**200}", f"{-(2**63) - 1},1",
+                                      "1,9223372036854775808"],
+                             ids=["1,10^400", "10,10^200", "-2^63-1,1", "1,2^63"])
+    def test_int_list_past_int64_rejected(self, text):
+        # the same 64-bit rule as a range's endpoints
+        with pytest.raises(UsageError, match="64 bits"):
+            _parse_grid(text, integer=True)
+
+    def test_int_list_at_int64_edge(self):
+        assert _parse_grid(f"{INT64_MIN},{INT64_MAX}", integer=True) == [INT64_MIN, INT64_MAX]
 
     def test_int_range_at_int64_edge(self):
         grid = _parse_grid("9223372036854775806..9223372036854775807", integer=True)
@@ -321,8 +311,17 @@ class TestVerifyCommand:
             "homalg": set(),
             "bns": {"seed"},
         }
-        # run_suite hands a suite only what it takes
-        assert verify.run_suite("homalg", order=3, seed=5) == verify.suite_homalg()
+
+    @pytest.mark.parametrize("suite, knobs, named", [
+        ("homalg", {"order": 3, "seed": 5}, "order"),
+        ("tube", {"seed": 0}, "seed"),
+        ("dfbound", {"order": 24}, "order"),
+        ("bns", {"quad_order": 24}, "quad_order"),
+    ])
+    def test_run_suite_refuses_unread_knob(self, suite, knobs, named):
+        # a knob the suite does not take would otherwise be dropped silently
+        with pytest.raises(ValueError, match=named):
+            verify.run_suite(suite, **knobs)
 
 
 class TestFamilyCommand:
@@ -381,25 +380,95 @@ class TestFamilyCommand:
         assert "10^5" in err
         assert time.perf_counter() - start < 10.0
 
-    @pytest.mark.parametrize(
-        "argv, flag",
-        [
-            (["family", "covers", "--degrees", "1..1000", "--log-grid"], "--log-grid"),
-            (["family", "covers", "--degrees", "1,2", "--n", "7"], "--n"),
-            (["family", "gluing", "--n", "1..3", "--degrees", "5"], "--degrees"),
-            (["family", "filling", "--n", "10,100", "--degrees", "1"], "--degrees"),
-        ],
-    )
-    def test_unread_flag_usage_error(self, capsys, argv, flag):
-        # a family flag the chosen family does not read, like an unused --tol
+    @pytest.mark.parametrize("argv", [["family", "covers", "--degrees", f"1,{10**400}"],
+                                      ["family", "filling", "--n", f"10,{10**200}"],
+                                      ["family", "gluing", "--n", f"1,{10**30}"]],
+                             ids=["covers", "filling", "gluing"])
+    def test_int_list_past_int64_usage_error(self, capsys, argv):
+        # once an OverflowError traceback in cover_family and filling_family
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
-        assert flag in err
+        assert "64 bits" in err and "Traceback" not in err
 
     def test_filling_degenerate_n_usage_error(self, capsys):
         # n=1 collapses the filled slope norm to zero
         code, _, _ = run_cli(capsys, "family", "filling", "--n", "1,2")
         assert code == 2
+
+
+# each command's argv, with the flags it cannot run without
+COMMANDS = {
+    "nu": ["nu", "--r", "1"],
+    "verify ball": ["verify", "ball"],
+    "verify tube": ["verify", "tube"],
+    "verify dfbound": ["verify", "dfbound"],
+    "verify homalg": ["verify", "homalg"],
+    "verify bns": ["verify", "bns"],
+    "family covers": ["family", "covers", "--degrees", "1,2"],
+    "family filling": ["family", "filling", "--n", "10,100"],
+    "family gluing": ["family", "gluing", "--n", "1,2"],
+}
+FLAGS = {
+    "--quad-order": ["--quad-order", "24"],
+    "--seed": ["--seed", "0"],
+    "--n": ["--n", "5"],
+    "--degrees": ["--degrees", "1"],
+    "--log-grid": ["--log-grid"],
+}
+# the flags each command reads, written out rather than taken from the CLI's own table
+READS = {
+    "nu": {"--log-grid"},
+    "verify ball": {"--quad-order", "--seed"},
+    "verify tube": {"--quad-order"},
+    "verify dfbound": {"--seed"},
+    "verify homalg": set(),
+    "verify bns": {"--seed"},
+    "family covers": {"--degrees"},
+    "family filling": {"--n", "--log-grid"},
+    "family gluing": {"--n", "--log-grid"},
+}
+
+
+class TestFlagContract:
+    @pytest.mark.parametrize("command, flag", [(c, f) for c in COMMANDS for f in FLAGS
+                                               if f not in READS[c]])
+    def test_unread_flag_usage_error(self, capsys, command, flag):
+        code, out, err = run_cli(capsys, *COMMANDS[command], *FLAGS[flag])
+        assert (code, out) == (2, "")
+        assert f"{command} does not read {flag}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("before, after", [
+        (["verify", "--format", "csv", "homalg"], ["verify", "homalg", "--format", "csv"]),
+        (["verify", "--seed", "3", "ball"], ["verify", "ball", "--seed", "3"]),
+        (["verify", "--quad-order", "30", "--seed", "2", "ball"],
+         ["verify", "ball", "--quad-order", "30", "--seed", "2"]),
+        (["verify", "--quad-order", "8", "tube"], ["verify", "tube", "--quad-order", "8"]),
+        (["family", "--n", "1,2", "gluing"], ["family", "gluing", "--n", "1,2"]),
+        (["family", "--degrees", "1,2,4,8", "covers"], ["family", "covers", "--degrees", "1,2,4,8"]),
+        (["family", "--log-grid", "--n", "100..10000", "filling"],
+         ["family", "filling", "--n", "100..10000", "--log-grid"]),
+        (["nu", "--log-grid", "--r", "0.01..10"], ["nu", "--r", "0.01..10", "--log-grid"]),
+    ])
+    def test_flags_before_positional(self, capsys, before, after):
+        code, out, _ = run_cli(capsys, *before)
+        assert out and code in (0, 1)
+        assert run_cli(capsys, *after)[:2] == (code, out)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_exits_zero(self, capsys, command):
+        code, out, _ = run_cli(capsys, *command.split(), "--help")
+        assert code == 0 and "usage" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "ball", "--quad-order", "x"],
+        ["verify", "bns", "--seed", "1.5"],
+        ["verify", "homalg", "--format", "xml"],
+    ])
+    def test_malformed_flag_value_usage_error(self, capsys, argv):
+        # argparse refuses these values before any command runs
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert argv[2] in err and "Traceback" not in err
 
 
 class TestDeterminism:

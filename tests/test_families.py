@@ -41,6 +41,12 @@ class TestCoverParams:
         with pytest.raises(ValueError):
             CoverFamilyParams(BASE, (1, 5, 2))
 
+    @pytest.mark.parametrize("degrees", [(1, 2.7), (1, 2.0), (True, 2), (1, "2"), (1, None)])
+    def test_degrees_must_be_ints(self, degrees):
+        # int() would truncate 2.7 to degree 2 and read True as degree 1
+        with pytest.raises(ValueError, match="must be an int"):
+            CoverFamilyParams(BASE, degrees)
+
 
 class TestCoverFamily:
     def test_degree_one_is_base(self):
@@ -228,3 +234,9 @@ class TestGluingFamily:
         for n in (10**5 + 1, 2**63 - 1):
             with pytest.raises(ValueError, match=r"10\^5"):
                 gluing_family(GluingFamilyParams(), n)
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, "2"])
+    def test_n_must_be_an_int(self, bad):
+        # 2.5 once reached IntMat.power as a TypeError, True answered for n = 1
+        with pytest.raises(ValueError, match="must be an int"):
+            gluing_family(GluingFamilyParams(), bad)

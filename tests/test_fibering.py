@@ -8,6 +8,7 @@ for list.
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -31,6 +32,14 @@ STEP = {1: (1, 0), -1: (-1, 0), 2: (0, 1), -2: (0, -1)}
 
 def words():
     return st.lists(st.sampled_from(LETTERS), min_size=0, max_size=24).map(Word)
+
+
+def _cyc_reduce_oracle(w: Word) -> Word:
+    """Oracle: free reduction, then strip inverse first/last pairs one at a time."""
+    ls = list(w.reduce().letters)
+    while len(ls) >= 2 and ls[0] == -ls[-1]:
+        ls = ls[1:-1]
+    return Word(ls)
 
 
 def characters():
@@ -111,6 +120,18 @@ class TestWord:
     def test_cyc_reduce_strips_conjugation(self):
         # a b a^-1 is cyclically just b
         assert Word((1, 2, -1)).cyc_reduce() == Word((2,))
+
+    def test_cyc_reduce_long_conjugate_promptly(self):
+        # a^n b a^-n: stripping one pair at a time by list slicing is quadratic
+        n = 10**5
+        start = time.perf_counter()
+        assert Word((1,) * n + (2,) + (-1,) * n).cyc_reduce() == Word((2,))
+        assert time.perf_counter() - start < 1.0
+
+    @given(words())
+    @settings(max_examples=300)
+    def test_cyc_reduce_matches_pair_at_a_time(self, w):
+        assert w.cyc_reduce() == _cyc_reduce_oracle(w)
 
     def test_inverse(self):
         w = parse_word("abA")
@@ -296,6 +317,12 @@ class TestFiberedCharacters:
     def test_bound_validation(self):
         with pytest.raises(ValueError):
             fibered_characters(X064_RELATOR, 0)
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, "3"])
+    def test_bound_must_be_an_int(self, bad):
+        # 2.5 once failed in range() with a TypeError, True scanned bound 1
+        with pytest.raises(ValueError, match="must be an int"):
+            fibered_characters(X064_RELATOR, bad)
 
 
 class TestWalkOracle:
