@@ -7,8 +7,10 @@ symplectic homology action of a monodromy (homalg), Brown's fibering
 criterion (fibering), parametric example families (families), and the
 named invariant suites behind the CLI (verify).  The names most scripts
 need are re-exported here.  They load on first access (PEP 562), so
-importing the package does not import numpy, and the exact layer (bounds,
-homalg, fibering, the cover and gluing families) runs without it.
+importing the package does not import numpy.  The exact layer (bounds,
+homalg, fibering, the cover and gluing families), radial, and tubefield's
+closed forms behind the filling family run without it; numpy loads only
+in ballfield and where tubefield builds quadrature arrays.
 """
 
 import importlib

@@ -51,7 +51,7 @@ _READS = {
     "family filling": {"n", "log_grid"},
     "family gluing": {"n", "log_grid"},
 }
-_GRID_POINTS = 25  # points of a float a..b range; integer ranges step by (b - a) // 25
+_GRID_POINTS = 25  # points of a float or log a..b range; integer ranges step by (b - a) // 25
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1  # integer grid points are 64-bit
 
 
@@ -98,14 +98,28 @@ def _parse_tols(pairs: list[str] | None) -> _Tols:
     return out
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for an int n >= 1, exactly (Newton's method on ints)."""
+    x = int(math.exp(math.log(n) / k)) + 1  # a float guess, off by a few units at most
+    x = ((k - 1) * x + n // x ** (k - 1)) // k  # one step from any x lands at or above the floor
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _parse_grid(text: str, *, integer: bool = False, log: bool = False) -> list:
     """Comma list or a..b range.
 
-    Float ranges carry 25 points, evenly or (log) geometrically spaced.  An
-    integer range steps by max(1, (b - a) // 25) and always ends at b, so it
-    holds every integer when b - a < 50 (1..50 gives 50 points) and 26 to 38
-    points beyond; an integer log range rounds 25 geometric points and drops
-    duplicates.  Integer endpoints and list entries must fit in 64 bits.
+    A float range carries 25 points.  Evenly spaced, they are
+    i * ((b - a)/24) + a for i < 24, then b, which is np.linspace's formula;
+    with --log-grid they are np.geomspace's.  An integer range steps by
+    max(1, (b - a) // 25) and always ends at b, so it holds every integer
+    when b - a < 50 (1..50 gives 50 points) and 26 to 38 points beyond; an
+    integer log range holds the floors of 25 exact geometric points,
+    a^((24-i)/24) b^(i/24), without duplicates.  Integer endpoints and
+    list entries must fit in 64 bits.
     """
     text = (text or "").strip()
     if not text:
@@ -123,21 +137,20 @@ def _parse_grid(text: str, *, integer: bool = False, log: bool = False) -> list:
     lo, hi = vals
     if not lo < hi:
         raise UsageError(f"grid range needs lo < hi, got {text!r}")
-    if integer and not log:
-        return [*range(lo, hi, max(1, (hi - lo) // _GRID_POINTS)), hi]
-    # float points stay numpy's: the printed grids depend on its exact floats
-    import numpy as np
-
-    if log:
-        if lo <= 0:
-            raise UsageError("log grid needs positive endpoints")
-        points = np.geomspace(lo, hi, _GRID_POINTS)
-    else:
-        points = np.linspace(lo, hi, _GRID_POINTS)
+    if log and lo <= 0:
+        raise UsageError("log grid needs positive endpoints")
+    last = _GRID_POINTS - 1
+    if integer and log:
+        # the 24th root of lo^(24-i) hi^i, in ints: exact, and within [lo, hi]
+        return sorted({_iroot(lo ** (last - i) * hi**i, last) for i in range(_GRID_POINTS)})
     if integer:
-        # float points of a log range near 2**63 can round past an end
-        return sorted({min(max(int(v), lo), hi) for v in points})
-    return [float(v) for v in points]
+        return [*range(lo, hi, max(1, (hi - lo) // _GRID_POINTS)), hi]
+    if log:
+        import numpy as np  # the points stay np.geomspace's; their last ulp may depend on the CPU
+
+        return [float(v) for v in np.geomspace(lo, hi, _GRID_POINTS)]
+    step = (hi - lo) / last
+    return [i * step + lo for i in range(last)] + [hi]
 
 
 def _require_tols_used(tols: _Tols) -> None:
@@ -203,11 +216,11 @@ def cmd_nu(grid: list[float], tols: _Tols) -> tuple[list[dict], list[Check]]:
                 "ratio_large": v / (6.0 * math.pi * r),
             }
         )
-    import numpy as np  # the branch-sup grid is numpy's geomspace, bit for bit
-
     t478 = tols.get("branch-constant", 0.01)
     v478 = math.sqrt(0.29 / nu(0.145))
-    sup_grid = np.geomspace(0.145, 50.0, 120)
+    # 120 geometric points from 0.145 to 50; sqrt(eps/nu(eps)) decreases, so
+    # the sup sits at the first point, which is exactly 0.145
+    sup_grid = [0.145 * (50.0 / 0.145) ** (i / 119) for i in range(120)]
     vsup = max(math.sqrt(e / nu(e)) for e in sup_grid)
     t35 = tols.get("branch-sup", 3.5)
     checks = [

@@ -131,7 +131,7 @@ def filling_family(p: FillingFamilyParams, n: int) -> FillingPoint:
     consistency gate only when the model is in range, which is the point.
     ratio = harmonic_lower/thurston grows like sqrt(log n).
     """
-    from .tubefield import TubeChart, tube_form_norm  # numpy stays off the exact families
+    from .tubefield import TubeChart, tube_form_norm  # only filling rows load the tube module
 
     thurston = n * p.th_alpha + p.th_beta - 2.0
     if thurston <= 0:

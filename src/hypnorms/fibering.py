@@ -38,18 +38,24 @@ __all__ = [
 # letter encoding: a = +1, a^-1 = -1, b = +2, b^-1 = -2
 _LETTER_OF_CHAR = {"a": 1, "A": -1, "b": 2, "B": -2}
 _CHAR_OF_LETTER = {1: "a", -1: "A", 2: "b", -2: "B"}
+_LETTERS, _INT = frozenset(_CHAR_OF_LETTER), frozenset({int})
 
 
 @dataclass(frozen=True)
 class Word:
-    """Word in the free group on a, b; not reduced unless asked."""
+    """Word in the free group on a, b; not reduced unless asked.
+
+    Letters are the ints +1, -1, +2, -2; anything else, a bool or a float
+    included, raises ValueError.
+    """
 
     letters: tuple[int, ...]
 
     def __init__(self, letters: Iterable[int] = ()):
         letters = tuple(letters)
-        if any(x not in _CHAR_OF_LETTER for x in letters):
-            raise ValueError("letters must be one of +1, -1, +2, -2")
+        # True and 1.0 hash equal to 1, so the table alone would let them in
+        if not _INT.issuperset(map(type, letters)) or not _LETTERS.issuperset(letters):
+            raise ValueError("letters must be one of the ints +1, -1, +2, -2")
         object.__setattr__(self, "letters", letters)
 
     def __len__(self) -> int:

@@ -17,6 +17,11 @@ gain s^2 times a positive amount.  The bump sin^3(pi (r - 0.1 R)/(0.8 R)) is
 C^2 and vanishes near the core and the boundary, exercising both boundary
 conditions of the averaging argument without implementing the averaging
 itself.
+
+The closed forms (TubeChart, tube_volume, tube_form_norm, remark_ratio)
+use math alone, so importing this module loads no numpy; the functions
+that build arrays (the quadrature rule and grids, tube_l2_norm_sq and the
+competitors) import it when they run.
 """
 
 from __future__ import annotations
@@ -25,9 +30,6 @@ import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
-from numpy.polynomial import legendre as npleg
 
 __all__ = [
     "TubeChart",
@@ -96,6 +98,8 @@ def tube_form_norm(t: TubeChart) -> float:
 @functools.cache
 def _rule(order: int):
     # the Gauss-Legendre rule on [-1, 1], built once per order and read-only
+    from numpy.polynomial import legendre as npleg
+
     x, w = npleg.leggauss(order)
     x.flags.writeable = w.flags.writeable = False
     return x, w
@@ -114,13 +118,15 @@ def _gl(a: float, b: float, order: int):
 
 def _theta_grid(order: int):
     """2*order equally spaced angles on the circle and their trapezoid weight."""
+    import numpy as np
+
     n = 2 * order
     return np.arange(n) * (2.0 * math.pi / n), 2.0 * math.pi / n
 
 
 def tube_l2_norm_sq(
     t: TubeChart,
-    field: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple],
+    field: Callable[..., tuple],
     order: int = 24,
 ) -> float:
     """integral over the tube of |field|^2 dVol, tensor quadrature.
@@ -135,6 +141,8 @@ def tube_l2_norm_sq(
     theta, and one angle of weight 2 pi, exact, when none does.  The squared
     pointwise norm is w_r^2 + w_theta^2/sinh^2 + w_z^2/cosh^2.
     """
+    import numpy as np
+
     r_nodes, r_w = _gl(0.0, t.R, order)
     z_nodes, z_w = _gl(0.0, t.epsilon, order)
     theta_nodes, _ = _theta_grid(order)
@@ -152,6 +160,8 @@ def tube_l2_norm_sq(
 
 def _bump(r, R):
     """The bump sin^3(pi u), u = (r - 0.1 R)/(0.8 R), zero off 0 < u < 1, and its r-derivative."""
+    import numpy as np
+
     u = (np.asarray(r, dtype=float) - 0.1 * R) / (0.8 * R)
     inside = (u > 0.0) & (u < 1.0)
     pu = math.pi * np.clip(u, 0.0, 1.0)
@@ -168,6 +178,7 @@ def competitor_norm_sq(t: TubeChart, s: float, order: int = 48) -> float:
     so tube_l2_norm_sq integrates the circle exactly (one angle of weight
     2 pi) and Gauss-Legendre with `order` nodes in r and in z.
     """
+    import numpy as np
 
     def field(r, theta, z):
         bump, dbump = _bump(r, t.R)

@@ -5,7 +5,7 @@ carrying a self-describing anchor string, the computed value, the
 tolerance it was held to, and the verdict.  Tolerances can be overridden
 per check name; randomized sweeps draw from a seeded generator so a fixed
 configuration reproduces byte-identical reports.  The float suites (ball,
-tube, dfbound) import numpy and the array modules when they run, so the
+tube, dfbound) import numpy and the quadrature code when they run, so the
 exact suites (homalg, bns) run without numpy.
 """
 

@@ -3,16 +3,20 @@
 import csv
 import io
 import json
+import math
+import random
 import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypnorms import verify
-from hypnorms.cli import UsageError, _parse_grid, _parse_tols, main
+from hypnorms.cli import UsageError, _parse_grid, _parse_tols, _Tols, cmd_nu, main
+from hypnorms.radial import nu
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
@@ -111,10 +115,41 @@ class TestGridParsing:
         step = max(1, width // 25)
         assert _parse_grid(f"{lo}..{hi}", integer=True) == [*range(lo, hi, step), hi]
 
+    def test_float_range_is_linspace_bit_for_bit(self):
+        # the stdlib formula i * ((b - a)/24) + a, then b, against numpy as the oracle
+        rng = random.Random(20)
+        for _ in range(2000):
+            lo, hi = sorted(rng.choice((-1.0, 1.0)) * rng.random() * 10.0 ** rng.randint(-300, 300)
+                            for _ in range(2))
+            if lo == hi:
+                continue
+            grid = _parse_grid(f"{lo!r}..{hi!r}")
+            assert np.array(grid).tobytes() == np.linspace(lo, hi, 25).tobytes(), (lo, hi)
+
+    def test_int_log_range_holds_exact_points(self):
+        # 3 * 16**(18/24) = 24 and 10**17.75 has floor 56234132519034908: a float
+        # geometric grid gave 23 (23.999...) and 56234132519034904
+        assert 24 in _parse_grid("3..48", integer=True, log=True)
+        assert 56234132519034908 in _parse_grid(f"1000..{10**18}", integer=True, log=True)
+
+    def test_int_log_range_is_floors_of_geometric_points(self):
+        # point i is the m with m**24 <= lo**(24 - i) hi**i < (m + 1)**24
+        rng = random.Random(16)
+        for _ in range(300):
+            lo = rng.randint(1, 2 ** rng.randint(1, 62))
+            hi = rng.randint(lo + 1, min(INT64_MAX, lo + 2 ** rng.randint(1, 63)))
+            grid = _parse_grid(f"{lo}..{hi}", integer=True, log=True)
+            floors = []
+            for i in range(25):
+                target = lo ** (24 - i) * hi**i
+                m = max(x for x in grid if x**24 <= target)
+                assert target < (m + 1) ** 24, (lo, hi, i)
+                floors.append(m)
+            assert grid == sorted(set(floors)), (lo, hi)
+
     @pytest.mark.parametrize("text", ["1..9223372036854775807",
                                       "9223372036854775000..9223372036854775807"])
     def test_int_log_range_at_int64_edge(self, text):
-        # the float grid points round up to 2**63 at the top end
         lo, hi = (int(s) for s in text.split(".."))
         grid = _parse_grid(text, integer=True, log=True)
         assert grid[0] == lo and grid[-1] == hi and grid == sorted(set(grid))
@@ -361,6 +396,23 @@ class TestFamilyCommand:
         assert by_name["filling-band-low"]["pass"]
         assert by_name["filling-band-high"]["pass"]
         assert by_name["filling-ratio-increasing"]["pass"]
+
+    def test_filling_log_grid_points(self, capsys):
+        # the README example's 25 points, the floors of 10**(2 + i/6)
+        code, out, _ = run_cli(
+            capsys, "family", "filling", "--n", "100..1000000", "--log-grid"
+        )
+        assert code == 0
+        assert [row["n"] for row in load_json(out)["rows"]] == [
+            100, 146, 215, 316, 464, 681, 1000, 1467, 2154, 3162, 4641, 6812, 10000, 14677,
+            21544, 31622, 46415, 68129, 100000, 146779, 215443, 316227, 464158, 681292, 1000000,
+        ]
+
+    def test_branch_sup_is_the_geomspace_max(self):
+        # the sup grid's stdlib form keeps the value of the sup over np.geomspace
+        _, checks = cmd_nu([1.0], _Tols())
+        sup = {c.name: c.value for c in checks}["branch-sup"]
+        assert sup == max(math.sqrt(e / nu(e)) for e in np.geomspace(0.145, 50.0, 120))
 
     def test_filling_needs_n(self, capsys):
         code, _, _ = run_cli(capsys, "family", "filling")

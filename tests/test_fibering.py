@@ -112,6 +112,12 @@ class TestWord:
         with pytest.raises(ValueError):
             Word((3,))
 
+    @pytest.mark.parametrize("letters", [(True, 2, 1.0), (1, True), (2.0,), (-1, -2.0)])
+    def test_rejects_bools_and_floats(self, letters):
+        # True and 1.0 hash equal to 1, so a lookup in the letter table alone lets them in
+        with pytest.raises(ValueError):
+            Word(letters)
+
     def test_reduce_cancels_adjacent_inverses(self):
         assert Word((1, -1)).reduce() == Word(())
         assert Word((1, 2, -2, -1)).reduce() == Word(())

@@ -1,13 +1,14 @@
-"""Imports: the package loads no scipy module, the exact commands and the
-exact library calls load no numpy, every export resolves, and every import
-is used.
+"""Imports: the package loads no scipy module, the commands and library
+calls that do no array work load no numpy, every export resolves, and every
+import is used.
 
 scipy is a test-only dependency (the quadrature and lpmv oracles).  The
-package re-exports its names lazily, and numpy is imported only by the
-array modules (ballfield, tubefield) and by the code that builds or reads
-arrays, so `import hypnorms`, `import hypnorms.cli`, the exact subcommands
-and the exact layer (polytope norms, the cover and gluing families, MV
-lattices, the fibering scan) run on the standard library alone.
+package re-exports its names lazily, and numpy is imported only by ballfield
+and by the functions that build or read arrays (tubefield's quadrature, the
+float suites, float log grids), so `import hypnorms`, `import hypnorms.cli`,
+the exact layer (polytope norms, the cover and gluing families, MV lattices,
+the fibering scan), the closed tube forms, and every command but `verify
+ball/tube/dfbound` and `nu --log-grid` run on the standard library alone.
 """
 
 import ast
@@ -24,14 +25,32 @@ import hypnorms
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(hypnorms.__path__))
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-# the CLI invocations that do only integer, Fraction and math work
-EXACT_INVOCATIONS = [
-    ["verify", "homalg"],
-    ["verify", "bns"],
-    ["family", "covers", "--degrees", "1,2,4,8"],
-    ["family", "gluing", "--n", "1..100"],
-    ["family", "gluing", "--n", "10..1000"],
+# the CLI invocations that do no array work, and the exit code each ends with
+STDLIB_INVOCATIONS = [
+    (["verify", "homalg"], 0),
+    (["verify", "bns"], 0),
+    (["family", "covers", "--degrees", "1,2,4,8"], 0),
+    (["family", "gluing", "--n", "1..100"], 0),
+    (["family", "gluing", "--n", "10..1000"], 0),
+    (["nu", "--r", "0.001,1,30", "--format", "csv"], 0),
+    (["nu", "--r", "1,400"], 0),
+    (["nu", "--r", "0.01..10"], 0),
+    (["family", "filling", "--n", "10,20"], 1),  # below the band at small n
+    (["family", "filling", "--n", "10..1000"], 1),
+    (["family", "filling", "--n", "100..1000000", "--log-grid"], 0),
 ]
+# the controls: array work, or numpy's float geometric grid
+NUMPY_INVOCATIONS = [
+    ["nu", "--r", "0.01..10", "--log-grid"],
+    ["verify", "tube"],
+]
+_RUN_MAIN = (
+    "import contextlib, io, sys\n"
+    "from hypnorms.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = main(sys.argv[1:])\n"
+    "print(code, 'numpy' in sys.modules)\n"
+)
 
 
 def fresh_python(code: str, *argv: str) -> str:
@@ -58,16 +77,15 @@ def test_package_and_cli_imports_load_no_numpy():
     assert fresh_python(code).split() == ["False", "False"]
 
 
-@pytest.mark.parametrize("argv", EXACT_INVOCATIONS, ids=" ".join)
-def test_exact_invocation_loads_no_numpy(argv):
-    code = (
-        "import contextlib, io, sys\n"
-        "from hypnorms.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = main(sys.argv[1:])\n"
-        "print(code, 'numpy' in sys.modules)\n"
-    )
-    assert fresh_python(code, *argv).split() == ["0", "False"]
+@pytest.mark.parametrize("argv, code", [pytest.param(argv, code, id=" ".join(argv))
+                                        for argv, code in STDLIB_INVOCATIONS])
+def test_stdlib_invocation_loads_no_numpy(argv, code):
+    assert fresh_python(_RUN_MAIN, *argv).split() == [str(code), "False"]
+
+
+@pytest.mark.parametrize("argv", NUMPY_INVOCATIONS, ids=" ".join)
+def test_array_invocation_loads_numpy(argv):
+    assert fresh_python(_RUN_MAIN, *argv).split() == ["0", "True"]
 
 
 def test_exact_library_calls_load_no_numpy():
@@ -88,6 +106,17 @@ def test_exact_library_calls_load_no_numpy():
         "cover_family(CoverFamilyParams(NormDatum(1.0, 1.0, 1.0, harmonic=4.0), (1, 2, 4)))\n"
         "gluing_family(GluingFamilyParams(), 5), mv_intersection(3)\n"
         "fibered_characters(X064_RELATOR, 3)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert fresh_python(code).strip() == "False"
+
+
+def test_closed_tube_forms_load_no_numpy():
+    code = (
+        "import sys\n"
+        "from hypnorms.tubefield import TubeChart, remark_ratio, tube_form_norm, tube_volume\n"
+        "t = TubeChart(0.02, 5.0)\n"
+        "tube_form_norm(t), tube_volume(t), remark_ratio(0.01)\n"
         "print('numpy' in sys.modules)\n"
     )
     assert fresh_python(code).strip() == "False"
