@@ -10,7 +10,8 @@ need are re-exported here.  They load on first access (PEP 562), so
 importing the package does not import numpy.  The exact layer (bounds,
 homalg, fibering, the cover and gluing families), radial, and tubefield's
 closed forms behind the filling family run without it; numpy loads only
-in ballfield and where tubefield builds quadrature arrays.
+in ballfield and where tubefield builds quadrature arrays.  Every integer
+argument follows one rule (README, Conventions), kept in _ints.
 """
 
 import importlib

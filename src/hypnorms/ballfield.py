@@ -42,6 +42,7 @@ from typing import Mapping
 
 import numpy as np
 
+from ._ints import checked_int
 from .radial import MAX_ELL, profiles
 from .tubefield import _gl, _theta_grid
 
@@ -62,8 +63,8 @@ __all__ = [
 class HarmonicExpansion:
     """Truncated coefficient table a_lm of a harmonic function on a ball.
 
-    coefficients maps (ell, m) to a finite real a_lm; truncation and every
-    stored index are integers (not bools) with |m| <= ell <= truncation.
+    coefficients maps (ell, m) to a finite real a_lm; truncation >= 0 and
+    every stored index has |m| <= ell <= truncation.
     Tail estimation is the caller's business.
     """
 
@@ -71,15 +72,11 @@ class HarmonicExpansion:
     truncation: int
 
     def __post_init__(self):
-        # type(x) is int, not isinstance: a bool is an int subclass, read as 0 or 1
-        if type(self.truncation) is not int or self.truncation < 0:
-            raise ValueError(f"truncation must be a nonnegative integer, got {self.truncation!r}")
+        checked_int(self.truncation, 0, what="truncation")
         object.__setattr__(self, "coefficients", dict(self.coefficients))
         for (ell, m), a in self.coefficients.items():
-            if type(ell) is not int or type(m) is not int:
-                raise ValueError(f"index ({ell!r}, {m!r}) must be a pair of integers")
-            if not (0 <= ell <= self.truncation and abs(m) <= ell):
-                raise ValueError(f"index ({ell}, {m}) violates |m| <= ell <= {self.truncation}")
+            checked_int(ell, 0, self.truncation, what="ell")
+            checked_int(m, -ell, ell, what="m")
             if not math.isfinite(a):
                 raise ValueError(f"coefficient a_({ell},{m}) must be finite, got {a}")
 
@@ -90,11 +87,10 @@ class HarmonicExpansion:
 def mode_indices(lmax: int, lmin: int = 0) -> list[tuple[int, int]]:
     """All (ell, m) with lmin <= ell <= lmax, |m| <= ell, in lexicographic order.
 
-    Raises ValueError unless lmin and lmax are integers (not bools) with
-    lmin <= lmax <= MAX_ELL, the highest degree radial.profile evaluates.
+    Raises ValueError unless 0 <= lmin <= lmax <= MAX_ELL, the highest
+    degree radial.profile evaluates.
     """
-    if type(lmin) is not int or type(lmax) is not int or not lmin <= lmax <= MAX_ELL:
-        raise ValueError(f"lmax must be an integer in [{lmin!r}, {MAX_ELL}], got {lmax!r}")
+    checked_int(lmax, checked_int(lmin, 0, MAX_ELL, what="lmin"), MAX_ELL, what="lmax")
     return [(ell, m) for ell in range(lmin, lmax + 1) for m in range(-ell, ell + 1)]
 
 

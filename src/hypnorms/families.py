@@ -22,8 +22,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from ._ints import checked_int
 from .bounds import NormDatum
-from .homalg import GROWTH_RATE, fbar_power
+from .homalg import GROWTH_RATE, MAX_POWER, fbar_power
 
 __all__ = [
     "CoverFamilyParams",
@@ -45,17 +46,13 @@ class CoverFamilyParams:
     degrees: tuple[int, ...]
 
     def __init__(self, base: NormDatum, degrees):
-        degrees = tuple(degrees)
-        if any(type(d) is not int for d in degrees):  # int() reads 2.7 as 2, True as 1
-            raise ValueError(f"each cover degree must be an int, got {degrees!r}")
+        degrees = tuple(checked_int(d, 1, what="cover degree") for d in degrees)
         if base.harmonic is None:
             raise ValueError("cover base needs a harmonic norm")
         if not degrees or degrees[0] != 1:
             raise ValueError("degree list must start at 1")
-        if any(d <= 0 for d in degrees) or any(
-            a >= b for a, b in zip(degrees, degrees[1:])
-        ):
-            raise ValueError("degrees must be strictly increasing positive integers")
+        if any(a >= b for a, b in zip(degrees, degrees[1:])):
+            raise ValueError("degrees must be strictly increasing")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "degrees", degrees)
 
@@ -129,10 +126,11 @@ def filling_family(p: FillingFamilyParams, n: int) -> FillingPoint:
     suite (verify tube), not on every row.  The harmonic norm entry of the
     datum is the lower bound itself, so the datum passes the two-sided
     consistency gate only when the model is in range, which is the point.
-    ratio = harmonic_lower/thurston grows like sqrt(log n).
+    ratio = harmonic_lower/thurston grows like sqrt(log n).  n < 2^63.
     """
     from .tubefield import TubeChart, tube_form_norm  # only filling rows load the tube module
 
+    checked_int(n, 1, 2**63 - 1, what="n")
     thurston = n * p.th_alpha + p.th_beta - 2.0
     if thurston <= 0:
         raise ValueError(f"model needs n*th_alpha + th_beta > 2, got n = {n}")
@@ -184,13 +182,8 @@ def gluing_family(p: GluingFamilyParams, n: int) -> GluingPoint:
     side: rate_ln = log_th_lower/vol (what the integer data gives, tending
     to ln(lam)/vol_block) and rate_paper = lam/vol_block (the displayed
     constant it is usually quoted as); the toolkit does not adjudicate.
-    n outside [1, 10^5] raises ValueError: the exact power has ~0.42 n digits,
-    a few hundredths of a second of work at the cap and over a second at 10^6.
-    So does an n that is not an int (a float, a bool).
     """
-    if type(n) is not int or not 1 <= n <= 10**5:
-        raise ValueError(f"n must be an int in [1, 10^5], got {n!r}")
-    power = fbar_power(n)
+    power = fbar_power(checked_int(n, 1, MAX_POWER, what="n"))
     vol = n * p.vol_block
     log_th_lower = math.log(p.th_unit) + math.log(abs(power.a) + abs(power.c))
     return GluingPoint(

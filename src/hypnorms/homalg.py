@@ -16,6 +16,7 @@ Conventions:
   vectors ordered by pivot position, pivots positive, off-pivot entries
   in each pivot row reduced into [0, pivot).  Equality of lattices is
   then equality of bases.
+* Integer arguments follow the package's integer rule (README, Conventions).
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, NamedTuple
+
+from ._ints import checked_int, checked_ints
 
 __all__ = [
     "IntMat",
@@ -35,6 +38,8 @@ __all__ = [
     "INVARIANT_BLOCK",
     "GROWTH_RATE",
     "TWIST_WORD",
+    "MAX_POWER",
+    "MAX_MV_INDEX",
     "symplectic_check",
     "transvection",
     "fbar_power",
@@ -46,13 +51,6 @@ __all__ = [
 ]
 
 
-def _as_int(x) -> int:
-    # bool is an int subclass; exclude it so True never sneaks into a basis
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise TypeError(f"exact integer required, got {x!r}")
-    return x
-
-
 @dataclass(frozen=True)
 class IntMat:
     """Immutable square integer matrix with exact arithmetic."""
@@ -60,13 +58,14 @@ class IntMat:
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        rows = tuple(tuple(_as_int(x) for x in row) for row in rows)
+        rows = tuple(checked_ints(row, "IntMat row") for row in rows)
         if not rows or any(len(row) != len(rows) for row in rows):
             raise ValueError("IntMat requires a nonempty square array")
         object.__setattr__(self, "rows", rows)
 
     @classmethod
     def identity(cls, n: int) -> "IntMat":
+        checked_int(n, 1, what="n")
         return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @property
@@ -90,15 +89,12 @@ class IntMat:
         )
 
     def vec(self, v: Iterable[int]) -> tuple[int, ...]:
-        v = tuple(_as_int(x) for x in v)
-        if len(v) != self.n:
-            raise ValueError("vector length mismatch")
+        v = checked_ints(v, "vector", self.n)
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
 
     def power(self, k: int) -> "IntMat":
         """Exact k-th power by binary exponentiation, k >= 0."""
-        if k < 0:
-            raise ValueError("negative matrix powers are not supported")
+        checked_int(k, 0, what="k")
         result = IntMat.identity(self.n)
         base = self
         while k:
@@ -125,6 +121,8 @@ INVARIANT_BLOCK = IntMat(((3, -1), (1, 0)))
 # Dominant eigenvalue of INVARIANT_BLOCK; root of t^2 - 3t + 1.
 GROWTH_RATE = (3.0 + math.sqrt(5.0)) / 2.0
 
+MAX_POWER, MAX_MV_INDEX = 10**5, 10**4  # caps on n: ~0.02 s and ~0.2 s of work there
+
 
 def symplectic_check(mat: IntMat, form: IntMat) -> bool:
     """True iff mat^T form mat equals form, all exact."""
@@ -139,14 +137,12 @@ def transvection(gamma: Iterable[int], sign: int, form: IntMat = SYMPLECTIC_FORM
     gamma must be a nonzero primitive integer vector; the result is always
     symplectic with respect to form, and is even in gamma.
     """
-    gamma = tuple(_as_int(x) for x in gamma)
-    if len(gamma) != form.n:
-        raise ValueError("curve class length does not match the form")
+    gamma = checked_ints(gamma, "gamma", form.n)
     if not any(gamma):
         raise ValueError("twist curve class must be nonzero")
     if math.gcd(*gamma) != 1:
         raise ValueError("twist curve class must be primitive")
-    if sign not in (1, -1):
+    if not checked_int(sign, -1, 1, what="sign"):
         raise ValueError("twist sign must be +1 or -1")
     fg = form.vec(gamma)
     n = form.n
@@ -172,11 +168,9 @@ def fbar_power(n: int) -> FbarPower:
 
     The top-left and bottom-left entries satisfy the three-term recurrence
     x_{n+1} = 3 x_n - x_{n-1} and stay coprime for every n (the power is
-    unimodular, so its columns are primitive).
+    unimodular, so its columns are primitive).  n <= MAX_POWER.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    m = INVARIANT_BLOCK.power(n)
+    m = INVARIANT_BLOCK.power(checked_int(n, 0, MAX_POWER, what="n"))
     return FbarPower(m.rows[0][0], m.rows[0][1], m.rows[1][0], m.rows[1][1])
 
 
@@ -237,14 +231,12 @@ class Lattice:
     dim: int
 
     def __init__(self, vectors: Iterable[Iterable[int]], dim: int | None = None):
-        vecs = [tuple(_as_int(x) for x in v) for v in vectors]
+        vecs = [checked_ints(v, "lattice vector") for v in vectors]
         if dim is None:
             if not vecs:
                 raise ValueError("an empty generating set needs an explicit dim")
             dim = len(vecs[0])
-        dim = _as_int(dim)
-        if dim <= 0:
-            raise ValueError("ambient dimension must be positive")
+        checked_int(dim, 1, what="dim")
         if any(len(v) != dim for v in vecs):
             raise ValueError("generating vectors of mixed dimension")
         basis = tuple(tuple(row) for row in _row_hnf(vecs))
@@ -257,9 +249,7 @@ class Lattice:
 
     def contains(self, vector: Iterable[int]) -> bool:
         """Exact membership test by back-substitution on the echelon basis."""
-        v = [_as_int(x) for x in vector]
-        if len(v) != self.dim:
-            raise ValueError("vector length does not match the ambient dimension")
+        v = checked_ints(vector, "vector", self.dim)
         for b in self.basis:
             p = next(i for i, x in enumerate(b) if x)
             if v[p] % b[p]:
@@ -307,10 +297,8 @@ _E4 = (0, 0, 0, 1)
 
 
 def mv_intersection(n: int) -> Lattice:
-    """Invariant plane <e1, e3> meet the n-th pushforward of <e1, e4>."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    fn = COHOMOLOGY_ACTION.power(n)
+    """Invariant plane <e1, e3> meet the n-th pushforward of <e1, e4>, n <= MAX_MV_INDEX."""
+    fn = COHOMOLOGY_ACTION.power(checked_int(n, 0, MAX_MV_INDEX, what="n"))
     return lattice_intersection(
         Lattice((_E1, _E3)),
         Lattice((fn.vec(_E1), fn.vec(_E4))),

@@ -69,6 +69,8 @@ from __future__ import annotations
 
 import math
 
+from ._ints import checked_int
+
 __all__ = [
     "MAX_ELL",
     "dpsi",
@@ -151,13 +153,10 @@ def profiles(lmax: int, r: float) -> tuple[list, list, list]:
     One Legendre-Q ladder in ell, run backward below r = 3.5 and forward
     from there on (module docstring); a value at a given ell does not
     depend on lmax.  r = 0 gives the limits.  Raises ValueError for lmax
-    that is not an integer in [0, MAX_ELL] (a bool is not one), for r not
-    finite and nonnegative, and when a value would leave the float range
-    (the flux ~ ell(ell+1) r overflows near r = 1e305).
+    outside [0, MAX_ELL], for r not finite and nonnegative, and when a value
+    would leave the float range (the flux ~ ell(ell+1) r overflows near r = 1e305).
     """
-    # type(x) is int, not isinstance: a bool is an int subclass, read as 0 or 1
-    if type(lmax) is not int or not 0 <= lmax <= MAX_ELL:
-        raise ValueError(f"mode index must be an integer in [0, {MAX_ELL}], got {lmax!r}")
+    checked_int(lmax, 0, MAX_ELL, what="lmax")
     _require_nonneg(r)
     out = (_backward if r < _SEAM else _forward)(lmax, r)
     if not all(math.isfinite(v) for values in out for v in values):
@@ -191,8 +190,7 @@ def mode_norm(ell: int, r: float) -> float:
     No sinh^2 is formed, so N_ell(r) ~ ell(ell+1) r stays finite until the
     flux leaves the float range, where ValueError is raised.
     """
-    if ell < 1:
-        raise ValueError("mode_norm needs ell >= 1; the ell = 0 field vanishes")
+    checked_int(ell, 1, MAX_ELL, what="ell")  # the ell = 0 field vanishes
     if r == 0:
         raise ValueError(f"radius must be positive, got {r}")
     p, _, flux = profile(ell, r)

@@ -31,6 +31,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from ._ints import checked_int
+
 __all__ = [
     "TubeChart",
     "RemarkRatio",
@@ -108,11 +110,9 @@ def _rule(order: int):
 def _gl(a: float, b: float, order: int):
     """Gauss-Legendre nodes a + (b - a)(x + 1)/2 and weights (b - a) w/2 on [a, b].
 
-    Raises ValueError unless order is an integer >= 4 (a bool is not one).
+    Raises ValueError unless order is an integer >= 4.
     """
-    if type(order) is not int or order < 4:
-        raise ValueError(f"quadrature order must be an integer >= 4, got {order!r}")
-    x, w = _rule(order)
+    x, w = _rule(checked_int(order, 4, what="quadrature order"))
     return a + 0.5 * (b - a) * (x + 1.0), 0.5 * (b - a) * w
 
 

@@ -216,9 +216,9 @@ class TestCharacter:
         assert Character(1, 1).value(X064_RELATOR) == 0
 
     def test_rejects_non_integers(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             Character(1.0, 2)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             Character(True, 0)
 
 
@@ -267,7 +267,7 @@ class TestBrownStatus:
     @pytest.mark.parametrize("chi", [(1.5, 1.9), (1.0, 1.0), ("1", "1"), (True, True), (1, False)])
     def test_tuple_character_must_be_ints(self, chi):
         # the same rule as Character: Python ints, not bool
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             brown_status(X064_RELATOR, chi)
 
     @given(words(), characters())

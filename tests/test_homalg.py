@@ -71,9 +71,9 @@ class TestIntMat:
             IntMat(())
 
     def test_rejects_inexact_entries(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             IntMat(((1.0, 0), (0, 1)))
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             IntMat(((True, 0), (0, 1)))
 
     def test_size_mismatch(self):
@@ -244,7 +244,7 @@ class TestLattice:
             Lattice(((1, 0), (1, 0, 0)))
 
     def test_inexact_entries_rejected(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             Lattice(((1.5, 0, 0, 0),))
 
     def test_contains(self):
