@@ -62,9 +62,12 @@ USAGE_ERRORS = [
     ["nu", "--r", "0..1"],
     ["nu", "--r", "1..0.5"],
     ["nu", "--r", "1..2", "--n", "3"],
+    ["nu", "--r", "nan"],
+    ["nu", "--r", "1,-2"],
     ["verify", "homalg", "--seed", "1"],
     ["verify", "tube", "--quad-order", "3"],
     ["verify", "tube", "--tol", "tube-volum=1e-30"],
+    ["verify", "homalg", "--tol", "homalg-growth=nan"],
 ]
 INVOCATIONS = BENCHMARK + README + FLAGS_FIRST + USAGE_ERRORS
 

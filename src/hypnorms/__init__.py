@@ -11,7 +11,8 @@ importing the package does not import numpy.  The exact layer (bounds,
 homalg, fibering, the cover and gluing families), radial, and tubefield's
 closed forms behind the filling family run without it; numpy loads only
 in ballfield and where tubefield builds quadrature arrays.  Every integer
-argument follows one rule (README, Conventions), kept in _ints.
+and every real argument follows one rule each (README, Conventions), both
+kept in _args.
 """
 
 import importlib

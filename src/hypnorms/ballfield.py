@@ -42,7 +42,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._ints import checked_int
+from ._args import checked_int, checked_ints, checked_real
 from .radial import MAX_ELL, profiles
 from .tubefield import _gl, _theta_grid
 
@@ -73,12 +73,15 @@ class HarmonicExpansion:
 
     def __post_init__(self):
         checked_int(self.truncation, 0, what="truncation")
-        object.__setattr__(self, "coefficients", dict(self.coefficients))
-        for (ell, m), a in self.coefficients.items():
-            checked_int(ell, 0, self.truncation, what="ell")
-            checked_int(m, -ell, ell, what="m")
-            if not math.isfinite(a):
-                raise ValueError(f"coefficient a_({ell},{m}) must be finite, got {a}")
+        coefficients = {}
+        for key, a in self.coefficients.items():
+            # a pair goes on to the checks that name ell and m; any other key stops here
+            if type(key) is not tuple or len(key) != 2:
+                key = checked_ints(key, "coefficient index", 2)
+            ell = checked_int(key[0], 0, self.truncation, what="ell")
+            m = checked_int(key[1], -ell, ell, what="m")
+            coefficients[ell, m] = checked_real(a, what=f"coefficient a_({ell},{m})")
+        object.__setattr__(self, "coefficients", coefficients)
 
     def items(self):
         return sorted(self.coefficients.items())
@@ -163,8 +166,7 @@ def expansion_field(expansion: HarmonicExpansion) -> BallField:
 
 
 def _quad_nodes(r: float, order: int):
-    if not (math.isfinite(r) and r > 0):
-        raise ValueError(f"ball radius must be finite and positive, got {r}")
+    r = checked_real(r, what="r", gt=0)
     return (*_gl(0.0, r, order), *_gl(0.0, math.pi, order), *_theta_grid(order))
 
 
@@ -318,8 +320,7 @@ def check_df_bound(expansion: HarmonicExpansion, r: float) -> DfBoundReport:
     """
     if expansion.truncation < 1:
         raise ValueError("expansion must allow degree 1 (truncation >= 1)")
-    if not (math.isfinite(r) and r > 0):
-        raise ValueError(f"ball radius must be finite and positive, got {r}")
+    r = checked_real(r, what="r", gt=0)
     terms = [(ell, a) for (ell, _), a in expansion.items() if ell >= 1]
     p, _, flux = profiles(max((ell for ell, _ in terms), default=1), r)
     df_sq = sum(a * a for ell, a in terms if ell == 1)

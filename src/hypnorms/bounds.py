@@ -30,6 +30,7 @@ from numbers import Rational, Real
 from operator import mul
 from typing import NamedTuple, Sequence
 
+from ._args import checked_real
 from .radial import nu
 
 __all__ = [
@@ -76,21 +77,13 @@ class NormDatum:
     tol: float = 1e-9
 
     def __post_init__(self):
-        for name in ("vol", "inj", "thurston", "harmonic"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if not 0 <= self.tol < 1:
-            raise ValueError(f"tol must be finite with 0 <= tol < 1, got {self.tol}")
-        if self.vol <= 0:
-            raise ValueError(f"volume must be positive, got {self.vol}")
-        if self.inj <= 0:
-            raise ValueError(f"injectivity radius must be positive, got {self.inj}")
-        if self.thurston < 0:
-            raise ValueError(f"Thurston norm must be nonnegative, got {self.thurston}")
+        put = object.__setattr__
+        put(self, "vol", checked_real(self.vol, what="vol", gt=0))
+        put(self, "inj", checked_real(self.inj, what="inj", gt=0))
+        put(self, "thurston", checked_real(self.thurston, what="thurston", ge=0))
+        put(self, "tol", checked_real(self.tol, what="tol", ge=0, lt=1))
         if self.harmonic is not None:
-            if self.harmonic < 0:
-                raise ValueError(f"harmonic norm must be nonnegative, got {self.harmonic}")
+            put(self, "harmonic", checked_real(self.harmonic, what="harmonic", ge=0))
             if self.check_consistency:
                 lo, hi = _sandwich(self.thurston, self.vol, self.inj)
                 if not lo * (1 - self.tol) <= self.harmonic <= hi * (1 + self.tol):
@@ -122,8 +115,7 @@ def supnorm_factor(inj: float, b1_positive: bool, mu: float | None = None) -> fl
     unconditional 0.1) computes the same two-branch formula for that value,
     but the <= 5/sqrt(inj) contract is calibrated to the default only.
     """
-    if not 0 < inj < math.inf:
-        raise ValueError(f"injectivity radius must be finite and positive, got {inj}")
+    inj = checked_real(inj, what="inj", gt=0)
     if mu is None:
         if not b1_positive:
             warnings.warn(
@@ -134,22 +126,20 @@ def supnorm_factor(inj: float, b1_positive: bool, mu: float | None = None) -> fl
             )
             return 0.0
         mu = MU_DEFAULT
-    if not 0 < mu < math.inf:
-        raise ValueError(f"thick-part constant must be finite and positive, got {mu}")
+    mu = checked_real(mu, what="mu", gt=0)
     if inj >= mu / 2.0:
         return 1.0 / math.sqrt(nu(inj))
     return math.sqrt(mu / nu(mu / 2.0)) / math.sqrt(inj)
 
 
-def _as_fraction_vector(v) -> tuple[Fraction, ...]:
-    out = []
-    for c in v:
-        if not isinstance(c, (Rational, float, str)):
-            raise TypeError(f"vertex coordinate {c!r} is not rational-convertible")
-        if isinstance(c, float) and not math.isfinite(c):
-            raise ValueError(f"vertex coordinate {c!r} is not finite")
-        out.append(Fraction(c))  # a float's exact binary value
-    return tuple(out)
+def _vertex_coordinate(c) -> Fraction:
+    """c exactly: an int (not a bool), a Rational, a finite float or a rational string."""
+    if not isinstance(c, bool) and isinstance(c, (Rational, float, str)):
+        try:
+            return Fraction(c)  # a float's exact binary value
+        except (ValueError, OverflowError, ZeroDivisionError):  # nan, +-inf, "x", "1/0"
+            pass
+    raise ValueError(f"vertex coordinate must be a finite rational number, got {c!r}")
 
 
 def _integer_row(v: tuple[Fraction, ...]) -> tuple[int, ...]:
@@ -278,7 +268,7 @@ class PolytopeNorm:
     _vertex_rows: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, vertices):
-        vecs = tuple(_as_fraction_vector(v) for v in vertices)
+        vecs = tuple(tuple(map(_vertex_coordinate, v)) for v in vertices)
         object.__setattr__(self, "vertices", vecs)
         if not vecs:
             raise ValueError("vertex list must be nonempty")

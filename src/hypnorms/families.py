@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from ._ints import checked_int
+from ._args import checked_int, checked_ints, checked_real
 from .bounds import NormDatum
 from .homalg import GROWTH_RATE, MAX_POWER, fbar_power
 
@@ -46,6 +46,10 @@ class CoverFamilyParams:
     degrees: tuple[int, ...]
 
     def __init__(self, base: NormDatum, degrees):
+        # a tuple or a list goes on to the checks that name one degree; checked_ints
+        # reads any other iterable of ints and refuses the rest
+        if not isinstance(degrees, (tuple, list)):
+            degrees = checked_ints(degrees, "cover degrees")
         degrees = tuple(checked_int(d, 1, what="cover degree") for d in degrees)
         if base.harmonic is None:
             raise ValueError("cover base needs a harmonic norm")
@@ -98,8 +102,7 @@ class FillingFamilyParams:
 
     def __post_init__(self):
         for name in ("th_alpha", "th_beta", "c1", "c2", "vol_w"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            object.__setattr__(self, name, checked_real(getattr(self, name), what=name, gt=0))
 
 
 class FillingPoint(NamedTuple):
@@ -157,12 +160,8 @@ class GluingFamilyParams:
     th_unit: float = 1.0
 
     def __post_init__(self):
-        if self.vol_block <= 0:
-            raise ValueError("block volume must be positive")
-        if self.lam <= 1:
-            raise ValueError("stretch factor must exceed 1")
-        if self.th_unit <= 0:
-            raise ValueError("norm scale must be positive")
+        for name, lo in (("vol_block", 0), ("lam", 1), ("th_unit", 0)):
+            object.__setattr__(self, name, checked_real(getattr(self, name), what=name, gt=lo))
 
 
 class GluingPoint(NamedTuple):
@@ -182,13 +181,18 @@ def gluing_family(p: GluingFamilyParams, n: int) -> GluingPoint:
     side: rate_ln = log_th_lower/vol (what the integer data gives, tending
     to ln(lam)/vol_block) and rate_paper = lam/vol_block (the displayed
     constant it is usually quoted as); the toolkit does not adjudicate.
+    Raises ValueError when vol or a rate leaves the float range, as for
+    vol_block = 1e-320.
     """
     power = fbar_power(checked_int(n, 1, MAX_POWER, what="n"))
     vol = n * p.vol_block
     log_th_lower = math.log(p.th_unit) + math.log(abs(power.a) + abs(power.c))
-    return GluingPoint(
+    point = GluingPoint(
         vol=vol,
         log_th_lower=log_th_lower,
         rate_ln=log_th_lower / vol,
         rate_paper=p.lam / p.vol_block,
     )
+    if not all(map(math.isfinite, point)):
+        raise ValueError(f"gluing row n = {n} leaves the float range: {point}")
+    return point

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from ._ints import checked_int, checked_ints
+from ._args import checked_int, checked_ints
 
 __all__ = [
     "Word",

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, NamedTuple
 
-from ._ints import checked_int, checked_ints
+from ._args import checked_int, checked_ints
 
 __all__ = [
     "IntMat",

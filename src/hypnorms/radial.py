@@ -69,7 +69,7 @@ from __future__ import annotations
 
 import math
 
-from ._ints import checked_int
+from ._args import checked_int, checked_real
 
 __all__ = [
     "MAX_ELL",
@@ -87,11 +87,6 @@ MAX_ELL = 40
 
 # Below this radius the ladder runs backward, from it on forward.
 _SEAM = 3.5
-
-
-def _require_nonneg(r: float) -> None:
-    if not (math.isfinite(r) and r >= 0):
-        raise ValueError(f"radius must be finite and nonnegative, got {r}")
 
 
 def _coth_csch2(r: float) -> tuple[float, float]:
@@ -153,11 +148,11 @@ def profiles(lmax: int, r: float) -> tuple[list, list, list]:
     One Legendre-Q ladder in ell, run backward below r = 3.5 and forward
     from there on (module docstring); a value at a given ell does not
     depend on lmax.  r = 0 gives the limits.  Raises ValueError for lmax
-    outside [0, MAX_ELL], for r not finite and nonnegative, and when a value
+    outside [0, MAX_ELL], for r not a finite real >= 0, and when a value
     would leave the float range (the flux ~ ell(ell+1) r overflows near r = 1e305).
     """
     checked_int(lmax, 0, MAX_ELL, what="lmax")
-    _require_nonneg(r)
+    r = checked_real(r, what="r", ge=0)
     out = (_backward if r < _SEAM else _forward)(lmax, r)
     if not all(math.isfinite(v) for values in out for v in values):
         raise ValueError(f"radial profiles up to degree {lmax} at r = {r} exceed the float range")
@@ -191,9 +186,7 @@ def mode_norm(ell: int, r: float) -> float:
     flux leaves the float range, where ValueError is raised.
     """
     checked_int(ell, 1, MAX_ELL, what="ell")  # the ell = 0 field vanishes
-    if r == 0:
-        raise ValueError(f"radius must be positive, got {r}")
-    p, _, flux = profile(ell, r)
+    p, _, flux = profile(ell, checked_real(r, what="r", gt=0))
     return p * flux
 
 

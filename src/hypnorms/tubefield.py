@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from ._ints import checked_int
+from ._args import checked_int, checked_real
 
 __all__ = [
     "TubeChart",
@@ -53,10 +53,8 @@ class TubeChart:
     R: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError(f"core length must be finite and positive, got {self.epsilon}")
-        if not (math.isfinite(self.R) and self.R > 0):
-            raise ValueError(f"tube depth must be finite and positive, got {self.R}")
+        object.__setattr__(self, "epsilon", checked_real(self.epsilon, what="epsilon", gt=0))
+        object.__setattr__(self, "R", checked_real(self.R, what="R", gt=0))
 
 
 # Past this depth e^(-2R) is below an ulp, so log cosh R = R + log1p(e^(-2R))
@@ -139,7 +137,9 @@ def tube_l2_norm_sq(
     The theta weight is 2 pi over the theta length of their broadcast shape:
     the trapezoid rule on the 2*order angles when some component depends on
     theta, and one angle of weight 2 pi, exact, when none does.  The squared
-    pointwise norm is w_r^2 + w_theta^2/sinh^2 + w_z^2/cosh^2.
+    pointwise norm is w_r^2 + w_theta^2/sinh^2 + w_z^2/cosh^2.  A nonfinite
+    result (a nonfinite field value, or sinh r overflowing past r ~ 710)
+    raises ValueError.
     """
     import numpy as np
 
@@ -151,11 +151,15 @@ def tube_l2_norm_sq(
         for w in field(r_nodes[:, None, None], theta_nodes[None, :, None], z_nodes[None, None, :])
     )
     n_theta = np.broadcast_shapes((1, 1, 1), a.shape, b.shape, c.shape)[1]
-    sh = np.sinh(r_nodes)[:, None, None]
-    ch = np.cosh(r_nodes)[:, None, None]
-    sq = a * a + (b / sh) ** 2 + (c / ch) ** 2
-    weight = (r_w * (2.0 * math.pi / n_theta))[:, None, None] * z_w[None, None, :] * (sh * ch)
-    return float(np.sum(sq * weight))
+    with np.errstate(all="ignore"):  # the result check below reports any overflow or nan
+        sh = np.sinh(r_nodes)[:, None, None]
+        ch = np.cosh(r_nodes)[:, None, None]
+        sq = a * a + (b / sh) ** 2 + (c / ch) ** 2
+        weight = (r_w * (2.0 * math.pi / n_theta))[:, None, None] * z_w[None, None, :] * (sh * ch)
+        value = float(np.sum(sq * weight))
+    if not math.isfinite(value):
+        raise ValueError(f"nonfinite L2 norm {value} on the tube {t} at quadrature order {order}")
+    return value
 
 
 def _bump(r, R):
@@ -179,6 +183,8 @@ def competitor_norm_sq(t: TubeChart, s: float, order: int = 48) -> float:
     2 pi) and Gauss-Legendre with `order` nodes in r and in z.
     """
     import numpy as np
+
+    s = checked_real(s, what="s")
 
     def field(r, theta, z):
         bump, dbump = _bump(r, t.R)
@@ -227,8 +233,7 @@ def remark_ratio(epsilon: float) -> RemarkRatio:
     (epsilon log(1/epsilon))^(-1/2) of the ratio, accurate up to a bounded
     constant (1/sqrt(pi) in the epsilon -> 0 limit).
     """
-    if not 0.0 < epsilon < 1.0 / math.pi:
-        raise ValueError(f"need 0 < epsilon < 1/pi for a volume-1 tube, got {epsilon}")
+    epsilon = checked_real(epsilon, what="epsilon", gt=0, lt=1.0 / math.pi)
     R = math.asinh(1.0 / math.sqrt(math.pi * epsilon))
     t = TubeChart(epsilon, R)
     sup_norm = 1.0 / epsilon

@@ -368,6 +368,18 @@ class TestPolytopeNorm:
             with pytest.raises(ValueError, match="finite"):
                 dual_norm(p, bad)
 
+    @pytest.mark.parametrize("bad", [True, None, 1j, "x", "1/0"])
+    def test_vertex_coordinate_rule(self, bad):
+        # True built the diamond; None and 1j raised TypeError
+        with pytest.raises(ValueError, match="^vertex coordinate must be a finite rational"):
+            PolytopeNorm([(bad, 0), (0, 1), (-1, 0), (0, -1)])
+
+    def test_exact_coordinates_accepted(self):
+        # ints, Fractions, rational strings and finite floats are read exactly
+        p = PolytopeNorm([(Fraction(1, 2), "0"), (0.0, 1), ("-1/2", 0), (0, -1.0)])
+        assert p.vertices[0] == (Fraction(1, 2), 0) and p.vertices[2] == (Fraction(-1, 2), 0)
+        assert PolytopeNorm([(np.int64(1), 0), (0, 1), (-1, 0), (0, -1)]) == PolytopeNorm(DIAMOND)
+
     @pytest.mark.parametrize(
         "bad",
         [np.ones((2, 1)), 3.0, "12", b"12", {3.0, 4.0}, {0: 3.0, 1: 4.0}, [1.0],

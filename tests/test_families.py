@@ -172,6 +172,13 @@ class TestGluingParams:
 
 
 class TestGluingFamily:
+    @pytest.mark.parametrize("params", [dict(vol_block=1e-320), dict(vol_block=1e308),
+                                        dict(vol_block=1e-10, lam=1e300)])
+    def test_row_past_float_range_raises(self, params):
+        # vol_block = 1e-320 gave rate_ln = rate_paper = inf, 1e308 gave vol = inf
+        with pytest.raises(ValueError, match="float range"):
+            gluing_family(GluingFamilyParams(**params), 5)
+
     def test_volume_linear(self):
         p = GluingFamilyParams()
         assert gluing_family(p, 7).vol == pytest.approx(7 * p.vol_block, rel=1e-15)

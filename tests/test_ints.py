@@ -93,6 +93,19 @@ def test_character_must_be_a_pair(chi):
         fibering.brown_status(X064, chi)
 
 
+@pytest.mark.parametrize("call, what", [
+    (lambda: ballfield.HarmonicExpansion({5: 1.0}, 3), "coefficient index"),
+    (lambda: ballfield.HarmonicExpansion({(1, 0, 0): 1.0}, 3), "coefficient index"),
+    (lambda: ballfield.HarmonicExpansion({"ab": 1.0}, 3), "coefficient index"),
+    (lambda: families.CoverFamilyParams(BASE, 4), "cover degrees"),
+], ids=["int-key", "triple-key", "string-key", "int-degrees"])
+def test_rows_must_be_rows(call, what):
+    # {5: 1.0} raised TypeError "cannot unpack", {(1, 0, 0): 1.0} a ValueError "too many
+    # values to unpack" naming nothing, CoverFamilyParams(base, 4) TypeError "not iterable"
+    with pytest.raises(ValueError, match=f"^{what} must be "):
+        call()
+
+
 class TestFillingRange:
     """filling_family reads n in [1, 2^63 - 1], the 64-bit rule of the CLI grids."""
 

@@ -269,6 +269,32 @@ class TestLowerBound:
         assert competitor_norm_sq(t, s) >= tube_form_norm(t) ** 2 * (1.0 - 1e-9)
 
 
+class TestNonfiniteIntegral:
+    """A nonfinite tube integral raises ValueError, with no RuntimeWarning."""
+
+    DEEP = TubeChart(1.0, 800.0)  # sinh r overflows at the outer radial nodes
+
+    def test_sinh_overflow(self):
+        # returned nan
+        with pytest.raises(ValueError, match="nonfinite L2 norm"):
+            tube_l2_norm_sq(self.DEEP, lambda r, theta, z: (0.0, 0.0, 1.0))
+
+    def test_nan_component(self):
+        # returned nan
+        with pytest.raises(ValueError, match="nonfinite L2 norm"):
+            tube_l2_norm_sq(TubeChart(0.3, 1.2), lambda r, theta, z: (np.nan, 0.0, 1.0))
+
+    def test_huge_competitor(self):
+        # returned inf
+        with pytest.raises(ValueError, match="nonfinite L2 norm"):
+            competitor_norm_sq(TubeChart(0.3, 1.2), 1e200)
+
+    def test_lower_bound_not_certified(self):
+        # returned 70.867... as certified: every competitor was nan, and nan < bound is False
+        with pytest.raises(ValueError, match="nonfinite L2 norm"):
+            tube_lower_bound(self.DEEP)
+
+
 class TestRemarkRatio:
     def test_volume_one_depth(self):
         rr = remark_ratio(1e-2)
