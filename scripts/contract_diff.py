@@ -48,6 +48,11 @@ FLAGS_FIRST = [
     ["family", "--n", "1..100", "gluing"],
     ["family", "--log-grid", "--n", "10..1000", "filling"],
 ]
+# Tolerance overrides that are taken: one check passes, one fails.
+TOL_OVERRIDES = [
+    ["verify", "homalg", "--tol", "homalg-growth=1e-3"],
+    ["family", "covers", "--degrees", "1,2,4,8", "--tol", "cover-ratio-constant=0"],
+]
 # Usage errors: exit 2 and empty stdout, several from the integer rule.
 USAGE_ERRORS = [
     ["family", "gluing", "--n", "0"],
@@ -68,8 +73,9 @@ USAGE_ERRORS = [
     ["verify", "tube", "--quad-order", "3"],
     ["verify", "tube", "--tol", "tube-volum=1e-30"],
     ["verify", "homalg", "--tol", "homalg-growth=nan"],
+    ["verify", "homalg", "--tol", "homalg-growth=1", "--tol", "homalg-growth=1e-30"],
 ]
-INVOCATIONS = BENCHMARK + README + FLAGS_FIRST + USAGE_ERRORS
+INVOCATIONS = BENCHMARK + README + FLAGS_FIRST + TOL_OVERRIDES + USAGE_ERRORS
 
 
 def run(tree: Path, argv: list[str]) -> tuple[int, str]:

@@ -10,6 +10,16 @@ __all__ = ["checked_int", "checked_ints", "checked_real"]
 _INT = frozenset({int})
 
 
+def _shown(x) -> str:
+    """repr(x), or x described without it where repr refuses an int too long to print."""
+    try:
+        return repr(x)
+    except ValueError:  # past sys.get_int_max_str_digits(), 4300 digits by default
+        if isinstance(x, int):  # bit_length * log10(2) digits, give or take one
+            return f"an int of about {x.bit_length() * 30103 // 100000 + 1} digits"
+        return f"a {type(x).__name__} holding an int too long to print"
+
+
 def checked_int(x, lo: int, hi: int | None = None, *, what: str) -> int:
     """x itself if type(x) is int and lo <= x <= hi (no upper limit if hi is None)."""
     if type(x) is int and lo <= x and (hi is None or x <= hi):
@@ -17,7 +27,7 @@ def checked_int(x, lo: int, hi: int | None = None, *, what: str) -> int:
     top = str(hi)  # a cap such as 100000 reads as 10^5
     top = f"10^{len(top) - 1}" if len(top) > 3 and top.rstrip("0") == "1" else top
     span = f">= {lo}" if hi is None else f"in [{lo}, {top}]"
-    raise ValueError(f"{what} must be an integer {span}, got {x!r}")
+    raise ValueError(f"{what} must be an integer {span}, got {_shown(x)}")
 
 
 def checked_ints(row, what: str, size: int | None = None) -> tuple[int, ...]:
@@ -28,7 +38,7 @@ def checked_ints(row, what: str, size: int | None = None) -> tuple[int, ...]:
             return row
     except TypeError:
         pass
-    raise ValueError(f"{what} must be {size or 'all'} integers, got {row!r}")
+    raise ValueError(f"{what} must be {size or 'all'} integers, got {_shown(row)}")
 
 
 def checked_real(x, *, what: str, gt=None, ge=None, lt=None) -> float:
@@ -44,4 +54,4 @@ def checked_real(x, *, what: str, gt=None, ge=None, lt=None) -> float:
             and (lt is None or v < lt)):
         return v
     span = " and ".join(f"{o} {b}" for o, b in ((">", gt), (">=", ge), ("<", lt)) if b is not None)
-    raise ValueError(f"{what} must be a finite real{span and ' ' + span}, got {x!r}")
+    raise ValueError(f"{what} must be a finite real{span and ' ' + span}, got {_shown(x)}")

@@ -134,6 +134,8 @@ def supnorm_factor(inj: float, b1_positive: bool, mu: float | None = None) -> fl
 
 def _vertex_coordinate(c) -> Fraction:
     """c exactly: an int (not a bool), a Rational, a finite float or a rational string."""
+    if type(c) is Fraction:  # already exact; Fraction(c) would only rebuild it
+        return c
     if not isinstance(c, bool) and isinstance(c, (Rational, float, str)):
         try:
             return Fraction(c)  # a float's exact binary value

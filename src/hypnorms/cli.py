@@ -8,7 +8,9 @@ Subcommands expose the library as reproducible one-line invocations:
 
 Each of the nine commands (nu, five suites, three families) reads --format,
 --tol, and the flags _READS lists for it; any other flag given is a usage
-error, as is a --tol whose name no check of the command looks up.
+error.  A command returns its checks at their default tolerances, and
+_apply_tols then applies every --tol in one step: each name must match a
+check of the command whose tolerance is not fixed, and appear once.
 
 Output is JSON (default) or CSV, written to stdout only; diagnostics go
 to stderr.  A fixed invocation is byte-identical across runs: floats are
@@ -23,7 +25,9 @@ import csv
 import io
 import json
 import math
+import operator
 import sys
+from dataclasses import replace
 
 from .bounds import NormDatum
 from .families import (
@@ -37,7 +41,7 @@ from .families import (
 from .radial import nu
 from .verify import SUITE_KNOBS, SUITES, Check, run_suite
 
-__all__ = ["main", "cmd_nu", "cmd_verify", "cmd_family"]
+__all__ = ["main", "cmd_nu", "cmd_family"]
 
 # the flags only some commands read, by argparse dest; each is left out of
 # the parsed arguments unless given
@@ -59,18 +63,6 @@ class UsageError(Exception):
     pass
 
 
-class _Tols(dict):
-    """--tol overrides that remember every name a command looks up."""
-
-    def __init__(self):
-        super().__init__()
-        self.looked_up: dict[str, None] = {}
-
-    def get(self, name, default=None):
-        self.looked_up[name] = None
-        return super().get(name, default)
-
-
 def _int_at_least(lo: int):
     """argparse type: an int >= lo; argparse reports any other value (exit 2)."""
 
@@ -83,12 +75,14 @@ def _int_at_least(lo: int):
     return parse
 
 
-def _parse_tols(pairs: list[str] | None) -> _Tols:
-    out = _Tols()
+def _parse_tols(pairs: list[str] | None) -> dict[str, float]:
+    out = {}
     for pair in pairs or ():
-        name, sep, val = pair.partition("=")
+        name, sep, val = pair.rpartition("=")  # a check name may hold "=", a number never
         if not sep or not name:
             raise UsageError(f"--tol expects name=value, got {pair!r}")
+        if name in out:
+            raise UsageError(f"--tol {name!r} given twice")
         try:
             out[name] = float(val)
         except ValueError:
@@ -153,15 +147,18 @@ def _parse_grid(text: str, *, integer: bool = False, log: bool = False) -> list:
     return [i * step + lo for i in range(last)] + [hi]
 
 
-def _require_tols_used(tols: _Tols) -> None:
-    # a --tol that no check of the command looked up would otherwise pass
-    # silently: a typo, or a check whose tolerance is fixed
-    unused = [f"{k}={v!r}" for k, v in tols.items() if k not in tols.looked_up]
+def _apply_tols(checks: list[Check], tols: dict[str, float]) -> list[Check]:
+    """The checks with each --tol in place of the default tolerance of the check it names.
+
+    A name that matches no check here whose tolerance is not fixed would
+    otherwise pass silently: a typo, or a check whose tolerance is fixed.
+    """
+    takes = [c.name for c in checks if not c.fixed]
+    unused = [f"{k}={v!r}" for k, v in tols.items() if k not in takes]
     if unused:
-        names = ", ".join(tols.looked_up) or "none"
-        raise UsageError(
-            f"--tol {' '.join(unused)} matches no check here; checks that take one: {names}"
-        )
+        raise UsageError(f"--tol {' '.join(unused)} matches no check here; "
+                         f"checks that take one: {', '.join(takes) or 'none'}")
+    return [replace(c, tol=tols[c.name]) if c.name in tols else c for c in checks]
 
 
 def _check_dict(c: Check) -> dict:
@@ -193,7 +190,7 @@ def _emit(command: str, rows: list[dict], checks: list[Check], fmt: str) -> None
     sys.stdout.write(buf.getvalue())
 
 
-def cmd_nu(grid: list[float], tols: _Tols) -> tuple[list[dict], list[Check]]:
+def cmd_nu(grid: list[float]) -> tuple[list[dict], list[Check]]:
     """Norm-density table plus the two branch-constant checks."""
     if not all(math.isfinite(r) and r > 0 for r in grid):
         raise UsageError("nu table needs finite, strictly positive radii")
@@ -216,29 +213,21 @@ def cmd_nu(grid: list[float], tols: _Tols) -> tuple[list[dict], list[Check]]:
                 "ratio_large": v / (6.0 * math.pi * r),
             }
         )
-    t478 = tols.get("branch-constant", 0.01)
     v478 = math.sqrt(0.29 / nu(0.145))
     # 120 geometric points from 0.145 to 50; sqrt(eps/nu(eps)) decreases, so
     # the sup sits at the first point, which is exactly 0.145
     sup_grid = [0.145 * (50.0 / 0.145) ** (i / 119) for i in range(120)]
     vsup = max(math.sqrt(e / nu(e)) for e in sup_grid)
-    t35 = tols.get("branch-sup", 3.5)
     checks = [
         Check("branch-constant", "sqrt(0.29/nu(0.145)) = 4.78 +- 0.01",
-              v478, t478, abs(v478 - 4.78) <= t478),
+              v478, 0.01, lambda v, t: abs(v - 4.78) <= t),
         Check("branch-sup", "sup sqrt(eps/nu(eps)) on [0.145, 50] stays below",
-              vsup, t35, vsup < t35),
+              vsup, 3.5, operator.lt),
     ]
     return rows, checks
 
 
-def cmd_verify(suite: str, tols: _Tols, **knobs) -> tuple[list[dict], list[Check]]:
-    """Run one named invariant suite; rows mirror the checks."""
-    checks = run_suite(suite, tol=tols, **knobs)
-    return [_check_dict(c) for c in checks], checks
-
-
-def _covers_rows(degrees: list[int], tols: _Tols) -> tuple[list[dict], list[Check]]:
+def _covers_rows(degrees: list[int]) -> tuple[list[dict], list[Check]]:
     base = NormDatum(vol=1.0, inj=1.0, thurston=1.0, harmonic=4.0)
     try:
         fam = cover_family(CoverFamilyParams(base, tuple(degrees)))
@@ -260,15 +249,14 @@ def _covers_rows(degrees: list[int], tols: _Tols) -> tuple[list[dict], list[Chec
             }
         )
     spread = max(ratios) / min(ratios) - 1.0
-    t = tols.get("cover-ratio-constant", 1e-12)
     checks = [
         Check("cover-ratio-constant", "thurston/(harmonic sqrt(vol)) constant over degrees",
-              spread, t, spread <= t)
+              spread, 1e-12)
     ]
     return rows, checks
 
 
-def _filling_rows(n_grid: list[int], tols: _Tols) -> tuple[list[dict], list[Check]]:
+def _filling_rows(n_grid: list[int]) -> tuple[list[dict], list[Check]]:
     params = FillingFamilyParams()
     rows = []
     band = []
@@ -292,21 +280,19 @@ def _filling_rows(n_grid: list[int], tols: _Tols) -> tuple[list[dict], list[Chec
                 "ratio_over_sqrt_log": over,
             }
         )
-    t_lo = tols.get("filling-band-low", 1.75)
-    t_hi = tols.get("filling-band-high", 1.82)
     increasing = all(b > a for a, b in zip(ratios, ratios[1:]))
     checks = [
         Check("filling-band-low", "ratio/sqrt(log n) bounded below on the grid",
-              min(band), t_lo, min(band) >= t_lo),
+              min(band), 1.75, operator.ge),
         Check("filling-band-high", "ratio/sqrt(log n) bounded above on the grid",
-              max(band), t_hi, max(band) <= t_hi),
+              max(band), 1.82),
         Check("filling-ratio-increasing", "harmonic/thurston ratio increases along the grid",
-              float(increasing), 0.0, increasing),
+              float(increasing), 0.0, operator.gt, fixed=True),
     ]
     return rows, checks
 
 
-def _gluing_rows(n_grid: list[int], tols: _Tols) -> tuple[list[dict], list[Check]]:
+def _gluing_rows(n_grid: list[int]) -> tuple[list[dict], list[Check]]:
     params = GluingFamilyParams()
     rows = []
     last = None
@@ -325,24 +311,23 @@ def _gluing_rows(n_grid: list[int], tols: _Tols) -> tuple[list[dict], list[Check
                 "rate_paper": pt.rate_paper,
             }
         )
-    t_ln = tols.get("gluing-rate-ln", 0.002)
     checks = [
         Check("gluing-rate-ln", "log_th_lower/vol near ln(lam)/vol_block at the last n",
-              last.rate_ln, t_ln, abs(last.rate_ln - 0.128) <= t_ln),
+              last.rate_ln, 0.002, lambda v, t: abs(v - 0.128) <= t),
     ]
     return rows, checks
 
 
-def cmd_family(kind: str, tols: _Tols, n: str | None = None, degrees: str | None = None,
+def cmd_family(kind: str, n: str | None = None, degrees: str | None = None,
                log_grid: bool = False) -> tuple[list[dict], list[Check]]:
     if kind == "covers":
         if not degrees:
             raise UsageError("covers needs --degrees")
-        return _covers_rows(_parse_grid(degrees, integer=True), tols)
+        return _covers_rows(_parse_grid(degrees, integer=True))
     if not n:
         raise UsageError(f"{kind} needs --n")
     rows_of = _filling_rows if kind == "filling" else _gluing_rows
-    return rows_of(_parse_grid(n, integer=True, log=log_grid), tols)
+    return rows_of(_parse_grid(n, integer=True, log=log_grid))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -384,16 +369,17 @@ def main(argv: list[str] | None = None) -> int:
             raise UsageError(f"{command} does not read {', '.join(unread)}")
         tols = _parse_tols(args.tol)
         if args.command == "nu":
-            grid = _parse_grid(args.r, log=given.get("log_grid", False))
-            rows, checks = cmd_nu(grid, tols)
+            rows, checks = cmd_nu(_parse_grid(args.r, log=given.get("log_grid", False)))
         elif args.command == "verify":
-            rows, checks = cmd_verify(args.suite, tols, **given)
+            rows, checks = [], run_suite(args.suite, **given)
         else:
-            rows, checks = cmd_family(args.kind, tols, **given)
-        _require_tols_used(tols)
+            rows, checks = cmd_family(args.kind, **given)
+        checks = _apply_tols(checks, tols)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    if args.command == "verify":  # the rows of a suite mirror its checks
+        rows = [_check_dict(c) for c in checks]
     _emit(command, rows, checks, args.format)
     return 0 if all(c.passed for c in checks) else 1
 

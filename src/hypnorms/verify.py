@@ -1,20 +1,23 @@
 """Named invariant suites shared by the command-line front end and tests.
 
 Each suite function runs a fixed list of checks and returns Check records
-carrying a self-describing anchor string, the computed value, the
-tolerance it was held to, and the verdict.  Tolerances can be overridden
-per check name; randomized sweeps draw from a seeded generator so a fixed
-configuration reproduces byte-identical reports.  The float suites (ball,
-tube, dfbound) import numpy and the quadrature code when they run, so the
-exact suites (homalg, bns) run without numpy.
+carrying a self-describing anchor string, the computed value, its default
+tolerance and the rule that judges the value against a tolerance.  The
+front end applies any --tol override to the returned records.  Randomized
+sweeps draw from a seeded generator so a fixed configuration reproduces
+byte-identical reports.  The float suites (ball, tube, dfbound) import numpy
+and the quadrature code when they run, so the exact suites (homalg, bns)
+run without numpy.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
+import operator
 import random
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 from .fibering import (
     X064_RELATOR,
@@ -40,18 +43,25 @@ __all__ = ["Check", "SUITES", "SUITE_KNOBS", "run_suite"]
 
 @dataclass(frozen=True)
 class Check:
+    """One invariant: value held to tol by the verdict rule ok, value <= tol unless given.
+
+    A fixed check keeps its tolerance, so no --tol may name it.  The rule
+    takes no part in equality or repr, so two runs of a suite compare equal.
+    """
+
     name: str
     anchor: str
     value: float
     tol: float
-    passed: bool
+    ok: Callable[[float, float], bool] = field(default=operator.le, compare=False, repr=False)
+    fixed: bool = False
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.ok(self.value, self.tol))
 
 
-def _tol(overrides: dict[str, float] | None, name: str, default: float) -> float:
-    return float(overrides.get(name, default)) if overrides else default
-
-
-def suite_ball(order: int = 24, seed: int = 0, tol: dict | None = None) -> list[Check]:
+def suite_ball(order: int = 24, seed: int = 0) -> list[Check]:
     """Orthogonality of the scalar and covector mode families, plus Parseval."""
     import numpy as np
 
@@ -70,20 +80,16 @@ def suite_ball(order: int = 24, seed: int = 0, tol: dict | None = None) -> list[
             _, g = gram(3, r, order=order)
             scale = np.sqrt(np.outer(np.diag(g), np.diag(g)))
             off = np.abs(g / scale - np.eye(len(g))).max()
-            name = f"{label}-orthogonality-r={r}"
-            t = _tol(tol, name, 1e-8)
             checks.append(
-                Check(name, f"distinct {label} modes orthogonal in L2(B_{r})",
-                      float(off), t, bool(off <= t))
+                Check(f"{label}-orthogonality-r={r}",
+                      f"distinct {label} modes orthogonal in L2(B_{r})", float(off), 1e-8)
             )
     modes, g = omega_gram(3, 1.0, order=order)
     rel = max(
         abs(g[i, i] / mode_norm(ell, 1.0) - 1.0) for i, (ell, m) in enumerate(modes)
     )
-    t = _tol(tol, "omega-diagonal", 1e-9)
     checks.append(
-        Check("omega-diagonal", "diag gram = radial mode norm N_ell(1)",
-              float(rel), t, bool(rel <= t))
+        Check("omega-diagonal", "diag gram = radial mode norm N_ell(1)", float(rel), 1e-9)
     )
     rng = np.random.default_rng(seed)
     coeffs = {mode: float(rng.normal()) for mode in mode_indices(3, lmin=1)}
@@ -91,15 +97,13 @@ def suite_ball(order: int = 24, seed: int = 0, tol: dict | None = None) -> list[
     quad = ball_l2_norm_sq(expansion_field(exp), 1.5, order=max(order, 24))
     exact = sum(a * a * mode_norm(ell, 1.5) for (ell, m), a in coeffs.items())
     rel = abs(quad / exact - 1.0)
-    t = _tol(tol, "parseval", 1e-6)
     checks.append(
-        Check("parseval", "quadrature norm = sum a_lm^2 N_ell (r=1.5)",
-              float(rel), t, bool(rel <= t))
+        Check("parseval", "quadrature norm = sum a_lm^2 N_ell (r=1.5)", float(rel), 1e-6)
     )
     return checks
 
 
-def suite_tube(order: int = 24, tol: dict | None = None) -> list[Check]:
+def suite_tube(order: int = 24) -> list[Check]:
     """Closed tube forms against 3D quadrature, and the competitor margin.
 
     The competitors also run on the charts of the filling family,
@@ -135,20 +139,16 @@ def suite_tube(order: int = 24, tol: dict | None = None) -> list[Check]:
         base_sq = tube_form_norm(t_) ** 2
         for s in (0.1, -0.1, 0.01, -0.01):
             margin = min(margin, (competitor_norm_sq(t_, s) - base_sq) / base_sq)
-    out = []
-    t = _tol(tol, "tube-volume", 1e-9)
-    out.append(Check("tube-volume", "quadrature = pi eps sinh^2 R (3x3 grid)",
-                     float(vol_err), t, bool(vol_err <= t)))
-    t = _tol(tol, "tube-form-norm", 1e-9)
-    out.append(Check("tube-form-norm", "quadrature = sqrt((2 pi/eps) log cosh R)",
-                     float(norm_err), t, bool(norm_err <= t)))
-    t = _tol(tol, "tube-competitor", 1e-9)
-    out.append(Check("tube-competitor", "perturbed competitors never beat the core form",
-                     float(margin), t, bool(margin >= -t)))
-    return out
+    return [
+        Check("tube-volume", "quadrature = pi eps sinh^2 R (3x3 grid)", float(vol_err), 1e-9),
+        Check("tube-form-norm", "quadrature = sqrt((2 pi/eps) log cosh R)",
+              float(norm_err), 1e-9),
+        Check("tube-competitor", "perturbed competitors never beat the core form",
+              float(margin), 1e-9, lambda v, t: v >= -t),
+    ]
 
 
-def suite_dfbound(seed: int = 0, tol: dict | None = None) -> list[Check]:
+def suite_dfbound(seed: int = 0) -> list[Check]:
     """Sharpness of the center-gradient bound on pure and random expansions."""
     import numpy as np
 
@@ -164,17 +164,15 @@ def suite_dfbound(seed: int = 0, tol: dict | None = None) -> list[Check]:
         coeffs = {mode: float(rng.normal()) for mode in modes}
         exp = HarmonicExpansion(coeffs, truncation=4)
         worst = max(worst, max(check_df_bound(exp, r).ratio for r in radii))
-    t1 = _tol(tol, "dfbound-sharp", 1e-9)
-    t2 = _tol(tol, "dfbound-never-exceeded", 1e-9)
     return [
         Check("dfbound-sharp", "pure degree-1 mode saturates df sqrt(nu) = |f|",
-              float(pure_dev), t1, bool(pure_dev <= t1)),
+              float(pure_dev), 1e-9),
         Check("dfbound-never-exceeded", "200 random L=4 expansions stay below 1",
-              float(worst), t2, bool(worst <= 1.0 + t2)),
+              float(worst), 1e-9, lambda v, t: v <= 1.0 + t),
     ]
 
 
-def suite_homalg(tol: dict | None = None) -> list[Check]:
+def suite_homalg() -> list[Check]:
     """Exact integer identities: symplectic form, twist word, MV generators."""
     sympl = symplectic_check(MONODROMY, SYMPLECTIC_FORM)
     word = twist_word_matrix() == MONODROMY
@@ -188,19 +186,17 @@ def suite_homalg(tol: dict | None = None) -> list[Check]:
             failures += 1
     ratio = fbar_power(61).a / fbar_power(60).a
     growth = abs(ratio / GROWTH_RATE - 1.0)
-    t = _tol(tol, "homalg-growth", 1e-12)
     return [
-        Check("homalg-symplectic", "BtJB=J", float(not sympl), 0.0, sympl),
+        Check("homalg-symplectic", "BtJB=J", float(not sympl), 0.0, fixed=True),
         Check("homalg-twist-word", "composed transvections = monodromy matrix",
-              float(not word), 0.0, word),
+              float(not word), 0.0, fixed=True),
         Check("homalg-mv-generators", "rank-1 generators with coprime entries, n <= 60",
-              float(failures), 0.0, failures == 0),
-        Check("homalg-growth", "a(61)/a(60) = (3+sqrt 5)/2",
-              float(growth), t, bool(growth <= t)),
+              float(failures), 0.0, fixed=True),
+        Check("homalg-growth", "a(61)/a(60) = (3+sqrt 5)/2", float(growth), 1e-12),
     ]
 
 
-def suite_bns(seed: int = 0, tol: dict | None = None) -> list[Check]:
+def suite_bns(seed: int = 0) -> list[Check]:
     """Fibering data for the census relator plus cyclic-invariance sweep."""
     sums = exponent_sums(X064_RELATOR)
     found = fibered_characters(X064_RELATOR, 10)
@@ -223,11 +219,11 @@ def suite_bns(seed: int = 0, tol: dict | None = None) -> list[Check]:
             mismatches += 1
     return [
         Check("bns-exponent-sums", "census relator abelianizes to (0,0)",
-              float(abs(sums[0]) + abs(sums[1])), 0.0, sums == (0, 0)),
+              float(abs(sums[0]) + abs(sums[1])), 0.0, fixed=True),
         Check("bns-fibered-characters", "primitive fibered characters exist, bound 10",
-              float(len(found)), 1.0, len(found) >= 1),
+              float(len(found)), 1.0, operator.ge, fixed=True),
         Check("bns-cyclic-invariance", "status equal on 100 random cyclic rotations",
-              float(mismatches), 0.0, mismatches == 0),
+              float(mismatches), 0.0, fixed=True),
     ]
 
 
@@ -243,16 +239,16 @@ SUITES = {
 # a suite takes as parameters only the knobs it reads (order, seed), so the
 # front end can refuse a knob where it has no effect
 SUITE_KNOBS = {
-    name: frozenset(inspect.signature(suite).parameters) - {"tol"}
+    name: frozenset(inspect.signature(suite).parameters)
     for name, suite in SUITES.items()
 }
 
 
-def run_suite(name: str, tol: dict | None = None, **knobs) -> list[Check]:
-    """Run one suite with tol and the knobs given; ValueError for one it does not take."""
+def run_suite(name: str, **knobs) -> list[Check]:
+    """Run one suite with the knobs given; ValueError for one it does not take."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     unread = sorted(knobs.keys() - SUITE_KNOBS[name])
     if unread:
         raise ValueError(f"suite {name!r} does not read {', '.join(unread)}")
-    return SUITES[name](tol=tol, **knobs)
+    return SUITES[name](**knobs)

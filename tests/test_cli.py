@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypnorms import verify
-from hypnorms.cli import UsageError, _parse_grid, _parse_tols, _Tols, cmd_nu, main
+from hypnorms.cli import UsageError, _parse_grid, _parse_tols, cmd_nu, main
 from hypnorms.radial import nu
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
@@ -171,6 +171,12 @@ class TestGridParsing:
     def test_tol_zero_accepted(self):
         assert _parse_tols(["a=0"]) == {"a": 0.0}
 
+    @pytest.mark.parametrize("pairs", [["a=1", "a=1e-30"], ["a=1", "b=2", "a=1"]])
+    def test_tol_name_repeated(self, pairs):
+        # the last value silently replaced the first
+        with pytest.raises(UsageError, match="'a' given twice"):
+            _parse_tols(pairs)
+
 
 class TestNuCommand:
     def test_csv_three_rows(self, capsys):
@@ -209,6 +215,24 @@ class TestNuCommand:
         assert not by_name["branch-constant"]["pass"]
 
 
+# each of the nine commands with the names of its checks that take a --tol
+OVERRIDABLE = [
+    (["nu", "--r", "0.5,1"], ["branch-constant", "branch-sup"]),
+    (["verify", "ball", "--quad-order", "12"],
+     [f"{label}-orthogonality-r={r}" for r in (0.5, 2.0) for label in ("psi", "omega")]
+     + ["omega-diagonal", "parseval"]),
+    (["verify", "tube", "--quad-order", "12"],
+     ["tube-volume", "tube-form-norm", "tube-competitor"]),
+    (["verify", "dfbound"], ["dfbound-sharp", "dfbound-never-exceeded"]),
+    (["verify", "homalg"], ["homalg-growth"]),
+    (["verify", "bns"], []),
+    (["family", "covers", "--degrees", "1,2,4,8"], ["cover-ratio-constant"]),
+    (["family", "filling", "--n", "10,100,1000"], ["filling-band-low", "filling-band-high"]),
+    (["family", "gluing", "--n", "1..100"], ["gluing-rate-ln"]),
+]
+OVERRIDABLE_IDS = [" ".join(argv[:2]) for argv, _ in OVERRIDABLE]
+
+
 class TestTolOverrides:
     @pytest.mark.parametrize(
         "argv, names",
@@ -237,6 +261,7 @@ class TestTolOverrides:
             ["verify", "homalg", "--tol", "homalg-mv-generators=0"],
             ["verify", "bns", "--tol", "bns-fibered-characters=1"],
             ["verify", "bns", "--tol", "bns-exponent-sums=0"],
+            ["verify", "bns", "--tol", "bns-cyclic-invariance=0"],
             ["family", "filling", "--n", "10,100", "--tol", "filling-ratio-increasing=0"],
         ],
     )
@@ -258,6 +283,29 @@ class TestTolOverrides:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert "finite and >= 0" in err
+
+    def test_repeated_tol_usage_error(self, capsys):
+        # exited 0, holding homalg-growth to 1 and dropping 1e-30
+        code, out, err = run_cli(capsys, "verify", "homalg", "--tol", "homalg-growth=1",
+                                 "--tol", "homalg-growth=1e-30")
+        assert (code, out) == (2, "")
+        assert "'homalg-growth' given twice" in err
+
+    @pytest.mark.parametrize("argv, names", OVERRIDABLE, ids=OVERRIDABLE_IDS)
+    def test_checks_taking_a_tol(self, capsys, argv, names):
+        # the refusal of an unknown name lists exactly the non-fixed checks
+        code, out, err = run_cli(capsys, *argv, "--tol", "no-such-check=0")
+        assert (code, out) == (2, "")
+        assert err.rstrip().endswith(f"checks that take one: {', '.join(names) or 'none'}")
+
+    @pytest.mark.parametrize("argv, names", OVERRIDABLE, ids=OVERRIDABLE_IDS)
+    def test_default_given_as_tol_changes_nothing(self, capsys, argv, names):
+        # an override and a default take one route, so a default given explicitly
+        # reproduces the plain report byte for byte
+        plain = run_cli(capsys, *argv)
+        defaults = {c["name"]: c["tol"] for c in load_json(plain[1])["checks"]}
+        for name in names:
+            assert run_cli(capsys, *argv, "--tol", f"{name}={defaults[name]!r}") == plain, name
 
     def test_overridable_tol_still_taken(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "homalg", "--tol", "homalg-growth=1e-3")
@@ -358,6 +406,12 @@ class TestVerifyCommand:
         with pytest.raises(ValueError, match=named):
             verify.run_suite(suite, **knobs)
 
+    @pytest.mark.parametrize("suite", sorted(verify.SUITES))
+    def test_two_runs_compare_equal(self, suite):
+        # the verdict rule a check carries takes no part in equality
+        knobs = {"order": 12} if "order" in verify.SUITE_KNOBS[suite] else {}
+        assert verify.run_suite(suite, **knobs) == verify.run_suite(suite, **knobs)
+
 
 class TestFamilyCommand:
     def test_covers_constant_ratio(self, capsys):
@@ -410,7 +464,7 @@ class TestFamilyCommand:
 
     def test_branch_sup_is_the_geomspace_max(self):
         # the sup grid's stdlib form keeps the value of the sup over np.geomspace
-        _, checks = cmd_nu([1.0], _Tols())
+        _, checks = cmd_nu([1.0])
         sup = {c.name: c.value for c in checks}["branch-sup"]
         assert sup == max(math.sqrt(e / nu(e)) for e in np.geomspace(0.145, 50.0, 120))
 

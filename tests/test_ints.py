@@ -4,8 +4,9 @@ else raises ValueError naming the argument.
 
 One table lists every entry point that reads an integer, with the argument
 its message names and its range (None: no limit on that side).  Each entry
-is fed a bool, a float, a whole float, a string, lo - 1 and hi + 1.  Entries
-with no range read rows of integers (matrix rows, vectors, characters).
+is fed a bool, a float, a whole float, a string, lo - 1 and hi + 1, and
+-10**5000 and 10**5000, ints too long for repr.  Entries with no range read
+rows of integers (matrix rows, vectors, characters).
 """
 
 import math
@@ -19,6 +20,7 @@ from hypnorms.bounds import NormDatum
 BASE = NormDatum(vol=1.0, inj=1.0, thurston=1.0, harmonic=4.0)
 E1 = (1, 0, 0, 0)
 X064 = fibering.X064_RELATOR
+HUGE = 10**5000  # past the 4300 digits repr() prints
 
 # (entry point, call with the integer x in place, the name its message gives, lo, hi)
 ENTRY_POINTS = [
@@ -56,16 +58,18 @@ ENTRY_POINTS = [
 def _cases():
     for entry, call, what, lo, hi in ENTRY_POINTS:
         bad = [True, 2.5, 1.0, "1"]
-        bad += [] if lo is None else [lo - 1]
-        bad += [] if hi is None else [hi + 1]
+        bad += [] if lo is None else [lo - 1, -HUGE]
+        bad += [] if hi is None else [hi + 1, HUGE]
         for x in bad:
-            yield pytest.param(call, what, x, id=f"{entry}-{x!r}")
+            label = "10**5000" if x == HUGE else "-10**5000" if x == -HUGE else repr(x)
+            yield pytest.param(call, what, x, id=f"{entry}-{label}")
 
 
 @pytest.mark.parametrize("call, what, bad", _cases())
 def test_rule(call, what, bad):
     # fbar_power(True) answered for n = 1, fbar_power(2.5) raised TypeError from `&`,
-    # fibered_characters(X064, 401) scanned 644,809 characters without a word
+    # fibered_characters(X064, 401) scanned 644,809 characters without a word,
+    # fbar_power(10**5000) raised a ValueError from repr() naming no argument
     with pytest.raises(ValueError, match=f"^{re.escape(what)} must be "):
         call(bad)
 
@@ -98,7 +102,8 @@ def test_character_must_be_a_pair(chi):
     (lambda: ballfield.HarmonicExpansion({(1, 0, 0): 1.0}, 3), "coefficient index"),
     (lambda: ballfield.HarmonicExpansion({"ab": 1.0}, 3), "coefficient index"),
     (lambda: families.CoverFamilyParams(BASE, 4), "cover degrees"),
-], ids=["int-key", "triple-key", "string-key", "int-degrees"])
+    (lambda: homalg.MONODROMY.vec((HUGE,)), "vector"),
+], ids=["int-key", "triple-key", "string-key", "int-degrees", "short-vector-of-10**5000"])
 def test_rows_must_be_rows(call, what):
     # {5: 1.0} raised TypeError "cannot unpack", {(1, 0, 0): 1.0} a ValueError "too many
     # values to unpack" naming nothing, CoverFamilyParams(base, 4) TypeError "not iterable"

@@ -6,8 +6,8 @@ anything else raises ValueError naming the argument.
 One table lists every entry point that reads a real, with the argument its
 message names, its range (gt: > bound, ge: >= bound, lt: < bound) and a value
 inside it.  Each entry is fed a bool, a string, a complex, nan, +-inf, an
-int past the float range, the float just past each bound, and None where
-None is not the argument's default.
+int past the float range, one too long for repr, the float just past each
+bound, and None where None is not the argument's default.
 """
 
 import math
@@ -22,6 +22,7 @@ from hypnorms import ballfield, bounds, families, radial, tubefield
 
 ONE = ballfield.HarmonicExpansion({(1, 0): 1.0}, 1)
 CHART = tubefield.TubeChart(0.3, 1.2)
+HUGE = 10**5000  # past the 4300 digits repr() prints
 
 
 def datum(**field):
@@ -88,16 +89,18 @@ def _past(bounds_):
 
 def _cases():
     for entry, call, what, bounds_, _ in ENTRY_POINTS:
-        bad = [True, "1", 1 + 0j, math.nan, math.inf, -math.inf, 10**400, *_past(bounds_)]
+        bad = [True, "1", 1 + 0j, math.nan, math.inf, -math.inf, 10**400, HUGE, *_past(bounds_)]
         bad += [] if entry in OPTIONAL else [None]
         for x in bad:
-            yield pytest.param(call, what, x, id=f"{entry}-{x!r}"[:60])
+            label = "10**5000" if x == HUGE else repr(x)
+            yield pytest.param(call, what, x, id=f"{entry}-{label}"[:60])
 
 
 @pytest.mark.parametrize("call, what, bad", _cases())
 def test_rule(call, what, bad):
     # nu(True) answered for r = 1, nu("1") raised TypeError from math, nu(10**400)
-    # OverflowError, and GluingFamilyParams(vol_block=nan) was accepted
+    # OverflowError, nu(10**5000) a ValueError from repr() naming no argument, and
+    # GluingFamilyParams(vol_block=nan) was accepted
     with pytest.raises(ValueError, match=f"^{re.escape(what)} must be a finite real"):
         call(bad)
 
