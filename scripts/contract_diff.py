@@ -74,6 +74,10 @@ USAGE_ERRORS = [
     ["verify", "tube", "--tol", "tube-volum=1e-30"],
     ["verify", "homalg", "--tol", "homalg-growth=nan"],
     ["verify", "homalg", "--tol", "homalg-growth=1", "--tol", "homalg-growth=1e-30"],
+    ["nu"],
+    ["family", "covers"],
+    ["verify", "ball", "--r", "1"],
+    ["verify", "tube", "--quad-order", "257"],
 ]
 INVOCATIONS = BENCHMARK + README + FLAGS_FIRST + TOL_OVERRIDES + USAGE_ERRORS
 

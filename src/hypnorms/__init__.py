@@ -5,8 +5,10 @@ density nu (radial), harmonic 1-forms on a ball (ballfield), Margulis-tube
 model fields (tubefield), inequality plumbing between norms (bounds), the
 symplectic homology action of a monodromy (homalg), Brown's fibering
 criterion (fibering), parametric example families (families), and the
-named invariant suites behind the CLI (verify).  The names most scripts
-need are re-exported here.  They load on first access (PEP 562), so
+named invariant suites (verify).  The CLI (cli) runs the suites, the nu
+table and the family tables from one table of commands, each a function
+whose parameters are the flags it reads.  The names most scripts need are
+re-exported here.  They load on first access (PEP 562), so
 importing the package does not import numpy.  The exact layer (bounds,
 homalg, fibering, the cover and gluing families), radial, and tubefield's
 closed forms behind the filling family run without it; numpy loads only
@@ -72,7 +74,7 @@ _EXPORTS = {
         "filling_family",
         "gluing_family",
     ),
-    "verify": ("SUITES", "SUITE_KNOBS", "run_suite"),
+    "verify": ("SUITES",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -30,7 +30,7 @@ from numbers import Rational, Real
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from ._args import checked_real
+from ._args import _shown, checked_real
 from .radial import nu
 
 __all__ = [
@@ -133,15 +133,19 @@ def supnorm_factor(inj: float, b1_positive: bool, mu: float | None = None) -> fl
 
 
 def _vertex_coordinate(c) -> Fraction:
-    """c exactly: an int (not a bool), a Rational, a finite float or a rational string."""
-    if type(c) is Fraction:  # already exact; Fraction(c) would only rebuild it
-        return c
-    if not isinstance(c, bool) and isinstance(c, (Rational, float, str)):
-        try:
-            return Fraction(c)  # a float's exact binary value
-        except (ValueError, OverflowError, ZeroDivisionError):  # nan, +-inf, "x", "1/0"
-            pass
-    raise ValueError(f"vertex coordinate must be a finite rational number, got {c!r}")
+    """c exactly: an int (not a bool), a Rational, a finite float or a rational string,
+    0 or rounding to a normal float, so that the float rows of c and of 1/c are finite."""
+    x = c
+    try:
+        # a Fraction is already exact; Fraction(x) would only rebuild it
+        if type(x) is not Fraction and type(x) is not bool and isinstance(x, (Rational, float, str)):
+            x = Fraction(x)  # a float's exact binary value
+        if type(x) is Fraction and (not x or abs(float(x)) >= 2.0**-1022):
+            return x
+    except (ValueError, OverflowError, ZeroDivisionError):  # nan, +-inf, "x", "1/0", 10**400
+        pass
+    raise ValueError("vertex coordinate must be a finite rational number, 0 or of magnitude "
+                     f"in [2^-1022, 2^1024), got {_shown(c)}")
 
 
 def _integer_row(v: tuple[Fraction, ...]) -> tuple[int, ...]:
@@ -159,8 +163,13 @@ def _float_rows(rows) -> tuple[tuple[float, ...], ...]:
 
     The row sets here are centrally symmetric and a float dot product is odd
     in the row, so max |a.x| over the kept rows is max a.x over all of them.
+    Raises ValueError when a row leaves the float range, as a facet of a very
+    flat polytope can.
     """
-    return tuple(tuple(c / r[-1] for c in r[:-1]) for r in rows if next(filter(None, r)) > 0)
+    try:
+        return tuple(tuple(c / r[-1] for c in r[:-1]) for r in rows if next(filter(None, r)) > 0)
+    except OverflowError:
+        raise ValueError("a facet or vertex of the polytope leaves the float range") from None
 
 
 def _initial_cone(rows: list[tuple[int, ...]]) -> tuple[list[int], list[tuple[int, ...]]]:

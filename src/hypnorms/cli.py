@@ -6,11 +6,13 @@ Subcommands expose the library as reproducible one-line invocations:
   verify   run a named invariant suite (ball, tube, dfbound, homalg, bns)
   family   per-n rows for the cover, filling, and gluing families
 
-Each of the nine commands (nu, five suites, three families) reads --format,
---tol, and the flags _READS lists for it; any other flag given is a usage
-error.  A command returns its checks at their default tolerances, and
-_apply_tols then applies every --tol in one step: each name must match a
-check of the command whose tolerance is not fixed, and appear once.
+Each of the nine commands (nu, five suites, three families) is one function
+in _COMMANDS.  Besides --format and --tol, a command reads exactly the
+flags its function takes as keyword parameters and needs those without a
+default; any other flag given, or a needed one missing, is a usage error.
+A command returns its checks at their default tolerances, and _apply_tols
+then applies every --tol in one step: each name must match a check of the
+command whose tolerance is not fixed, and appear once.
 
 Output is JSON (default) or CSV, written to stdout only; diagnostics go
 to stderr.  A fixed invocation is byte-identical across runs: floats are
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import math
@@ -29,6 +32,7 @@ import operator
 import sys
 from dataclasses import replace
 
+from ._args import checked_int
 from .bounds import NormDatum
 from .families import (
     CoverFamilyParams,
@@ -39,22 +43,15 @@ from .families import (
     gluing_family,
 )
 from .radial import nu
-from .verify import SUITE_KNOBS, SUITES, Check, run_suite
+from .tubefield import MAX_ORDER
+from .verify import SUITES, Check
 
-__all__ = ["main", "cmd_nu", "cmd_family"]
+__all__ = ["main", "cmd_nu"]
 
 # the flags only some commands read, by argparse dest; each is left out of
 # the parsed arguments unless given
-_FLAGS = {"order": "--quad-order", "seed": "--seed", "n": "--n", "degrees": "--degrees",
-          "log_grid": "--log-grid"}
-# the flags each command reads; a suite reads the knobs it takes as parameters
-_READS = {
-    "nu": {"log_grid"},
-    **{f"verify {name}": knobs for name, knobs in SUITE_KNOBS.items()},
-    "family covers": {"degrees"},
-    "family filling": {"n", "log_grid"},
-    "family gluing": {"n", "log_grid"},
-}
+_FLAGS = {"r": "--r", "order": "--quad-order", "seed": "--seed", "n": "--n",
+          "degrees": "--degrees", "log_grid": "--log-grid"}
 _GRID_POINTS = 25  # points of a float or log a..b range; integer ranges step by (b - a) // 25
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1  # integer grid points are 64-bit
 
@@ -63,13 +60,15 @@ class UsageError(Exception):
     pass
 
 
-def _int_at_least(lo: int):
-    """argparse type: an int >= lo; argparse reports any other value (exit 2)."""
+def _int_in(lo: int, hi: int | None = None):
+    """argparse type: an int in [lo, hi] (hi None: no cap); argparse reports any other value."""
 
     def parse(text: str) -> int:
-        if int(text) < lo:
-            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {text}")
-        return int(text)
+        value = int(text)
+        try:
+            return checked_int(value, lo, hi, what="value")
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e))
 
     parse.__name__ = "int"  # argparse names the type: "invalid int value: 'x'"
     return parse
@@ -190,8 +189,9 @@ def _emit(command: str, rows: list[dict], checks: list[Check], fmt: str) -> None
     sys.stdout.write(buf.getvalue())
 
 
-def cmd_nu(grid: list[float]) -> tuple[list[dict], list[Check]]:
-    """Norm-density table plus the two branch-constant checks."""
+def cmd_nu(r: str, log_grid=False) -> tuple[list[dict], list[Check]]:
+    """Norm-density table on the radii of the grid r, plus the two branch-constant checks."""
+    grid = _parse_grid(r, log=log_grid)
     if not all(math.isfinite(r) and r > 0 for r in grid):
         raise UsageError("nu table needs finite, strictly positive radii")
     rows = []
@@ -227,15 +227,16 @@ def cmd_nu(grid: list[float]) -> tuple[list[dict], list[Check]]:
     return rows, checks
 
 
-def _covers_rows(degrees: list[int]) -> tuple[list[dict], list[Check]]:
+def _covers_rows(degrees: str) -> tuple[list[dict], list[Check]]:
+    grid = _parse_grid(degrees, integer=True)
     base = NormDatum(vol=1.0, inj=1.0, thurston=1.0, harmonic=4.0)
     try:
-        fam = cover_family(CoverFamilyParams(base, tuple(degrees)))
+        fam = cover_family(CoverFamilyParams(base, tuple(grid)))
     except ValueError as e:
         raise UsageError(str(e))
     rows = []
     ratios = []
-    for d, datum in zip(degrees, fam):
+    for d, datum in zip(grid, fam):
         ratio = datum.thurston / (datum.harmonic * math.sqrt(datum.vol))
         ratios.append(ratio)
         rows.append(
@@ -256,12 +257,13 @@ def _covers_rows(degrees: list[int]) -> tuple[list[dict], list[Check]]:
     return rows, checks
 
 
-def _filling_rows(n_grid: list[int]) -> tuple[list[dict], list[Check]]:
+def _filling_rows(n: str, log_grid=False) -> tuple[list[dict], list[Check]]:
+    grid = _parse_grid(n, integer=True, log=log_grid)
     params = FillingFamilyParams()
     rows = []
     band = []
     ratios = []
-    for n in n_grid:
+    for n in grid:
         try:
             pt = filling_family(params, n)
         except ValueError as e:
@@ -292,11 +294,12 @@ def _filling_rows(n_grid: list[int]) -> tuple[list[dict], list[Check]]:
     return rows, checks
 
 
-def _gluing_rows(n_grid: list[int]) -> tuple[list[dict], list[Check]]:
+def _gluing_rows(n: str, log_grid=False) -> tuple[list[dict], list[Check]]:
+    grid = _parse_grid(n, integer=True, log=log_grid)
     params = GluingFamilyParams()
     rows = []
     last = None
-    for n in n_grid:
+    for n in grid:
         try:
             pt = gluing_family(params, n)
         except ValueError as e:
@@ -318,16 +321,16 @@ def _gluing_rows(n_grid: list[int]) -> tuple[list[dict], list[Check]]:
     return rows, checks
 
 
-def cmd_family(kind: str, n: str | None = None, degrees: str | None = None,
-               log_grid: bool = False) -> tuple[list[dict], list[Check]]:
-    if kind == "covers":
-        if not degrees:
-            raise UsageError("covers needs --degrees")
-        return _covers_rows(_parse_grid(degrees, integer=True))
-    if not n:
-        raise UsageError(f"{kind} needs --n")
-    rows_of = _filling_rows if kind == "filling" else _gluing_rows
-    return rows_of(_parse_grid(n, integer=True, log=log_grid))
+# each command by name; a suite returns its checks alone, the others (rows, checks)
+_COMMANDS = {
+    "nu": cmd_nu,
+    **{f"verify {name}": suite for name, suite in SUITES.items()},
+    "family covers": _covers_rows,
+    "family filling": _filling_rows,
+    "family gluing": _gluing_rows,
+}
+# the flags a command reads are its parameters; it needs those without a default
+_PARAMS = {command: inspect.signature(f).parameters for command, f in _COMMANDS.items()}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -336,15 +339,16 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--tol", action="append", metavar="NAME=VAL")
     suppress = argparse.SUPPRESS  # the _FLAGS are absent unless given
-    common.add_argument("--quad-order", dest="order", type=_int_at_least(4), default=suppress)
-    common.add_argument("--seed", type=_int_at_least(0), default=suppress)
+    common.add_argument("--r", default=suppress, help="comma list or a..b range of radii")
+    common.add_argument("--quad-order", dest="order", type=_int_in(4, MAX_ORDER),
+                        default=suppress)
+    common.add_argument("--seed", type=_int_in(0), default=suppress)
     common.add_argument("--n", default=suppress, help="comma list or a..b range of n")
     common.add_argument("--degrees", default=suppress, help="comma list of cover degrees")
     common.add_argument("--log-grid", action="store_true", default=suppress)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_nu = sub.add_parser("nu", parents=[common], help="radial norm-density table")
-    p_nu.add_argument("--r", required=True, help="comma list or a..b range")
+    sub.add_parser("nu", parents=[common], help="radial norm-density table")
 
     p_verify = sub.add_parser("verify", parents=[common], help="run an invariant suite")
     p_verify.add_argument("suite", choices=sorted(SUITES))
@@ -364,21 +368,21 @@ def main(argv: list[str] | None = None) -> int:
     command = " ".join(getattr(args, k) for k in ("command", "suite", "kind") if k in args)
     try:
         given = {dest: getattr(args, dest) for dest in _FLAGS if dest in args}
-        unread = [_FLAGS[dest] for dest in given if dest not in _READS[command]]
+        params = _PARAMS[command]
+        unread = [_FLAGS[dest] for dest in given if dest not in params]
         if unread:
             raise UsageError(f"{command} does not read {', '.join(unread)}")
+        missing = [_FLAGS[p] for p, v in params.items() if v.default is v.empty and p not in given]
+        if missing:
+            raise UsageError(f"{command} needs {', '.join(missing)}")
         tols = _parse_tols(args.tol)
-        if args.command == "nu":
-            rows, checks = cmd_nu(_parse_grid(args.r, log=given.get("log_grid", False)))
-        elif args.command == "verify":
-            rows, checks = [], run_suite(args.suite, **given)
-        else:
-            rows, checks = cmd_family(args.kind, **given)
+        result = _COMMANDS[command](**given)
+        rows, checks = (None, result) if args.command == "verify" else result
         checks = _apply_tols(checks, tols)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if args.command == "verify":  # the rows of a suite mirror its checks
+    if rows is None:  # the rows of a suite mirror its checks
         rows = [_check_dict(c) for c in checks]
     _emit(command, rows, checks, args.format)
     return 0 if all(c.passed for c in checks) else 1

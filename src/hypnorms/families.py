@@ -33,6 +33,7 @@ __all__ = [
     "FillingPoint",
     "GluingPoint",
     "cover_family",
+    "filling_chart",
     "filling_family",
     "gluing_family",
 ]
@@ -118,29 +119,40 @@ class FillingPoint(NamedTuple):
     ratio: float
 
 
+def filling_chart(p: FillingFamilyParams, n: int):
+    """The tube about the short geodesic of the n-th filling, as a TubeChart.
+
+    Its core length eps = 2*c1/n^2 is twice the injectivity radius, and its
+    depth is arcsinh(c2*n).  n < 2^63.
+    """
+    from .tubefield import TubeChart  # only filling rows load the tube module
+
+    checked_int(n, 1, 2**63 - 1, what="n")
+    return TubeChart(epsilon=2.0 * (p.c1 / float(n) ** 2), R=math.asinh(p.c2 * n))
+
+
 def filling_family(p: FillingFamilyParams, n: int) -> FillingPoint:
     """One filled manifold: datum, tube-certified harmonic lower bound, ratio.
 
-    thurston = n*th_alpha + th_beta - 2 (must be positive), the core of the
-    short geodesic has length 2*inj = 2*c1/n^2, and the embedded tube about
-    it has depth arcsinh(c2*n).  harmonic_lower is the closed-form tube norm
-    tube_form_norm of that chart; the perturbed competitors that certify it
-    as a lower bound are integrated on charts of this shape by the tube
-    suite (verify tube), not on every row.  The harmonic norm entry of the
-    datum is the lower bound itself, so the datum passes the two-sided
-    consistency gate only when the model is in range, which is the point.
-    ratio = harmonic_lower/thurston grows like sqrt(log n).  n < 2^63.
+    thurston = n*th_alpha + th_beta - 2 (must be positive), and the tube
+    about the short geodesic is filling_chart(p, n), with inj half its core
+    length.  harmonic_lower is the closed-form tube norm tube_form_norm of
+    that chart; the perturbed competitors that certify it as a lower bound
+    are integrated on these charts by the tube suite (verify tube), not on
+    every row.  The harmonic norm entry of the datum is the lower bound
+    itself, so the datum passes the two-sided consistency gate only when
+    the model is in range, which is the point.  ratio =
+    harmonic_lower/thurston grows like sqrt(log n).  n < 2^63.
     """
-    from .tubefield import TubeChart, tube_form_norm  # only filling rows load the tube module
+    from .tubefield import tube_form_norm
 
-    checked_int(n, 1, 2**63 - 1, what="n")
+    chart = filling_chart(p, n)  # first, as it refuses an n that is not an int in [1, 2^63)
     thurston = n * p.th_alpha + p.th_beta - 2.0
     if thurston <= 0:
         raise ValueError(f"model needs n*th_alpha + th_beta > 2, got n = {n}")
-    inj = p.c1 / float(n) ** 2
-    chart = TubeChart(epsilon=2.0 * inj, R=math.asinh(p.c2 * n))
     harmonic_lower = tube_form_norm(chart)
-    datum = NormDatum(vol=p.vol_w, inj=inj, thurston=thurston, harmonic=harmonic_lower)
+    datum = NormDatum(vol=p.vol_w, inj=chart.epsilon / 2.0, thurston=thurston,
+                      harmonic=harmonic_lower)
     return FillingPoint(datum, harmonic_lower, harmonic_lower / thurston)
 
 

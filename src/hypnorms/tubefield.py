@@ -44,6 +44,11 @@ __all__ = [
     "tube_volume",
 ]
 
+# The largest Gauss-Legendre order: its rule is a dense order x order
+# eigenproblem, and a theta-dependent tube field makes 2 order^3 doubles per
+# temporary array, about 270 MB at 256.  No caller uses more than 48.
+MAX_ORDER = 256
+
 
 @dataclass(frozen=True)
 class TubeChart:
@@ -108,9 +113,9 @@ def _rule(order: int):
 def _gl(a: float, b: float, order: int):
     """Gauss-Legendre nodes a + (b - a)(x + 1)/2 and weights (b - a) w/2 on [a, b].
 
-    Raises ValueError unless order is an integer >= 4.
+    Raises ValueError unless order is an integer in [4, MAX_ORDER].
     """
-    x, w = _rule(checked_int(order, 4, what="quadrature order"))
+    x, w = _rule(checked_int(order, 4, MAX_ORDER, what="quadrature order"))
     return a + 0.5 * (b - a) * (x + 1.0), 0.5 * (b - a) * w
 
 

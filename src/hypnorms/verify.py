@@ -2,8 +2,10 @@
 
 Each suite function runs a fixed list of checks and returns Check records
 carrying a self-describing anchor string, the computed value, its default
-tolerance and the rule that judges the value against a tolerance.  The
-front end applies any --tol override to the returned records.  Randomized
+tolerance and the rule that judges the value against a tolerance.  A suite
+takes as parameters exactly the knobs it reads (order, seed), and the front
+end refuses any other: `verify NAME` calls SUITES[NAME] with the flags
+given, then applies any --tol override to the returned records.  Randomized
 sweeps draw from a seeded generator so a fixed configuration reproduces
 byte-identical reports.  The float suites (ball, tube, dfbound) import numpy
 and the quadrature code when they run, so the exact suites (homalg, bns)
@@ -12,13 +14,13 @@ run without numpy.
 
 from __future__ import annotations
 
-import inspect
 import math
 import operator
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
+from .families import FillingFamilyParams, filling_chart
 from .fibering import (
     X064_RELATOR,
     Word,
@@ -38,7 +40,7 @@ from .homalg import (
 )
 from .radial import mode_norm
 
-__all__ = ["Check", "SUITES", "SUITE_KNOBS", "run_suite"]
+__all__ = ["Check", "SUITES"]
 
 
 @dataclass(frozen=True)
@@ -106,9 +108,9 @@ def suite_ball(order: int = 24, seed: int = 0) -> list[Check]:
 def suite_tube(order: int = 24) -> list[Check]:
     """Closed tube forms against 3D quadrature, and the competitor margin.
 
-    The competitors also run on the charts of the filling family,
-    eps = 2/n^2 and R = asinh n, which is what certifies its harmonic
-    lower bounds.
+    The competitors also run on the charts of the filling family
+    (families.filling_chart), which is what certifies its harmonic lower
+    bounds.
     """
     import numpy as np
 
@@ -125,7 +127,7 @@ def suite_tube(order: int = 24) -> list[Check]:
         for e in (0.05, 0.3, 1.0)
         for R in (0.4, 1.2, 2.5)
     ]
-    filling = [TubeChart(epsilon=2.0 / n**2, R=math.asinh(n)) for n in (10, 10**3, 10**6)]
+    filling = [filling_chart(FillingFamilyParams(), n) for n in (10, 10**3, 10**6)]
     vol_err = 0.0
     norm_err = 0.0
     margin = math.inf
@@ -234,21 +236,3 @@ SUITES = {
     "homalg": suite_homalg,
     "bns": suite_bns,
 }
-
-
-# a suite takes as parameters only the knobs it reads (order, seed), so the
-# front end can refuse a knob where it has no effect
-SUITE_KNOBS = {
-    name: frozenset(inspect.signature(suite).parameters)
-    for name, suite in SUITES.items()
-}
-
-
-def run_suite(name: str, **knobs) -> list[Check]:
-    """Run one suite with the knobs given; ValueError for one it does not take."""
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    unread = sorted(knobs.keys() - SUITE_KNOBS[name])
-    if unread:
-        raise ValueError(f"suite {name!r} does not read {', '.join(unread)}")
-    return SUITES[name](**knobs)

@@ -9,6 +9,7 @@ independent oracles for the facet form and the sup ball.
 """
 
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -373,6 +374,27 @@ class TestPolytopeNorm:
         # True built the diamond; None and 1j raised TypeError
         with pytest.raises(ValueError, match="^vertex coordinate must be a finite rational"):
             PolytopeNorm([(bad, 0), (0, 1), (-1, 0), (0, -1)])
+
+    @pytest.mark.parametrize("c", [10**400, Fraction(1, 10**400), 5e-324],
+                             ids=["10^400", "10^-400", "subnormal"])
+    def test_coordinate_past_float_range(self, c):
+        # each raised OverflowError "integer division result too large for a float", from
+        # a vertex row (10^400) or from a facet row (the others)
+        with pytest.raises(ValueError, match=r"^vertex coordinate must be .* 2\^1024\), got "):
+            PolytopeNorm([(c, 0), (-c, 0), (0, 1), (0, -1)])
+
+    @pytest.mark.parametrize("c", [2.0**-1022, 2.0**1023, sys.float_info.max])
+    def test_coordinate_at_float_range_edge(self, c):
+        p = PolytopeNorm([(c, 0), (-c, 0), (0, 1), (0, -1)])
+        # the facet row holds 1/c, a subnormal float for c past 2^1022
+        assert polytope_gauge(p, (c, 0.0)) == pytest.approx(1.0, rel=1e-14)
+        assert dual_norm(p, (1.0, 0.0)) == c
+
+    def test_flat_polytope_past_float_range(self):
+        # every coordinate a normal float, but the facet through (1, 0) and
+        # (2^1000, 2^-1022) has a normal of size ~2^2022: OverflowError from a facet row
+        with pytest.raises(ValueError, match="leaves the float range"):
+            PolytopeNorm([(1, 0), (-1, 0), (2**1000, 2.0**-1022), (-(2**1000), -(2.0**-1022))])
 
     def test_exact_coordinates_accepted(self):
         # ints, Fractions, rational strings and finite floats are read exactly

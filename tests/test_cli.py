@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypnorms import verify
-from hypnorms.cli import UsageError, _parse_grid, _parse_tols, cmd_nu, main
+from hypnorms.cli import _FLAGS, _PARAMS, UsageError, _parse_grid, _parse_tols, cmd_nu, main
 from hypnorms.radial import nu
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
@@ -386,31 +386,12 @@ class TestVerifyCommand:
         # the defaults given explicitly reproduce the plain report
         assert run_cli(capsys, "verify", suite, *flags) == run_cli(capsys, "verify", suite)
 
-    def test_knob_readers_are_the_suites_taking_the_knob(self):
-        assert verify.SUITE_KNOBS == {
-            "ball": {"order", "seed"},
-            "tube": {"order"},
-            "dfbound": {"seed"},
-            "homalg": set(),
-            "bns": {"seed"},
-        }
-
-    @pytest.mark.parametrize("suite, knobs, named", [
-        ("homalg", {"order": 3, "seed": 5}, "order"),
-        ("tube", {"seed": 0}, "seed"),
-        ("dfbound", {"order": 24}, "order"),
-        ("bns", {"quad_order": 24}, "quad_order"),
-    ])
-    def test_run_suite_refuses_unread_knob(self, suite, knobs, named):
-        # a knob the suite does not take would otherwise be dropped silently
-        with pytest.raises(ValueError, match=named):
-            verify.run_suite(suite, **knobs)
-
     @pytest.mark.parametrize("suite", sorted(verify.SUITES))
     def test_two_runs_compare_equal(self, suite):
         # the verdict rule a check carries takes no part in equality
-        knobs = {"order": 12} if "order" in verify.SUITE_KNOBS[suite] else {}
-        assert verify.run_suite(suite, **knobs) == verify.run_suite(suite, **knobs)
+        knobs = {"order": 12} if suite in ("ball", "tube") else {}
+        run = verify.SUITES[suite]
+        assert run(**knobs) == run(**knobs)
 
 
 class TestFamilyCommand:
@@ -464,7 +445,7 @@ class TestFamilyCommand:
 
     def test_branch_sup_is_the_geomspace_max(self):
         # the sup grid's stdlib form keeps the value of the sup over np.geomspace
-        _, checks = cmd_nu([1.0])
+        _, checks = cmd_nu("1")
         sup = {c.name: c.value for c in checks}["branch-sup"]
         assert sup == max(math.sqrt(e / nu(e)) for e in np.geomspace(0.145, 50.0, 120))
 
@@ -515,6 +496,7 @@ COMMANDS = {
     "family gluing": ["family", "gluing", "--n", "1,2"],
 }
 FLAGS = {
+    "--r": ["--r", "1"],
     "--quad-order": ["--quad-order", "24"],
     "--seed": ["--seed", "0"],
     "--n": ["--n", "5"],
@@ -523,7 +505,7 @@ FLAGS = {
 }
 # the flags each command reads, written out rather than taken from the CLI's own table
 READS = {
-    "nu": {"--log-grid"},
+    "nu": {"--r", "--log-grid"},
     "verify ball": {"--quad-order", "--seed"},
     "verify tube": {"--quad-order"},
     "verify dfbound": {"--seed"},
@@ -542,6 +524,21 @@ class TestFlagContract:
         code, out, err = run_cli(capsys, *COMMANDS[command], *FLAGS[flag])
         assert (code, out) == (2, "")
         assert f"{command} does not read {flag}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["nu"], "--r"),
+        (["family", "covers"], "--degrees"),
+        (["family", "filling"], "--n"),
+        (["family", "gluing"], "--n"),
+    ])
+    def test_needed_flag_missing_usage_error(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"needs {flag}" in err and "Traceback" not in err
+
+    def test_reads_are_the_command_parameters(self):
+        # the CLI derives each command's flags from its function's signature
+        assert {c: {_FLAGS[p] for p in params} for c, params in _PARAMS.items()} == READS
 
     @pytest.mark.parametrize("before, after", [
         (["verify", "--format", "csv", "homalg"], ["verify", "homalg", "--format", "csv"]),
@@ -569,6 +566,7 @@ class TestFlagContract:
         ["verify", "ball", "--quad-order", "x"],
         ["verify", "bns", "--seed", "1.5"],
         ["verify", "homalg", "--format", "xml"],
+        ["verify", "tube", "--quad-order", "257"],  # ran; the rule is an order x order eigenproblem
     ])
     def test_malformed_flag_value_usage_error(self, capsys, argv):
         # argparse refuses these values before any command runs
