@@ -53,6 +53,18 @@ TOL_OVERRIDES = [
     ["verify", "homalg", "--tol", "homalg-growth=1e-3"],
     ["family", "covers", "--degrees", "1,2,4,8", "--tol", "cover-ratio-constant=0"],
 ]
+# The float suites off their defaults and numpy's log grid.  They read the
+# quadrature rule and CPU-picked numpy kernels, so they are compared tree
+# against tree here rather than pinned in goldens.
+FLOAT_COMMANDS = [
+    ["verify", "ball", "--quad-order", "8"],
+    ["verify", "ball", "--quad-order", "16"],
+    ["verify", "ball", "--quad-order", "48", "--seed", "5"],
+    ["verify", "ball", "--seed", "3"],
+    ["verify", "tube", "--quad-order", "48"],
+    ["verify", "dfbound", "--seed", "4"],
+    ["nu", "--r", "0.01..10", "--log-grid"],
+]
 # Usage errors: exit 2 and empty stdout, several from the integer rule.
 USAGE_ERRORS = [
     ["family", "gluing", "--n", "0"],
@@ -79,7 +91,7 @@ USAGE_ERRORS = [
     ["verify", "ball", "--r", "1"],
     ["verify", "tube", "--quad-order", "257"],
 ]
-INVOCATIONS = BENCHMARK + README + FLAGS_FIRST + TOL_OVERRIDES + USAGE_ERRORS
+INVOCATIONS = BENCHMARK + README + FLAGS_FIRST + TOL_OVERRIDES + FLOAT_COMMANDS + USAGE_ERRORS
 
 
 def run(tree: Path, argv: list[str]) -> tuple[int, str]:

@@ -2,19 +2,19 @@
 
 Submodules group by the object being computed: radial profiles and the
 density nu (radial), harmonic 1-forms on a ball (ballfield), Margulis-tube
-model fields (tubefield), inequality plumbing between norms (bounds), the
-symplectic homology action of a monodromy (homalg), Brown's fibering
-criterion (fibering), parametric example families (families), and the
-named invariant suites (verify).  The CLI (cli) runs the suites, the nu
-table and the family tables from one table of commands, each a function
-whose parameters are the flags it reads.  The names most scripts need are
-re-exported here.  They load on first access (PEP 562), so
-importing the package does not import numpy.  The exact layer (bounds,
-homalg, fibering, the cover and gluing families), radial, and tubefield's
-closed forms behind the filling family run without it; numpy loads only
-in ballfield and where tubefield builds quadrature arrays.  Every integer
-and every real argument follows one rule each (README, Conventions), both
-kept in _args.
+model fields (tubefield), the Gauss-Legendre rule and circle grid of both
+(quadrature), norm inequalities (bounds), the symplectic homology action of
+a monodromy (homalg), Brown's fibering criterion (fibering), parametric
+example families (families), and the named invariant suites (verify).  The
+CLI (cli) runs the suites, the nu table and the family tables from one
+table of commands, each a function whose parameters are the flags it reads.
+The names most scripts need are re-exported here.  They load on first
+access (PEP 562), so importing the package does not import numpy.  The
+exact layer (bounds, homalg, fibering, the cover and gluing families),
+radial, and tubefield's closed forms behind the filling family run without
+it; numpy loads only in ballfield and where tubefield or quadrature build
+arrays.  Every integer and every real argument follows one rule each
+(README, Conventions), both kept in _args.
 """
 
 import importlib
@@ -27,7 +27,6 @@ _EXPORTS = {
         "HarmonicExpansion",
         "ball_l2_norm_sq",
         "check_df_bound",
-        "expansion_field",
         "mode_indices",
         "omega_gram",
         "psi_gram",
@@ -44,6 +43,7 @@ _EXPORTS = {
     "bounds": (
         "NormDatum",
         "PolytopeNorm",
+        "branch_constant",
         "dual_norm",
         "polytope_gauge",
         "supnorm_factor",

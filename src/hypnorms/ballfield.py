@@ -44,15 +44,13 @@ import numpy as np
 
 from ._args import checked_int, checked_ints, checked_real
 from .radial import MAX_ELL, profiles
-from .tubefield import _gl, _theta_grid
+from .quadrature import gauss_legendre, theta_grid
 
 __all__ = [
-    "BallField",
     "DfBoundReport",
     "HarmonicExpansion",
     "ball_l2_norm_sq",
     "check_df_bound",
-    "expansion_field",
     "mode_indices",
     "omega_gram",
     "psi_gram",
@@ -151,23 +149,16 @@ def _over_sin_factor(ell: int, am: int, x):
     ) / (2 * am)
 
 
-@dataclass(frozen=True)
-class BallField:
-    """The differential d Psi of a harmonic expansion Psi, as a 1-form on a ball.
-
-    ball_l2_norm_sq integrates it through the Gram matrix of its modes.
-    """
-
-    expansion: HarmonicExpansion
-
-
-def expansion_field(expansion: HarmonicExpansion) -> BallField:
-    return BallField(expansion)
+# The identity, kept only because benchmark/fields.py calls ball_l2_norm_sq
+# through it; ROADMAP item 1 deletes it together with that call.
+def expansion_field(expansion: HarmonicExpansion) -> HarmonicExpansion:
+    return expansion
 
 
 def _quad_nodes(r: float, order: int):
     r = checked_real(r, what="r", gt=0)
-    return (*_gl(0.0, r, order), *_gl(0.0, math.pi, order), *_theta_grid(order))
+    return (*gauss_legendre(0.0, r, order), *gauss_legendre(0.0, math.pi, order),
+            *theta_grid(order))
 
 
 def _weighted_gram(rows, weights):
@@ -272,8 +263,8 @@ def omega_gram(lmax: int, r: float, order: int = 48):
     return modes, _omega_gram(modes, r, order)
 
 
-def ball_l2_norm_sq(field: BallField, r: float, order: int = 48) -> float:
-    """integral over B_r of |field|^2 dVol, by tensor-product quadrature.
+def ball_l2_norm_sq(expansion: HarmonicExpansion, r: float, order: int = 48) -> float:
+    """integral over B_r of |d Psi|^2 dVol for the expansion Psi, by tensor quadrature.
 
     Gauss-Legendre in r and phi, uniform (trapezoid on the periodic circle)
     in theta with 2*order points.  The integral is the quadratic form
@@ -282,9 +273,10 @@ def ball_l2_norm_sq(field: BallField, r: float, order: int = 48) -> float:
     and per-factor angular Grams as in omega_gram; a nonfinite result
     raises ValueError.
     """
-    if not isinstance(field, BallField):
-        raise TypeError(f"ball_l2_norm_sq needs a BallField, got {type(field).__name__}")
-    terms = [((ell, m), a) for (ell, m), a in field.expansion.items() if a != 0.0 and ell >= 1]
+    if not isinstance(expansion, HarmonicExpansion):
+        raise TypeError(
+            f"ball_l2_norm_sq needs a HarmonicExpansion, got {type(expansion).__name__}")
+    terms = [((ell, m), a) for (ell, m), a in expansion.items() if a != 0.0 and ell >= 1]
     if not terms:
         _quad_nodes(r, order)  # validates r and order
         return 0.0

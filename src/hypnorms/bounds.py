@@ -37,6 +37,7 @@ __all__ = [
     "MainBounds",
     "NormDatum",
     "PolytopeNorm",
+    "branch_constant",
     "dual_norm",
     "inf_of_duals_check",
     "polytope_gauge",
@@ -106,6 +107,12 @@ def thm_main_bounds(d: NormDatum) -> MainBounds:
     return MainBounds(lower, upper, lower > upper)
 
 
+def branch_constant(mu: float = MU_DEFAULT) -> float:
+    """sqrt(mu / nu(mu/2)), supnorm_factor's constant below inj = mu/2; 4.78 at the default."""
+    mu = checked_real(mu, what="mu", gt=0)
+    return math.sqrt(mu / nu(mu / 2.0))
+
+
 def supnorm_factor(inj: float, b1_positive: bool, mu: float | None = None) -> float:
     """Pointwise-over-L2 factor for harmonic 1-forms: |alpha| <= factor ||alpha||.
 
@@ -129,7 +136,7 @@ def supnorm_factor(inj: float, b1_positive: bool, mu: float | None = None) -> fl
     mu = checked_real(mu, what="mu", gt=0)
     if inj >= mu / 2.0:
         return 1.0 / math.sqrt(nu(inj))
-    return math.sqrt(mu / nu(mu / 2.0)) / math.sqrt(inj)
+    return branch_constant(mu) / math.sqrt(inj)
 
 
 def _vertex_coordinate(c) -> Fraction:

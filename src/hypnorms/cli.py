@@ -33,7 +33,7 @@ import sys
 from dataclasses import replace
 
 from ._args import checked_int
-from .bounds import NormDatum
+from .bounds import NormDatum, branch_constant
 from .families import (
     CoverFamilyParams,
     FillingFamilyParams,
@@ -42,8 +42,8 @@ from .families import (
     filling_family,
     gluing_family,
 )
+from .quadrature import MAX_ORDER
 from .radial import nu
-from .tubefield import MAX_ORDER
 from .verify import SUITES, Check
 
 __all__ = ["main", "cmd_nu"]
@@ -213,7 +213,7 @@ def cmd_nu(r: str, log_grid=False) -> tuple[list[dict], list[Check]]:
                 "ratio_large": v / (6.0 * math.pi * r),
             }
         )
-    v478 = math.sqrt(0.29 / nu(0.145))
+    v478 = branch_constant()
     # 120 geometric points from 0.145 to 50; sqrt(eps/nu(eps)) decreases, so
     # the sup sits at the first point, which is exactly 0.145
     sup_grid = [0.145 * (50.0 / 0.145) ** (i / 119) for i in range(120)]

@@ -19,19 +19,18 @@ conditions of the averaging argument without implementing the averaging
 itself.
 
 The closed forms (TubeChart, tube_volume, tube_form_norm, remark_ratio)
-use math alone, so importing this module loads no numpy; the functions
-that build arrays (the quadrature rule and grids, tube_l2_norm_sq and the
-competitors) import it when they run.
+use math alone, so importing this module loads no numpy; tube_l2_norm_sq
+and the competitors import it when they run, on the grids of quadrature.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
-from ._args import checked_int, checked_real
+from ._args import checked_real
+from .quadrature import gauss_legendre, theta_grid
 
 __all__ = [
     "TubeChart",
@@ -43,12 +42,6 @@ __all__ = [
     "tube_lower_bound",
     "tube_volume",
 ]
-
-# The largest Gauss-Legendre order: its rule is a dense order x order
-# eigenproblem, and a theta-dependent tube field makes 2 order^3 doubles per
-# temporary array, about 270 MB at 256.  No caller uses more than 48.
-MAX_ORDER = 256
-
 
 @dataclass(frozen=True)
 class TubeChart:
@@ -67,6 +60,10 @@ class TubeChart:
 # overflows.  Below it the direct form is kept, because the closed form
 # cancels at small R (1.6e-15 relative at 0.4).
 _DEEP = 20.0
+# Below this depth log(cosh R) cancels (4.4e-5 relative at R = 1e-6, and cosh R
+# rounds to 1 from 1e-8 down) and log1p(2 sinh^2(R/2)) keeps every digit.  Above
+# it the direct form stays, so the CLI's charts (all R >= 0.4) keep their bits.
+_SHALLOW = 0.25
 
 
 def tube_volume(t: TubeChart) -> float:
@@ -88,43 +85,19 @@ def tube_volume(t: TubeChart) -> float:
 def tube_form_norm(t: TubeChart) -> float:
     """L^2 norm of dz/epsilon over the tube: sqrt((2 pi/epsilon) log cosh R).
 
-    Raises ValueError when the squared norm leaves the float range.
+    Raises ValueError when the squared norm leaves the float range, overflowing
+    or underflowing to zero.
     """
-    if t.R < _DEEP:
+    if t.R < _SHALLOW:
+        log_cosh = math.log1p(2.0 * math.sinh(0.5 * t.R) ** 2)
+    elif t.R < _DEEP:
         log_cosh = math.log(math.cosh(t.R))
     else:
         log_cosh = t.R + math.log1p(math.exp(-2.0 * t.R)) - math.log(2.0)
     norm_sq = 2.0 * math.pi / t.epsilon * log_cosh
-    if not math.isfinite(norm_sq):
+    if not (math.isfinite(norm_sq) and norm_sq > 0.0):
         raise ValueError(f"tube form norm leaves the float range at {t}")
     return math.sqrt(norm_sq)
-
-
-@functools.cache
-def _rule(order: int):
-    # the Gauss-Legendre rule on [-1, 1], built once per order and read-only
-    from numpy.polynomial import legendre as npleg
-
-    x, w = npleg.leggauss(order)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
-def _gl(a: float, b: float, order: int):
-    """Gauss-Legendre nodes a + (b - a)(x + 1)/2 and weights (b - a) w/2 on [a, b].
-
-    Raises ValueError unless order is an integer in [4, MAX_ORDER].
-    """
-    x, w = _rule(checked_int(order, 4, MAX_ORDER, what="quadrature order"))
-    return a + 0.5 * (b - a) * (x + 1.0), 0.5 * (b - a) * w
-
-
-def _theta_grid(order: int):
-    """2*order equally spaced angles on the circle and their trapezoid weight."""
-    import numpy as np
-
-    n = 2 * order
-    return np.arange(n) * (2.0 * math.pi / n), 2.0 * math.pi / n
 
 
 def tube_l2_norm_sq(
@@ -148,15 +121,13 @@ def tube_l2_norm_sq(
     """
     import numpy as np
 
-    r_nodes, r_w = _gl(0.0, t.R, order)
-    z_nodes, z_w = _gl(0.0, t.epsilon, order)
-    theta_nodes, _ = _theta_grid(order)
-    a, b, c = (
-        np.asarray(w, dtype=float)
-        for w in field(r_nodes[:, None, None], theta_nodes[None, :, None], z_nodes[None, None, :])
-    )
-    n_theta = np.broadcast_shapes((1, 1, 1), a.shape, b.shape, c.shape)[1]
+    r_nodes, r_w = gauss_legendre(0.0, t.R, order)
+    z_nodes, z_w = gauss_legendre(0.0, t.epsilon, order)
+    theta_nodes, _ = theta_grid(order)
     with np.errstate(all="ignore"):  # the result check below reports any overflow or nan
+        grid = r_nodes[:, None, None], theta_nodes[None, :, None], z_nodes[None, None, :]
+        a, b, c = (np.asarray(w, dtype=float) for w in field(*grid))
+        n_theta = np.broadcast_shapes((1, 1, 1), a.shape, b.shape, c.shape)[1]
         sh = np.sinh(r_nodes)[:, None, None]
         ch = np.cosh(r_nodes)[:, None, None]
         sq = a * a + (b / sh) ** 2 + (c / ch) ** 2

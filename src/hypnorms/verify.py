@@ -8,8 +8,8 @@ end refuses any other: `verify NAME` calls SUITES[NAME] with the flags
 given, then applies any --tol override to the returned records.  Randomized
 sweeps draw from a seeded generator so a fixed configuration reproduces
 byte-identical reports.  The float suites (ball, tube, dfbound) import numpy
-and the quadrature code when they run, so the exact suites (homalg, bns)
-run without numpy.
+and the field modules when they run, so the exact suites (homalg, bns) run
+without numpy.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ def suite_ball(order: int = 24, seed: int = 0) -> list[Check]:
     from .ballfield import (
         HarmonicExpansion,
         ball_l2_norm_sq,
-        expansion_field,
         mode_indices,
         omega_gram,
         psi_gram,
@@ -96,7 +95,7 @@ def suite_ball(order: int = 24, seed: int = 0) -> list[Check]:
     rng = np.random.default_rng(seed)
     coeffs = {mode: float(rng.normal()) for mode in mode_indices(3, lmin=1)}
     exp = HarmonicExpansion(coeffs, truncation=3)
-    quad = ball_l2_norm_sq(expansion_field(exp), 1.5, order=max(order, 24))
+    quad = ball_l2_norm_sq(exp, 1.5, order=max(order, 24))
     exact = sum(a * a * mode_norm(ell, 1.5) for (ell, m), a in coeffs.items())
     rel = abs(quad / exact - 1.0)
     checks.append(

@@ -42,8 +42,8 @@ from hypnorms.ballfield import (
     _trig,
     mode_indices,
 )
+from hypnorms.quadrature import gauss_legendre, theta_grid
 from hypnorms.radial import dpsi, profiles, psi
-from hypnorms.tubefield import _gl, _theta_grid
 
 QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-10, limit=200)
 
@@ -228,9 +228,9 @@ def full_mesh_omega_gram(modes, r, order):
 
 def pointwise_tube_l2_norm_sq(t, field, order=24):
     """tube_l2_norm_sq on the same grid, one scalar field call per node."""
-    r_nodes, r_w = _gl(0.0, t.R, order)
-    z_nodes, z_w = _gl(0.0, t.epsilon, order)
-    theta_nodes, theta_w = _theta_grid(order)
+    r_nodes, r_w = gauss_legendre(0.0, t.R, order)
+    z_nodes, z_w = gauss_legendre(0.0, t.epsilon, order)
+    theta_nodes, theta_w = theta_grid(order)
     total = 0.0
     for r, wr in zip(r_nodes, r_w):
         sh, ch = math.sinh(r), math.cosh(r)
@@ -261,8 +261,8 @@ def _rz_dbump(r, R):
 
 def rz_competitor_norm_sq(t, s, order=48):
     """||dz/eps + s d(bump(r) sin(2 pi z/eps))||^2 as 2 pi times an (r, z) sum."""
-    r_nodes, r_w = _gl(0.0, t.R, order)
-    z_nodes, z_w = _gl(0.0, t.epsilon, order)
+    r_nodes, r_w = gauss_legendre(0.0, t.R, order)
+    z_nodes, z_w = gauss_legendre(0.0, t.epsilon, order)
     sh, ch = np.sinh(r_nodes), np.cosh(r_nodes)
     B, dB = _rz_bump(r_nodes, t.R), _rz_dbump(r_nodes, t.R)
     g = np.sin(2.0 * math.pi * z_nodes / t.epsilon)

@@ -20,7 +20,6 @@ from hypnorms.ballfield import (
     HarmonicExpansion,
     ball_l2_norm_sq,
     check_df_bound,
-    expansion_field,
     mode_indices,
     omega_gram,
     psi_gram,
@@ -154,7 +153,7 @@ def test_criterion_04_orthogonality_and_parseval():
     coeffs = {mode: float(c) for mode, c in zip(modes, rng.normal(size=len(modes)))}
     exp = HarmonicExpansion(coeffs, truncation=3)
     r = 1.5
-    quad = ball_l2_norm_sq(expansion_field(exp), r, order=32)
+    quad = ball_l2_norm_sq(exp, r, order=32)
     exact = sum(a * a * mode_norm(ell, r) for (ell, _), a in exp.items())
     parseval = abs(quad / exact - 1.0)
     ok = worst_offdiag < 1e-8 and parseval < 1e-6

@@ -18,7 +18,6 @@ from hypnorms.ballfield import (
     HarmonicExpansion,
     ball_l2_norm_sq,
     check_df_bound,
-    expansion_field,
     mode_indices,
     omega_gram,
     psi_gram,
@@ -218,14 +217,12 @@ class TestCovectorOracle:
 
 class TestQuadrature:
     def test_degree_one_mode_reproduces_nu(self):
-        fld = expansion_field(
-            HarmonicExpansion({(1, 0): math.sqrt(THREE_PI)}, truncation=1)
-        )
-        got = ball_l2_norm_sq(fld, 1.0)
+        exp = HarmonicExpansion({(1, 0): math.sqrt(THREE_PI)}, truncation=1)
+        got = ball_l2_norm_sq(exp, 1.0)
         assert got == pytest.approx(nu(1.0), rel=1e-8)
 
     def test_grid_and_pointwise_paths_agree(self):
-        fast = ball_l2_norm_sq(expansion_field(unit_mode(2, 1)), 0.8, order=8)
+        fast = ball_l2_norm_sq(unit_mode(2, 1), 0.8, order=8)
         slow = pointwise_l2_norm_sq(unit_mode(2, 1), 0.8, order=8)
         assert fast == pytest.approx(slow, rel=1e-13)
 
@@ -234,22 +231,21 @@ class TestQuadrature:
         # (no differential) and a zero coefficient all pass through the Gram form
         exp = HarmonicExpansion({(0, 0): 5.0, (1, -1): 0.7, (2, 0): 0.0, (2, 2): -1.3,
                                  (3, 1): 0.4}, truncation=3)
-        fast = ball_l2_norm_sq(expansion_field(exp), 1.1, order=6)
+        fast = ball_l2_norm_sq(exp, 1.1, order=6)
         assert fast == pytest.approx(pointwise_l2_norm_sq(exp, 1.1, order=6), rel=1e-13)
 
     def test_parseval(self):
         rng = np.random.default_rng(3)
         exp = random_expansion(rng, 4)
-        fld = expansion_field(exp)
-        direct = ball_l2_norm_sq(fld, 1.3)
+        direct = ball_l2_norm_sq(exp, 1.3)
         by_modes = sum(a * a * mode_norm(ell, 1.3) for (ell, m), a in exp.items())
         assert direct == pytest.approx(by_modes, rel=1e-6)
 
     def test_cross_term_by_polarization(self):
-        f = expansion_field(unit_mode(1, 0))
-        g = expansion_field(unit_mode(2, 1))
-        plus = expansion_field(HarmonicExpansion({(1, 0): 1.0, (2, 1): 1.0}, truncation=2))
-        minus = expansion_field(HarmonicExpansion({(1, 0): 1.0, (2, 1): -1.0}, truncation=2))
+        f = unit_mode(1, 0)
+        g = unit_mode(2, 1)
+        plus = HarmonicExpansion({(1, 0): 1.0, (2, 1): 1.0}, truncation=2)
+        minus = HarmonicExpansion({(1, 0): 1.0, (2, 1): -1.0}, truncation=2)
         inner = 0.25 * (ball_l2_norm_sq(plus, 1.0) - ball_l2_norm_sq(minus, 1.0))
         assert abs(inner) < 1e-8
         # sanity: the same polarization recovers a diagonal entry
@@ -260,20 +256,21 @@ class TestQuadrature:
     def test_nonfinite_norm_raises(self):
         # sinh^2 overflows at the outer radial nodes, so the Gram form is not finite
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="nonfinite L2 norm"):
-            ball_l2_norm_sq(expansion_field(unit_mode(1, 0)), 800.0, order=4)
+            ball_l2_norm_sq(unit_mode(1, 0), 800.0, order=4)
 
     def test_rejects_other_types(self):
-        for field in (unit_mode(1, 0), lambda r, phi, theta: (0.0, 0.0, 0.0)):
-            with pytest.raises(TypeError):
+        # the expansion itself is the input; its coefficient dict or a pointwise field is not
+        for field in (dict(unit_mode(1, 0).coefficients), lambda r, phi, theta: (0.0, 0.0, 0.0)):
+            with pytest.raises(TypeError, match="needs a HarmonicExpansion"):
                 ball_l2_norm_sq(field, 1.0, order=4)
 
     def test_zero_expansion(self):
-        assert ball_l2_norm_sq(expansion_field(HarmonicExpansion({(0, 0): 1.0}, 1)), 1.0) == 0.0
+        assert ball_l2_norm_sq(HarmonicExpansion({(0, 0): 1.0}, 1), 1.0) == 0.0
         with pytest.raises(ValueError):
-            ball_l2_norm_sq(expansion_field(HarmonicExpansion({}, 1)), 1.0, order=2)
+            ball_l2_norm_sq(HarmonicExpansion({}, 1), 1.0, order=2)
 
     def test_argument_validation(self):
-        f = expansion_field(unit_mode(1, 0))
+        f = unit_mode(1, 0)
         with pytest.raises(ValueError):
             ball_l2_norm_sq(f, 0.0)
         for bad in (math.nan, math.inf):

@@ -23,6 +23,7 @@ from hypnorms.bounds import (
     MainBounds,
     NormDatum,
     PolytopeNorm,
+    branch_constant,
     dual_norm,
     inf_of_duals_check,
     polytope_gauge,
@@ -258,6 +259,13 @@ class TestSupnormFactor:
         lhs = 1.0 / math.sqrt(nu(0.145))
         rhs = math.sqrt(0.29 / nu(0.145)) / math.sqrt(0.29)
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    def test_branch_constant_is_the_thin_side_constant(self):
+        # the nu table's branch-constant check and the thin branch read one expression
+        assert branch_constant() == math.sqrt(0.29 / nu(0.145))
+        for inj, mu in ((0.01, None), (0.01, 0.1), (1e-6, 2.0)):
+            expect = branch_constant(0.29 if mu is None else mu) / math.sqrt(inj)
+            assert supnorm_factor(inj, True, mu=mu) == expect
 
     @pytest.mark.xfail(
         strict=True,

@@ -1,14 +1,15 @@
 """Imports: the package loads no scipy module, the commands and library
-calls that do no array work load no numpy, every export resolves, and every
-import is used.
+calls that do no array work load no numpy, the CLI and the ball module
+load no tube module, every export resolves, and every import is used.
 
 scipy is a test-only dependency (the quadrature and lpmv oracles).  The
 package re-exports its names lazily, and numpy is imported only by ballfield
-and by the functions that build or read arrays (tubefield's quadrature, the
-float suites, float log grids), so `import hypnorms`, `import hypnorms.cli`,
-the exact layer (polytope norms, the cover and gluing families, MV lattices,
-the fibering scan), the closed tube forms, and every command but `verify
-ball/tube/dfbound` and `nu --log-grid` run on the standard library alone.
+and by the functions that build or read arrays (quadrature's rule and grid,
+the tube integrals, the float suites, float log grids), so `import
+hypnorms`, `import hypnorms.cli`, the exact layer (polytope norms, the cover
+and gluing families, MV lattices, the fibering scan), the closed tube forms,
+and every command but `verify ball/tube/dfbound` and `nu --log-grid` run on
+the standard library alone.
 """
 
 import ast
@@ -120,6 +121,23 @@ def test_closed_tube_forms_load_no_numpy():
         "print('numpy' in sys.modules)\n"
     )
     assert fresh_python(code).strip() == "False"
+
+
+@pytest.mark.parametrize("module", ["hypnorms.cli", "hypnorms.ballfield"])
+def test_import_loads_no_tube_module(module):
+    # both read the quadrature rule, which lived in tubefield
+    code = f"import sys, {module}; print('hypnorms.tubefield' in sys.modules)"
+    assert fresh_python(code).strip() == "False"
+
+
+def test_expansion_field_is_the_identity():
+    # benchmark/fields.py still calls ball_l2_norm_sq(expansion_field(e), ...);
+    # it must keep measuring ball_l2_norm_sq(e, ...)
+    from hypnorms.ballfield import HarmonicExpansion, expansion_field
+
+    e = HarmonicExpansion({(1, 0): 1.0}, truncation=1)
+    assert expansion_field(e) is e
+    assert "expansion_field" not in hypnorms.__all__
 
 
 def test_submodules_found():

@@ -14,7 +14,7 @@ import re
 
 import pytest
 
-from hypnorms import ballfield, families, fibering, homalg, radial, tubefield
+from hypnorms import ballfield, families, fibering, homalg, quadrature, radial
 from hypnorms.bounds import NormDatum
 
 BASE = NormDatum(vol=1.0, inj=1.0, thurston=1.0, harmonic=4.0)
@@ -31,7 +31,9 @@ ENTRY_POINTS = [
     ("HarmonicExpansion.m", lambda x: ballfield.HarmonicExpansion({(1, x): 1.0}, 3), "m", -1, 1),
     ("mode_indices.lmax", lambda x: ballfield.mode_indices(x), "lmax", 0, 40),
     ("mode_indices.lmin", lambda x: ballfield.mode_indices(40, lmin=x), "lmin", 0, 40),
-    ("tubefield._gl", lambda x: tubefield._gl(0.0, 1.0, x), "quadrature order", 4, 256),
+    ("quadrature.gauss_legendre", lambda x: quadrature.gauss_legendre(0.0, 1.0, x),
+     "quadrature order", 4, 256),
+    ("quadrature.theta_grid", quadrature.theta_grid, "quadrature order", 4, 256),
     ("CoverFamilyParams", lambda x: families.CoverFamilyParams(BASE, (x,)), "cover degree", 1, None),
     ("gluing_family", lambda x: families.gluing_family(families.GluingFamilyParams(), x), "n", 1, 10**5),
     ("filling_family", lambda x: families.filling_family(families.FillingFamilyParams(), x),
@@ -87,7 +89,7 @@ def test_message_states_the_range():
     with pytest.raises(ValueError, match=re.escape("n must be an integer in [0, 10^5], got True")):
         homalg.fbar_power(True)
     with pytest.raises(ValueError, match=re.escape("quadrature order must be an integer in [4, 256], got 3")):
-        tubefield._gl(0.0, 1.0, 3)
+        quadrature.gauss_legendre(0.0, 1.0, 3)
 
 
 @pytest.mark.parametrize("chi", [5, (1, 2, 3), (1,), "ab", None])

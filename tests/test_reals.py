@@ -42,11 +42,10 @@ ENTRY_POINTS = [
      "coefficient a_(1,0)", {}, -2.5),
     ("psi_gram", lambda x: ballfield.psi_gram(1, x, order=4), "r", {"gt": 0}, 1.5),
     ("omega_gram", lambda x: ballfield.omega_gram(1, x, order=4), "r", {"gt": 0}, 1.5),
-    ("ball_l2_norm_sq", lambda x: ballfield.ball_l2_norm_sq(ballfield.expansion_field(ONE), x,
-                                                            order=4), "r", {"gt": 0}, 1.5),
+    ("ball_l2_norm_sq", lambda x: ballfield.ball_l2_norm_sq(ONE, x, order=4), "r", {"gt": 0},
+     1.5),
     ("ball_l2_norm_sq.zero", lambda x: ballfield.ball_l2_norm_sq(
-        ballfield.expansion_field(ballfield.HarmonicExpansion({}, 1)), x, order=4),
-     "r", {"gt": 0}, 1.5),
+        ballfield.HarmonicExpansion({}, 1), x, order=4), "r", {"gt": 0}, 1.5),
     ("check_df_bound", lambda x: ballfield.check_df_bound(ONE, x), "r", {"gt": 0}, 1.5),
     ("TubeChart.epsilon", lambda x: tubefield.TubeChart(x, 1.0), "epsilon", {"gt": 0}, 0.5),
     ("TubeChart.R", lambda x: tubefield.TubeChart(0.5, x), "R", {"gt": 0}, 0.5),
@@ -58,6 +57,7 @@ ENTRY_POINTS = [
     ("NormDatum.thurston", lambda x: datum(thurston=x), "thurston", {"ge": 0}, 2.0),
     ("NormDatum.harmonic", lambda x: datum(harmonic=x), "harmonic", {"ge": 0}, 2.0),
     ("NormDatum.tol", lambda x: datum(tol=x), "tol", {"ge": 0, "lt": 1}, 0.5),
+    ("branch_constant", bounds.branch_constant, "mu", {"gt": 0}, 0.5),
     ("supnorm_factor.inj", lambda x: bounds.supnorm_factor(x, True), "inj", {"gt": 0}, 2.0),
     ("supnorm_factor.mu", lambda x: bounds.supnorm_factor(0.5, True, mu=x), "mu", {"gt": 0},
      0.5),

@@ -2,11 +2,12 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypnorms import ballfield, tubefield, verify
+from hypnorms import tubefield
 from hypnorms.tubefield import (
     TubeChart,
     competitor_norm_sq,
@@ -63,6 +64,19 @@ class TestVolume:
 class TestFormNorm:
     def test_empty_tube_limit(self):
         assert tube_form_norm(TubeChart(1.0, 1e-12)) < 1e-11
+
+    @pytest.mark.parametrize("R", [1e-12, 1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.2])
+    def test_shallow_tube_keeps_its_digits(self, R):
+        # log(cosh R) cancels: 3.5e-9 relative at R = 1e-4, 4.4e-5 at 1e-6, 0.0 from 1e-8 down
+        with mp.workdps(50):
+            expect = float(mp.sqrt(2 * mp.pi * mp.log(mp.cosh(mp.mpf(R)))))
+        assert tube_form_norm(TubeChart(1.0, R)) == pytest.approx(expect, rel=1e-15, abs=0.0)
+
+    def test_squared_norm_underflow_raises(self):
+        # returned 0.0, which tube_lower_bound then certified
+        for t in (TubeChart(1.0, 1e-200), TubeChart(1e300, 1e-20)):
+            with pytest.raises(ValueError, match="float range"):
+                tube_form_norm(t)
 
     def test_closed_form_value(self):
         t = TubeChart(0.01, 2.4311)
@@ -190,53 +204,6 @@ class TestCompetitorQuadrature:
         assert shapes == [(8, 1, 8)]
 
 
-class TestGaussLegendreRule:
-    def test_built_once_per_order(self, monkeypatch):
-        built = []
-        leggauss = np.polynomial.legendre.leggauss
-
-        def counting(order):
-            built.append(order)
-            return leggauss(order)
-
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
-        tubefield._rule.cache_clear()
-        try:
-            for _ in range(2):
-                verify.suite_tube()
-                ballfield.omega_gram(2, 1.0, order=24)
-                ballfield.omega_gram(2, 1.0, order=16)
-        finally:
-            tubefield._rule.cache_clear()
-        assert sorted(built) == [16, 24, 48]
-
-    def test_cached_rule_read_only_and_never_aliased(self):
-        x, w = tubefield._rule(12)
-        assert not x.flags.writeable and not w.flags.writeable
-        with pytest.raises(ValueError):
-            x[0] = 0.0
-        for a, b in ((-1.0, 1.0), (0.0, 2.0), (0.0, math.pi)):
-            nodes, weights = tubefield._gl(a, b, 12)
-            assert nodes.flags.writeable and weights.flags.writeable
-            assert not np.shares_memory(nodes, x) and not np.shares_memory(weights, w)
-        ref_x, ref_w = np.polynomial.legendre.leggauss(12)
-        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
-
-    @pytest.mark.parametrize("order", [0, 1, 3, True, 4.0, 24.5, 257])
-    @pytest.mark.parametrize("call", [
-        lambda n: tube_l2_norm_sq(TubeChart(0.3, 1.2), lambda r, th, z: (0.0, 0.0, 1.0), order=n),
-        lambda n: competitor_norm_sq(TubeChart(0.3, 1.2), 0.1, order=n),
-        lambda n: tube_lower_bound(TubeChart(0.3, 1.2), order=n),
-        lambda n: ballfield.omega_gram(2, 1.0, order=n),
-        lambda n: ballfield.psi_gram(2, 1.0, order=n),
-    ], ids=["tube_l2_norm_sq", "competitor_norm_sq", "tube_lower_bound", "omega_gram",
-            "psi_gram"])
-    def test_order_is_an_integer_of_at_least_four(self, call, order):
-        # order=1 used to put a competitor at 1.86, below the core's 12.43
-        with pytest.raises(ValueError, match="quadrature order"):
-            call(order)
-
-
 class TestLowerBound:
     def test_equals_form_norm(self):
         for t in (TubeChart(0.29, 2.0), TubeChart(1.0, 0.5)):
@@ -288,6 +255,13 @@ class TestNonfiniteIntegral:
         # returned inf
         with pytest.raises(ValueError, match="nonfinite L2 norm"):
             competitor_norm_sq(TubeChart(0.3, 1.2), 1e200)
+
+    @pytest.mark.parametrize("t", [TubeChart(5e-324, 1.0), TubeChart(1.0, 1e-310)],
+                             ids=["eps5e-324", "R1e-310"])
+    def test_field_overflow(self, t):
+        # the field ran outside the errstate: RuntimeWarning "invalid value encountered in multiply"
+        with pytest.raises(ValueError, match="nonfinite L2 norm"):
+            competitor_norm_sq(t, 0.1)
 
     def test_lower_bound_not_certified(self):
         # returned 70.867... as certified: every competitor was nan, and nan < bound is False
