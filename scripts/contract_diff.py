@@ -85,6 +85,7 @@ USAGE_ERRORS = [
     ["verify", "tube", "--quad-order", "3"],
     ["verify", "tube", "--tol", "tube-volum=1e-30"],
     ["verify", "homalg", "--tol", "homalg-growth=nan"],
+    ["verify", "homalg", "--tol", "homalg-growth=-1"],
     ["verify", "homalg", "--tol", "homalg-growth=1", "--tol", "homalg-growth=1e-30"],
     ["nu"],
     ["family", "covers"],

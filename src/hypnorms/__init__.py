@@ -33,6 +33,7 @@ _EXPORTS = {
     ),
     "tubefield": (
         "TubeChart",
+        "competitor_margin",
         "competitor_norm_sq",
         "remark_ratio",
         "tube_form_norm",

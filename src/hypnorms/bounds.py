@@ -11,8 +11,8 @@ exact routine gives the vertices of the sup ball of a family of norms.  The
 module runs on the standard library alone: a few dozen float rows are no
 array workload.
 
-The sup-norm factor has two regimes split at inj = mu/2 (default mu = 0.29,
-which needs positive first Betti number): an embedded ball of radius inj for
+The sup-norm factor has two regimes split at inj = mu/2 (mu = 0.29, which
+needs positive first Betti number): an embedded ball of radius inj for
 large injectivity radius, and a degree-counted ball of radius mu/2 below it.
 The two formulas do NOT meet at the switch: the small-inj branch is exactly
 sqrt(2) larger there (it pays for covering multiplicity), and the factor is
@@ -45,8 +45,9 @@ __all__ = [
     "thm_main_bounds",
 ]
 
-MU_DEFAULT = 0.29
+MU = 0.29  # the thick-part constant of supnorm_factor
 DUALS_REL_TOL = 1e-9  # relative gap at which inf_of_duals_check reports False
+SANDWICH_REL_TOL = 1e-9  # relative slack of NormDatum's consistency gate
 
 
 class MainBounds(NamedTuple):
@@ -64,34 +65,29 @@ def _sandwich(thurston: float, vol: float, inj: float) -> tuple[float, float]:
 class NormDatum:
     """Geometric data of one manifold-and-class pair.
 
-    harmonic is optional; when present (and check_consistency is left on) it
-    must sit inside the two-sided comparison pi th/sqrt(vol) <= harmonic <=
-    10 pi th/sqrt(inj) up to the relative tol (0 <= tol < 1), the
-    consistency gate for measured data.
+    harmonic is optional; when present it must sit inside the two-sided
+    comparison pi th/sqrt(vol) <= harmonic <= 10 pi th/sqrt(inj) up to the
+    relative slack SANDWICH_REL_TOL, the consistency gate for measured data.
     """
 
     vol: float
     inj: float
     thurston: float
     harmonic: float | None = None
-    check_consistency: bool = True
-    tol: float = 1e-9
 
     def __post_init__(self):
         put = object.__setattr__
         put(self, "vol", checked_real(self.vol, what="vol", gt=0))
         put(self, "inj", checked_real(self.inj, what="inj", gt=0))
         put(self, "thurston", checked_real(self.thurston, what="thurston", ge=0))
-        put(self, "tol", checked_real(self.tol, what="tol", ge=0, lt=1))
         if self.harmonic is not None:
             put(self, "harmonic", checked_real(self.harmonic, what="harmonic", ge=0))
-            if self.check_consistency:
-                lo, hi = _sandwich(self.thurston, self.vol, self.inj)
-                if not lo * (1 - self.tol) <= self.harmonic <= hi * (1 + self.tol):
-                    raise ValueError(
-                        f"harmonic norm {self.harmonic} outside the sandwich "
-                        f"[{lo}, {hi}] for this datum"
-                    )
+            lo, hi = _sandwich(self.thurston, self.vol, self.inj)
+            if not lo * (1 - SANDWICH_REL_TOL) <= self.harmonic <= hi * (1 + SANDWICH_REL_TOL):
+                raise ValueError(
+                    f"harmonic norm {self.harmonic} outside the sandwich "
+                    f"[{lo}, {hi}] for this datum"
+                )
 
 
 def thm_main_bounds(d: NormDatum) -> MainBounds:
@@ -107,36 +103,29 @@ def thm_main_bounds(d: NormDatum) -> MainBounds:
     return MainBounds(lower, upper, lower > upper)
 
 
-def branch_constant(mu: float = MU_DEFAULT) -> float:
-    """sqrt(mu / nu(mu/2)), supnorm_factor's constant below inj = mu/2; 4.78 at the default."""
-    mu = checked_real(mu, what="mu", gt=0)
-    return math.sqrt(mu / nu(mu / 2.0))
+def branch_constant() -> float:
+    """sqrt(MU / nu(MU/2)) = 4.78, supnorm_factor's constant below inj = MU/2."""
+    return math.sqrt(MU / nu(MU / 2.0))
 
 
-def supnorm_factor(inj: float, b1_positive: bool, mu: float | None = None) -> float:
+def supnorm_factor(inj: float, b1_positive: bool) -> float:
     """Pointwise-over-L2 factor for harmonic 1-forms: |alpha| <= factor ||alpha||.
 
-    mu = None selects the default thick-part constant 0.29, which is only
-    available when b1_positive; in that case a False guard makes the bound
-    vacuous (returns 0 and warns).  Passing mu explicitly (e.g. the
-    unconditional 0.1) computes the same two-branch formula for that value,
-    but the <= 5/sqrt(inj) contract is calibrated to the default only.
+    The thick-part constant MU = 0.29 needs b1_positive; a False guard makes
+    the bound vacuous (returns 0 and warns).  The factor stays <= 5/sqrt(inj).
     """
     inj = checked_real(inj, what="inj", gt=0)
-    if mu is None:
-        if not b1_positive:
-            warnings.warn(
-                "sup-norm factor is vacuous without positive first Betti number; "
-                "pass mu=0.1 for the unconditional constant",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return 0.0
-        mu = MU_DEFAULT
-    mu = checked_real(mu, what="mu", gt=0)
-    if inj >= mu / 2.0:
+    if not b1_positive:
+        warnings.warn(
+            "sup-norm factor is vacuous without positive first Betti number, "
+            "which the constant mu = 0.29 needs",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return 0.0
+    if inj >= MU / 2.0:
         return 1.0 / math.sqrt(nu(inj))
-    return branch_constant(mu) / math.sqrt(inj)
+    return branch_constant() / math.sqrt(inj)
 
 
 def _vertex_coordinate(c) -> Fraction:

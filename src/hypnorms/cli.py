@@ -32,7 +32,7 @@ import operator
 import sys
 from dataclasses import replace
 
-from ._args import checked_int
+from ._args import checked_int, checked_real
 from .bounds import NormDatum, branch_constant
 from .families import (
     CoverFamilyParams,
@@ -83,11 +83,13 @@ def _parse_tols(pairs: list[str] | None) -> dict[str, float]:
         if name in out:
             raise UsageError(f"--tol {name!r} given twice")
         try:
-            out[name] = float(val)
+            value = float(val)
         except ValueError:
             raise UsageError(f"--tol value for {name!r} is not a number: {val!r}")
-        if not 0.0 <= out[name] < math.inf:
-            raise UsageError(f"--tol value for {name!r} must be finite and >= 0, got {val!r}")
+        try:
+            out[name] = checked_real(value, what=f"--tol value for {name!r}", ge=0)
+        except ValueError as e:
+            raise UsageError(str(e)) from None
     return out
 
 

@@ -77,8 +77,6 @@ def cover_family(p: CoverFamilyParams) -> list[NormDatum]:
             inj=b.inj,
             thurston=b.thurston * d,
             harmonic=b.harmonic * math.sqrt(d),
-            check_consistency=b.check_consistency,
-            tol=b.tol,
         )
         for d in p.degrees
     ]

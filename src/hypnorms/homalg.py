@@ -131,21 +131,21 @@ def symplectic_check(mat: IntMat, form: IntMat) -> bool:
     return mat.transpose() @ form @ mat == form
 
 
-def transvection(gamma: Iterable[int], sign: int, form: IntMat = SYMPLECTIC_FORM) -> IntMat:
-    """Matrix of x -> x + sign * <x, gamma> * gamma, with <x, c> = x^T form c.
+def transvection(gamma: Iterable[int], sign: int) -> IntMat:
+    """Matrix of x -> x + sign * <x, gamma> * gamma, with <x, c> = x^T SYMPLECTIC_FORM c.
 
     gamma must be a nonzero primitive integer vector; the result is always
-    symplectic with respect to form, and is even in gamma.
+    symplectic, and is even in gamma.
     """
-    gamma = checked_ints(gamma, "gamma", form.n)
+    n = SYMPLECTIC_FORM.n
+    gamma = checked_ints(gamma, "gamma", n)
     if not any(gamma):
         raise ValueError("twist curve class must be nonzero")
     if math.gcd(*gamma) != 1:
         raise ValueError("twist curve class must be primitive")
     if not checked_int(sign, -1, 1, what="sign"):
         raise ValueError("twist sign must be +1 or -1")
-    fg = form.vec(gamma)
-    n = form.n
+    fg = SYMPLECTIC_FORM.vec(gamma)
     return IntMat(
         tuple(
             tuple(int(i == j) + sign * gamma[i] * fg[j] for j in range(n))
@@ -338,10 +338,9 @@ def load_twist_classes() -> dict[str, tuple[int, ...]]:
     return classes
 
 
-def twist_word_matrix(classes: dict[str, tuple[int, ...]] | None = None) -> IntMat:
-    """Homology action of TWIST_WORD; equals MONODROMY for the frozen classes."""
-    if classes is None:
-        classes = load_twist_classes()
+def twist_word_matrix() -> IntMat:
+    """Homology action of TWIST_WORD on the frozen classes; equals MONODROMY."""
+    classes = load_twist_classes()
     result = IntMat.identity(SYMPLECTIC_FORM.n)
     for name, expo in TWIST_WORD:
         result = result @ transvection(classes[name], expo)

@@ -11,9 +11,9 @@ volume element is sinh(r) cosh(r) dr dtheta dz.  The unique invariant harmonic
 
 tube_lower_bound returns ||omega|| as the minimum over closed-and-coclosed
 competitors with the same period, and on every call checks minimality
-numerically on the perturbation family dz/epsilon + s d(bump(r) g(z)): the
-cross term integrates to zero over a z-period, so the squared norm can only
-gain s^2 times a positive amount.  The bump sin^3(pi (r - 0.1 R)/(0.8 R)) is
+numerically, through competitor_margin, on the perturbation family
+dz/epsilon + s d(bump(r) g(z)): the cross term integrates to zero over a
+z-period, so the squared norm can only gain s^2 times a positive amount.  The bump sin^3(pi (r - 0.1 R)/(0.8 R)) is
 C^2 and vanishes near the core and the boundary, exercising both boundary
 conditions of the averaging argument without implementing the averaging
 itself.
@@ -26,6 +26,7 @@ and the competitors import it when they run, on the grids of quadrature.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,6 +36,7 @@ from .quadrature import gauss_legendre, theta_grid
 __all__ = [
     "TubeChart",
     "RemarkRatio",
+    "competitor_margin",
     "competitor_norm_sq",
     "remark_ratio",
     "tube_form_norm",
@@ -67,7 +69,7 @@ _SHALLOW = 0.25
 
 
 def tube_volume(t: TubeChart) -> float:
-    """pi epsilon sinh^2(R); ValueError once that leaves the float range."""
+    """pi epsilon sinh^2(R); ValueError once that overflows or underflows to zero."""
     # the square of sqrt(pi) sqrt(eps) 2 sinh(R/2) cosh(R/2): a subnormal eps
     # keeps its digits under sqrt, and the half-angle factors stay finite
     # wherever the volume does
@@ -77,7 +79,7 @@ def tube_volume(t: TubeChart) -> float:
     except OverflowError:
         root = math.inf
     vol = root * root
-    if not math.isfinite(vol):
+    if not (math.isfinite(vol) and vol > 0.0):
         raise ValueError(f"tube volume pi eps sinh^2 R leaves the float range at {t}")
     return vol
 
@@ -85,8 +87,9 @@ def tube_volume(t: TubeChart) -> float:
 def tube_form_norm(t: TubeChart) -> float:
     """L^2 norm of dz/epsilon over the tube: sqrt((2 pi/epsilon) log cosh R).
 
-    Raises ValueError when the squared norm leaves the float range, overflowing
-    or underflowing to zero.
+    Raises ValueError when the squared norm leaves the normal float range:
+    past the largest float, or below sys.float_info.min, where a subnormal
+    keeps only a few digits.
     """
     if t.R < _SHALLOW:
         log_cosh = math.log1p(2.0 * math.sinh(0.5 * t.R) ** 2)
@@ -95,7 +98,7 @@ def tube_form_norm(t: TubeChart) -> float:
     else:
         log_cosh = t.R + math.log1p(math.exp(-2.0 * t.R)) - math.log(2.0)
     norm_sq = 2.0 * math.pi / t.epsilon * log_cosh
-    if not (math.isfinite(norm_sq) and norm_sq > 0.0):
+    if not sys.float_info.min <= norm_sq < math.inf:
         raise ValueError(f"tube form norm leaves the float range at {t}")
     return math.sqrt(norm_sq)
 
@@ -171,24 +174,30 @@ def competitor_norm_sq(t: TubeChart, s: float, order: int = 48) -> float:
     return tube_l2_norm_sq(t, field, order=order)
 
 
+def competitor_margin(t: TubeChart, order: int) -> float:
+    """Worst relative margin (competitor_norm_sq - base^2) / base^2 over s in {+-0.1, +-0.01}.
+
+    base = tube_form_norm(t); a negative margin means a perturbed competitor
+    came out below the core form.
+    """
+    base_sq = tube_form_norm(t) ** 2
+    return min((competitor_norm_sq(t, s, order=order) - base_sq) / base_sq
+               for s in (0.1, -0.1, 0.01, -0.01))
+
+
 def tube_lower_bound(t: TubeChart, *, order: int = 48) -> float:
     """Certified lower bound for the tube norm of any unit-period competitor.
 
     Equals tube_form_norm(t).  Every call integrates the perturbed family
-    s in {+-0.1, +-0.01} at the given quadrature order and raises if any
-    competitor comes out below the bound, guarding the quadrature and the
-    sign conventions.
+    through competitor_margin at the given quadrature order and raises if
+    any competitor comes out below the bound by more than 1e-9 relative,
+    guarding the quadrature and the sign conventions.
     """
-    base = tube_form_norm(t)
-    base_sq = base * base
-    for s in (0.1, -0.1, 0.01, -0.01):
-        perturbed = competitor_norm_sq(t, s, order=order)
-        if perturbed < base_sq * (1.0 - 1e-9):
-            raise RuntimeError(
-                f"competitor s={s} fell below the certified bound: "
-                f"{perturbed} < {base_sq}"
-            )
-    return base
+    margin = competitor_margin(t, order)
+    if margin < -1e-9:
+        raise RuntimeError(f"a competitor fell below the certified bound on {t}: "
+                           f"relative margin {margin}")
+    return tube_form_norm(t)
 
 
 @dataclass(frozen=True)

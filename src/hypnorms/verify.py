@@ -115,7 +115,7 @@ def suite_tube(order: int = 24) -> list[Check]:
 
     from .tubefield import (
         TubeChart,
-        competitor_norm_sq,
+        competitor_margin,
         tube_form_norm,
         tube_l2_norm_sq,
         tube_volume,
@@ -129,17 +129,13 @@ def suite_tube(order: int = 24) -> list[Check]:
     filling = [filling_chart(FillingFamilyParams(), n) for n in (10, 10**3, 10**6)]
     vol_err = 0.0
     norm_err = 0.0
-    margin = math.inf
     for t_ in charts:
         unit = lambda r, th, z: (0.0, 0.0, np.cosh(r))
         vol_err = max(vol_err, abs(tube_l2_norm_sq(t_, unit, order=order) / tube_volume(t_) - 1.0))
         core = lambda r, th, z: (0.0, 0.0, 1.0 / t_.epsilon)
         q = math.sqrt(tube_l2_norm_sq(t_, core, order=order))
         norm_err = max(norm_err, abs(q / tube_form_norm(t_) - 1.0))
-    for t_ in charts + filling:
-        base_sq = tube_form_norm(t_) ** 2
-        for s in (0.1, -0.1, 0.01, -0.01):
-            margin = min(margin, (competitor_norm_sq(t_, s) - base_sq) / base_sq)
+    margin = min(competitor_margin(t_, 48) for t_ in charts + filling)
     return [
         Check("tube-volume", "quadrature = pi eps sinh^2 R (3x3 grid)", float(vol_err), 1e-9),
         Check("tube-form-norm", "quadrature = sqrt((2 pi/eps) log cosh R)",

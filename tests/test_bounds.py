@@ -20,6 +20,7 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from hypnorms.bounds import (
+    SANDWICH_REL_TOL,
     MainBounds,
     NormDatum,
     PolytopeNorm,
@@ -171,31 +172,23 @@ class TestNormDatum:
         with pytest.raises(ValueError, match="sandwich"):
             NormDatum(1.0, 1.0, 1.0, harmonic=1.0)
 
-    def test_gate_toggle(self):
-        d = NormDatum(1.0, 1.0, 1.0, harmonic=100.0, check_consistency=False)
-        assert d.harmonic == 100.0
-
     @pytest.mark.parametrize("vol, inj, th", [(2.0, 0.5, 3.0), (0.7, 0.013, 1.9), (76.4, 0.3, 2.6)])
     def test_gate_edges_are_the_main_bounds(self, vol, inj, th):
-        # with tol = 0 the gate admits exactly [lower, upper] of thm_main_bounds
+        # the gate admits exactly [lower, upper] of thm_main_bounds widened by
+        # the relative slack SANDWICH_REL_TOL on each side
         lower, upper, _ = thm_main_bounds(NormDatum(vol, inj, th))
-        for edge in (lower, upper):
-            assert NormDatum(vol, inj, th, harmonic=edge, tol=0.0).harmonic == edge
-        for outside in (math.nextafter(lower, 0.0), math.nextafter(upper, math.inf)):
+        lo, hi = lower * (1 - SANDWICH_REL_TOL), upper * (1 + SANDWICH_REL_TOL)
+        for edge in (lower, upper, lo, hi):
+            assert NormDatum(vol, inj, th, harmonic=edge).harmonic == edge
+        for outside in (math.nextafter(lo, 0.0), math.nextafter(hi, math.inf),
+                        lower * (1 - 2 * SANDWICH_REL_TOL), upper * (1 + 2 * SANDWICH_REL_TOL)):
             with pytest.raises(ValueError, match="sandwich"):
-                NormDatum(vol, inj, th, harmonic=outside, tol=0.0)
-
-    @pytest.mark.parametrize("tol, harmonic", [(math.inf, 1e6), (2.0, 0.0), (1.0, 4.0),
-                                               (math.nan, 4.0), (-1e-9, 4.0)])
-    def test_tol_is_finite_in_unit_interval(self, tol, harmonic):
-        # tol = inf took harmonic = 1e6 and tol = 2 took 0 against [pi, 10 pi]
-        with pytest.raises(ValueError, match="tol"):
-            NormDatum(1.0, 1.0, 1.0, harmonic=harmonic, tol=tol)
+                NormDatum(vol, inj, th, harmonic=outside)
 
     @pytest.mark.parametrize("field", ["vol", "inj", "thurston", "harmonic"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_rejected(self, field, bad):
-        fields = dict(vol=1.0, inj=1.0, thurston=1.0, harmonic=None, check_consistency=False)
+        fields = dict(vol=1.0, inj=1.0, thurston=1.0, harmonic=None)
         fields[field] = bad
         with pytest.raises(ValueError, match="finite"):
             NormDatum(**fields)
@@ -263,9 +256,8 @@ class TestSupnormFactor:
     def test_branch_constant_is_the_thin_side_constant(self):
         # the nu table's branch-constant check and the thin branch read one expression
         assert branch_constant() == math.sqrt(0.29 / nu(0.145))
-        for inj, mu in ((0.01, None), (0.01, 0.1), (1e-6, 2.0)):
-            expect = branch_constant(0.29 if mu is None else mu) / math.sqrt(inj)
-            assert supnorm_factor(inj, True, mu=mu) == expect
+        for inj in (0.01, 1e-6, math.nextafter(0.145, 0.0)):
+            assert supnorm_factor(inj, True) == branch_constant() / math.sqrt(inj)
 
     @pytest.mark.xfail(
         strict=True,
@@ -294,17 +286,11 @@ class TestSupnormFactor:
         with pytest.warns(RuntimeWarning, match="vacuous"):
             assert supnorm_factor(1.0, False) == 0.0
 
-    def test_explicit_mu_fallback(self):
-        got = supnorm_factor(0.01, False, mu=0.1)
-        assert got > 0.0
-        # same two-branch shape for the explicit constant
-        assert got == pytest.approx(math.sqrt(0.1 / nu(0.05)) / math.sqrt(0.01), rel=1e-14)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             supnorm_factor(0.0, True)
         with pytest.raises(ValueError):
-            supnorm_factor(1.0, True, mu=-0.29)
+            supnorm_factor(-0.29, True)
 
 
 class TestNonfiniteScalars:
@@ -315,7 +301,6 @@ class TestNonfiniteScalars:
         "call",
         [
             pytest.param(lambda x: supnorm_factor(x, True), id="supnorm_factor-inj"),
-            pytest.param(lambda x: supnorm_factor(0.5, True, mu=x), id="supnorm_factor-mu"),
         ],
     )
     def test_rejected(self, call, bad):

@@ -165,7 +165,7 @@ class TestGridParsing:
 
     @pytest.mark.parametrize("val", ["nan", "inf", "-inf", "-1", "-1e-300", "1e400"])
     def test_tol_not_finite_nonnegative(self, val):
-        with pytest.raises(UsageError, match="finite and >= 0"):
+        with pytest.raises(UsageError, match="finite real >= 0"):
             _parse_tols([f"a={val}"])
 
     def test_tol_zero_accepted(self):
@@ -282,7 +282,7 @@ class TestTolOverrides:
     def test_nonfinite_or_negative_tol_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
-        assert "finite and >= 0" in err
+        assert "finite real >= 0" in err
 
     def test_repeated_tol_usage_error(self, capsys):
         # exited 0, holding homalg-growth to 1 and dropping 1e-30

@@ -54,15 +54,13 @@ class TestCoverFamily:
         assert fam[0] == BASE
 
     def test_degree_four_scaling(self):
-        # the ungated unit example: harmonic exactly halves the lower bound,
-        # so the gate is turned off and the ratio invariance checked raw
-        base = NormDatum(1.0, 1.0, 1.0, harmonic=1.0, check_consistency=False)
-        fam = cover_family(CoverFamilyParams(base, (1, 4)))
+        # the unit base with harmonic 4, inside its sandwich [pi, 10 pi]
+        fam = cover_family(CoverFamilyParams(BASE, (1, 4)))
         assert fam[1].vol == 4.0
         assert fam[1].thurston == 4.0
-        assert fam[1].harmonic == 2.0
+        assert fam[1].harmonic == 8.0
         ratio = fam[1].thurston / (fam[1].harmonic * math.sqrt(fam[1].vol))
-        assert ratio == pytest.approx(1.0, rel=1e-15)
+        assert ratio == pytest.approx(0.25, rel=1e-15)
 
     def test_ratio_invariance(self):
         fam = cover_family(CoverFamilyParams(BASE, (1, 2, 3, 5, 8, 13, 21, 100)))

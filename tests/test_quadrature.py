@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from hypnorms import ballfield, quadrature, verify
-from hypnorms.tubefield import TubeChart, competitor_norm_sq, tube_l2_norm_sq, tube_lower_bound
+from hypnorms.tubefield import (
+    TubeChart,
+    competitor_margin,
+    competitor_norm_sq,
+    tube_l2_norm_sq,
+    tube_lower_bound,
+)
 
 
 class TestGaussLegendreRule:
@@ -45,11 +51,12 @@ class TestGaussLegendreRule:
     @pytest.mark.parametrize("call", [
         lambda n: tube_l2_norm_sq(TubeChart(0.3, 1.2), lambda r, th, z: (0.0, 0.0, 1.0), order=n),
         lambda n: competitor_norm_sq(TubeChart(0.3, 1.2), 0.1, order=n),
+        lambda n: competitor_margin(TubeChart(0.3, 1.2), order=n),
         lambda n: tube_lower_bound(TubeChart(0.3, 1.2), order=n),
         lambda n: ballfield.omega_gram(2, 1.0, order=n),
         lambda n: ballfield.psi_gram(2, 1.0, order=n),
-    ], ids=["tube_l2_norm_sq", "competitor_norm_sq", "tube_lower_bound", "omega_gram",
-            "psi_gram"])
+    ], ids=["tube_l2_norm_sq", "competitor_norm_sq", "competitor_margin", "tube_lower_bound",
+            "omega_gram", "psi_gram"])
     def test_order_is_an_integer_of_at_least_four(self, call, order):
         # order=1 used to put a competitor at 1.86, below the core's 12.43
         with pytest.raises(ValueError, match="quadrature order"):

@@ -26,8 +26,14 @@ HUGE = 10**5000  # past the 4300 digits repr() prints
 
 
 def datum(**field):
-    fields = dict(vol=1.0, inj=1.0, thurston=1.0, harmonic=None, check_consistency=False)
+    fields = dict(vol=1.0, inj=1.0, thurston=1.0, harmonic=None)
     return bounds.NormDatum(**{**fields, **field})
+
+
+def datum_with_harmonic(x):
+    # the sandwich gate admits [pi/2, 5 pi] for a class of norm 1/2, and only 0
+    # for the zero class
+    return datum(thurston=0.5 if x else 0.0, harmonic=x)
 
 
 # (entry point, call with the real x in place, the name its message gives, range, a value inside)
@@ -55,12 +61,8 @@ ENTRY_POINTS = [
     ("NormDatum.vol", lambda x: datum(vol=x), "vol", {"gt": 0}, 2.0),
     ("NormDatum.inj", lambda x: datum(inj=x), "inj", {"gt": 0}, 2.0),
     ("NormDatum.thurston", lambda x: datum(thurston=x), "thurston", {"ge": 0}, 2.0),
-    ("NormDatum.harmonic", lambda x: datum(harmonic=x), "harmonic", {"ge": 0}, 2.0),
-    ("NormDatum.tol", lambda x: datum(tol=x), "tol", {"ge": 0, "lt": 1}, 0.5),
-    ("branch_constant", bounds.branch_constant, "mu", {"gt": 0}, 0.5),
+    ("NormDatum.harmonic", datum_with_harmonic, "harmonic", {"ge": 0}, 2.0),
     ("supnorm_factor.inj", lambda x: bounds.supnorm_factor(x, True), "inj", {"gt": 0}, 2.0),
-    ("supnorm_factor.mu", lambda x: bounds.supnorm_factor(0.5, True, mu=x), "mu", {"gt": 0},
-     0.5),
     *((f"FillingFamilyParams.{name}", lambda x, name=name: families.FillingFamilyParams(
         **{name: x}), name, {"gt": 0}, 2.0)
       for name in ("th_alpha", "th_beta", "c1", "c2", "vol_w")),
@@ -72,7 +74,7 @@ ENTRY_POINTS = [
      {"gt": 0}, 2.0),
 ]
 IDS = [e[0] for e in ENTRY_POINTS]
-OPTIONAL = {"NormDatum.harmonic", "supnorm_factor.mu"}  # None is their documented default
+OPTIONAL = {"NormDatum.harmonic"}  # None is its documented default
 
 
 def _past(bounds_):
@@ -107,7 +109,7 @@ def test_rule(call, what, bad):
 
 @pytest.mark.parametrize("entry, call, what, bounds_, good", ENTRY_POINTS, ids=IDS)
 def test_closed_ends_are_admitted(entry, call, what, bounds_, good):
-    # radius 0 in profiles and nu, thurston 0, harmonic 0 and tol 0
+    # radius 0 in profiles and nu, thurston 0 and harmonic 0
     if "ge" in bounds_:
         call(bounds_["ge"])
 
@@ -123,9 +125,9 @@ def test_other_reals_read_as_floats(entry, call, what, bounds_, good):
 
 
 def test_message_states_the_range():
-    with pytest.raises(ValueError, match=re.escape("tol must be a finite real >= 0 and < 1, "
-                                                   "got 1.5")):
-        datum(tol=1.5)
+    with pytest.raises(ValueError, match=re.escape("epsilon must be a finite real > 0 and < "
+                                                   f"{1 / math.pi}, got 0.5")):
+        tubefield.remark_ratio(0.5)
     with pytest.raises(ValueError, match=re.escape("s must be a finite real, got 'x'")):
         tubefield.competitor_norm_sq(CHART, "x")
 
@@ -134,8 +136,8 @@ def test_records_store_python_floats():
     chart = tubefield.TubeChart(Fraction(1, 3), 2)
     assert (type(chart.epsilon), type(chart.R)) == (float, float)
     assert chart.epsilon == 1 / 3 and chart.R == 2.0
-    d = datum(vol=np.float32(0.1), thurston=0, tol=Fraction(1, 10))
-    assert [type(v) for v in (d.vol, d.inj, d.thurston, d.tol)] == [float] * 4
+    d = datum(vol=np.float32(0.1), inj=Fraction(1, 10), thurston=0)
+    assert [type(v) for v in (d.vol, d.inj, d.thurston)] == [float] * 3
     assert d.vol == float(np.float32(0.1)) and d.harmonic is None
     p = families.GluingFamilyParams(vol_block=Fraction(15, 2), lam=3)
     assert (p.vol_block, p.lam) == (7.5, 3.0) and type(p.lam) is float

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypnorms import tubefield
 from hypnorms.tubefield import (
     TubeChart,
+    competitor_margin,
     competitor_norm_sq,
     remark_ratio,
     tube_form_norm,
@@ -78,6 +79,19 @@ class TestFormNorm:
             with pytest.raises(ValueError, match="float range"):
                 tube_form_norm(t)
 
+    def test_subnormal_squared_norm_raises(self):
+        # returned 1.7725020287448155e-160, of which 4 digits are right
+        for t in (TubeChart(1e300, 1e-10), TubeChart(1e300, 1e-5)):
+            with pytest.raises(ValueError, match="float range"):
+                tube_form_norm(t)
+
+    @pytest.mark.parametrize("eps, R", [(1e300, 1e-4), (1e300, 2e-4), (1e308, 1.0)])
+    def test_normal_squared_norm_keeps_its_digits(self, eps, R):
+        # just above sys.float_info.min the squared norm is a normal float
+        with mp.workdps(50):
+            expect = float(mp.sqrt(2 * mp.pi / eps * mp.log(mp.cosh(mp.mpf(R)))))
+        assert tube_form_norm(TubeChart(eps, R)) == pytest.approx(expect, rel=1e-15, abs=0.0)
+
     def test_closed_form_value(self):
         t = TubeChart(0.01, 2.4311)
         expect = math.sqrt(2.0 * math.pi / 0.01 * math.log(math.cosh(2.4311)))
@@ -112,6 +126,12 @@ class TestPastCoshOverflow:
 
     def test_volume_out_of_range_raises(self):
         for t in (TubeChart(0.1, 800.0), TubeChart(0.1, 1e6), TubeChart(1e308, 1.0)):
+            with pytest.raises(ValueError, match="float range"):
+                tube_volume(t)
+
+    def test_volume_underflow_raises(self):
+        # returned 0.0 where the volume is about 3.1e-400
+        for t in (TubeChart(1.0, 1e-200), TubeChart(5e-324, 1e-170)):
             with pytest.raises(ValueError, match="float range"):
                 tube_volume(t)
 
@@ -214,6 +234,28 @@ class TestLowerBound:
         for t in [TubeChart(0.29, 2.0), TubeChart(0.01, 2.4311), TubeChart(1.0, 0.5)] + FILLING:
             base_sq = tube_form_norm(t) ** 2
             assert competitor_norm_sq(t, s) > base_sq
+
+    def test_margin_is_the_worst_competitor(self):
+        for t in (TubeChart(0.29, 2.0), FILLING[0]):
+            base_sq = tube_form_norm(t) ** 2
+            worst = min((competitor_norm_sq(t, s, order=24) - base_sq) / base_sq
+                        for s in (0.1, -0.1, 0.01, -0.01))
+            assert competitor_margin(t, order=24) == worst > 0.0
+
+    @pytest.mark.parametrize("below, raises", [(1e-10, False), (1e-8, True)])
+    def test_competitor_below_the_bound_raises(self, monkeypatch, below, raises):
+        # a competitor under the core form by more than 1e-9 relative is refused,
+        # one within that slack is not
+        t = TubeChart(0.3, 1.2)
+        base_sq = tube_form_norm(t) ** 2
+        monkeypatch.setattr(tubefield, "competitor_norm_sq",
+                            lambda t_, s, order: base_sq * (1.0 - below))
+        assert competitor_margin(t, 48) == pytest.approx(-below, rel=1e-6)
+        if raises:
+            with pytest.raises(RuntimeError, match="below the certified bound"):
+                tube_lower_bound(t)
+        else:
+            assert tube_lower_bound(t) == tube_form_norm(t)
 
     def test_perturbation_enters_at_second_order(self):
         # cross term cancels over a z-period, so +s and -s cost the same
