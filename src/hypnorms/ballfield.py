@@ -21,8 +21,9 @@ Pbar_l^m(x) = (1-x^2)^(m/2) d^m P_l/dx^m (all positive near x = 1; this is
 (-1)^m times scipy's lpmv).  Only orthonormality is contractual.
 
 Pbar_l^m comes from the standard upward recurrence in l, started at
-Pbar_m^m = (2m-1)!! sin^m(phi).  Angular derivatives never divide by
-sin(phi); they use the exact rewrites
+Pbar_m^m = (2m-1)!! sin^m(phi): one sweep per m fills a table of every
+Pbar_l^m a Gram needs.  Angular derivatives never divide by sin(phi); they
+read that table through the exact rewrites
 
     d/dphi Pbar_l^0      = -Pbar_l^1,
     d/dphi Pbar_l^m      = ((l+m)(l-m+1) Pbar_l^(m-1) - Pbar_l^(m+1)) / 2,
@@ -32,10 +33,17 @@ for m >= 1, so every value is accurate up to and at the poles.
 
 An expansion's differential is integrated, never sampled: ball_l2_norm_sq
 reads the L^2 norm off the Gram matrix of its modes.
+
+Every Gram is a radial factor times an angular factor, and the angular
+factor does not depend on r.  It is built once per (mode list, quadrature
+order) and kept read-only in a cache of 16 entries; an entry holds 16 n^2
+bytes for n modes, about 1.7 MB for all 16 at lmax = 8 and at most about
+720 MB at lmax = MAX_ELL.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -102,21 +110,6 @@ def _norm_const(ell: int, m: int) -> float:
     )
 
 
-def _assoc(ell: int, m: int, x):
-    """Pbar_ell^m(x), m >= 0, without the Condon-Shortley phase; 0 for m > ell."""
-    x = np.asarray(x, dtype=float)
-    if m > ell:
-        return np.zeros_like(x)
-    # (2m-1)!! (1 - x^2)^(m/2), with 1 - x^2 factored to keep digits near x = +-1
-    p_prev = float(math.prod(range(1, 2 * m, 2))) * np.sqrt((1.0 - x) * (1.0 + x)) ** m
-    if ell == m:
-        return p_prev
-    p = (2 * m + 1) * x * p_prev
-    for n in range(m + 2, ell + 1):
-        p, p_prev = ((2 * n - 1) * x * p - (n + m - 1) * p_prev) / (n - m), p
-    return p
-
-
 def _trig(m: int, theta):
     if m == 0:
         return np.ones_like(np.asarray(theta, dtype=float))
@@ -135,20 +128,6 @@ def _dtrig(m: int, theta):
     return -m * math.sqrt(2.0) * np.cos(-m * th)
 
 
-def _dphi_factor(ell: int, am: int, x):
-    # d/dphi Pbar_ell^am(cos phi)
-    if am == 0:
-        return -_assoc(ell, 1, x)
-    return 0.5 * ((ell + am) * (ell - am + 1) * _assoc(ell, am - 1, x) - _assoc(ell, am + 1, x))
-
-
-def _over_sin_factor(ell: int, am: int, x):
-    # Pbar_ell^am(cos phi) / sin phi for am >= 1, without dividing by sin phi
-    return (
-        _assoc(ell - 1, am + 1, x) + (ell + am - 1) * (ell + am) * _assoc(ell - 1, am - 1, x)
-    ) / (2 * am)
-
-
 # The identity, kept only because benchmark/fields.py calls ball_l2_norm_sq
 # through it; ROADMAP item 1 deletes it together with that call.
 def expansion_field(expansion: HarmonicExpansion) -> HarmonicExpansion:
@@ -156,9 +135,13 @@ def expansion_field(expansion: HarmonicExpansion) -> HarmonicExpansion:
 
 
 def _quad_nodes(r: float, order: int):
-    r = checked_real(r, what="r", gt=0)
-    return (*gauss_legendre(0.0, r, order), *gauss_legendre(0.0, math.pi, order),
-            *theta_grid(order))
+    # the radial Gauss-Legendre nodes and weights on [0, r]; checks r, then order
+    return gauss_legendre(0.0, checked_real(r, what="r", gt=0), order)
+
+
+def _angular_nodes(order: int):
+    # the colatitude Gauss-Legendre nodes and weights on [0, pi], then the theta grid
+    return (*gauss_legendre(0.0, math.pi, order), *theta_grid(order))
 
 
 def _weighted_gram(rows, weights):
@@ -166,31 +149,74 @@ def _weighted_gram(rows, weights):
     return (rows * weights) @ rows.T
 
 
-def _angular_grams(modes, phi_nodes, phi_w, theta_nodes, theta_w):
-    """Angular Gram matrices (A, B) of the modes on the (phi, theta) grid.
+def _legendre_table(lmax: int, x):
+    """Pbar_l^m(x) at [l, m] for 0 <= l <= lmax and 0 <= m <= lmax + 1; zero for m > l."""
+    table = np.zeros((lmax + 1, lmax + 2, len(x)))
+    # (2m-1)!! (1 - x^2)^(m/2), with 1 - x^2 factored to keep digits near x = +-1
+    s = np.sqrt((1.0 - x) * (1.0 + x))
+    for m in range(lmax + 1):
+        table[m, m] = float(math.prod(range(1, 2 * m, 2))) * s ** m
+        if m < lmax:
+            table[m + 1, m] = (2 * m + 1) * x * table[m, m]
+        for n in range(m + 2, lmax + 1):
+            table[n, m] = ((2 * n - 1) * x * table[n - 1, m]
+                           - (n + m - 1) * table[n - 2, m]) / (n - m)
+    return table
+
+
+def _phi_factors(pbar, ell: int, am: int, gradients: bool):
+    # N_lm times Pbar_l^am and, with gradients, times d/dphi Pbar_l^am and
+    # Pbar_l^am / sin(phi) (zero for am = 0), by the rewrites in the module docstring
+    n = _norm_const(ell, am)
+    value = n * pbar[ell, am]
+    if not gradients:
+        return (value,)
+    if am == 0:
+        return value, n * -pbar[ell, 1], np.zeros(pbar.shape[-1])
+    dphi = 0.5 * ((ell + am) * (ell - am + 1) * pbar[ell, am - 1] - pbar[ell, am + 1])
+    over_sin = (pbar[ell - 1, am + 1]
+                + (ell + am - 1) * (ell + am) * pbar[ell - 1, am - 1]) / (2 * am)
+    return value, n * dphi, n * over_sin
+
+
+@functools.lru_cache(maxsize=16)
+def _angular_grams(modes: tuple, order: int, gradients: bool):
+    """Angular Gram matrices (A, B) of the modes on the (phi, theta) grid of order.
 
     A_ab = int Y_a Y_b and B_ab = int (dY_a/dphi dY_b/dphi + (1/sin^2 phi)
-    dY_a/dtheta dY_b/dtheta) against sin(phi) dphi dtheta.  Each Y_lm is a
-    phi factor N_lm Pbar_l^|m| times a theta factor trig_m, so every
-    integral over the tensor grid is the entrywise product of a phi-Gram and
-    a theta-Gram; each table is built once per (ell, |m|) or per m.
+    dY_a/dtheta dY_b/dtheta) against sin(phi) dphi dtheta; B is None unless
+    gradients.  Each Y_lm is a phi factor N_lm Pbar_l^|m| times a theta factor
+    trig_m, so every integral over the tensor grid is the entrywise product of
+    a phi-Gram and a theta-Gram.  The phi factors are read off one Legendre
+    table, once per (ell, |m|).
+
+    Neither matrix depends on r, so each is built once per key and kept
+    read-only.  Callers pass modes as a tuple and an order that _quad_nodes
+    has checked, since 24.0 would share the key of 24.  One entry holds
+    16 n^2 bytes for n = len(modes) <= 1680, so the 16 entries hold at most
+    about 720 MB at lmax = MAX_ELL; at lmax = 8, the most any caller uses,
+    they hold about 1.7 MB.
     """
+    phi_nodes, phi_w, theta_nodes, theta_w = _angular_nodes(order)
     x = np.cos(phi_nodes)
+    pbar = _legendre_table(max(ell for ell, _ in modes), x)
     phi_tabs = {}
     for ell, m in modes:
-        am = abs(m)
-        if (ell, am) not in phi_tabs:
-            n = _norm_const(ell, am)
-            over_sin = n * _over_sin_factor(ell, am, x) if am else np.zeros_like(x)
-            phi_tabs[ell, am] = (n * _assoc(ell, am, x), n * _dphi_factor(ell, am, x), over_sin)
-    theta_tabs = {m: (_trig(m, theta_nodes), _dtrig(m, theta_nodes)) for _, m in modes}
-    P, dP, S = (np.array([phi_tabs[ell, abs(m)][i] for ell, m in modes]) for i in range(3))
-    T, dT = (np.array([theta_tabs[m][i] for _, m in modes]) for i in range(2))
+        if (ell, abs(m)) not in phi_tabs:
+            phi_tabs[ell, abs(m)] = _phi_factors(pbar, ell, abs(m), gradients)
     w_phi = phi_w * np.sin(phi_nodes)
+    T = np.array([_trig(m, theta_nodes) for _, m in modes])
     theta_gram = _weighted_gram(T, theta_w)
+    P, *grads = map(np.array, zip(*(phi_tabs[ell, abs(m)] for ell, m in modes)))
     A = _weighted_gram(P, w_phi) * theta_gram
+    A.flags.writeable = False
+    if not gradients:
+        return A, None
+    dP, S = grads
+    dT = np.array([_dtrig(m, theta_nodes) for _, m in modes])
     B = (_weighted_gram(dP, w_phi) * theta_gram
          + _weighted_gram(S, w_phi) * _weighted_gram(dT, theta_w))
+    B.flags.writeable = False
     return A, B
 
 
@@ -230,18 +256,18 @@ def psi_gram(lmax: int, r: float, order: int = 48):
     sinh^2 weights overflow (r past ~355).
     """
     modes = mode_indices(lmax)
-    r_nodes, r_w, phi_nodes, phi_w, theta_nodes, theta_w = _quad_nodes(r, order)
+    r_nodes, r_w = _quad_nodes(r, order)
     w_sinh = _radial_weights(r_nodes, r_w, r, order)
-    A, _ = _angular_grams(modes, phi_nodes, phi_w, theta_nodes, theta_w)
+    A, _ = _angular_grams(tuple(modes), order, False)
     psi_tab, _, idx = _radial_tables(modes, r_nodes)
     return modes, _radial_gram(psi_tab, idx, w_sinh) * A
 
 
 def _omega_gram(modes, r: float, order: int):
     # Gram matrix of the omega_lm over the given (ell, m), all ell >= 1
-    r_nodes, r_w, phi_nodes, phi_w, theta_nodes, theta_w = _quad_nodes(r, order)
+    r_nodes, r_w = _quad_nodes(r, order)
     w_sinh = _radial_weights(r_nodes, r_w, r, order)
-    A, B = _angular_grams(modes, phi_nodes, phi_w, theta_nodes, theta_w)
+    A, B = _angular_grams(tuple(modes), order, True)
     psi_tab, dpsi_tab, idx = _radial_tables(modes, r_nodes)
     R1 = _radial_gram(dpsi_tab, idx, w_sinh)
     R0 = _radial_gram(psi_tab, idx, r_w)

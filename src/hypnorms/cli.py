@@ -29,6 +29,7 @@ import io
 import json
 import math
 import operator
+import os
 import sys
 from dataclasses import replace
 
@@ -362,6 +363,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # The suites' matrix products are small (the ball Grams' at most ~80 x 96),
+    # so a CLI process runs OpenBLAS on one thread unless the caller set a
+    # count; numpy is not loaded yet in a cold process, so its pool starts so.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

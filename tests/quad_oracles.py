@@ -20,10 +20,13 @@ derivative written out and the theta integral taken as an exact 2 pi.
 The library integrates an expansion's differential only through Gram
 matrices and never evaluates it at a point.  The pointwise evaluator lives
 here: sph_harm, sph_harm_dphi and sph_harm_dtheta_over_sin are the real
-spherical harmonics of the ballfield convention on scalars or meshes, built
-from the library's phi and theta factors; covector_at gives the coframe
-components of d Psi at one point (r, phi, theta); and pointwise_l2_norm_sq
-sums their squares over ball_l2_norm_sq's grid, one point at a time.
+spherical harmonics of the ballfield convention on scalars or meshes.  Their
+phi factors come from _assoc, one upward recurrence in ell per call, and the
+library's rewrites of d/dphi and 1/sin(phi), so they stay independent of the
+library's one Legendre table; their theta factors are the library's.
+covector_at gives the coframe components of d Psi at one point (r, phi,
+theta); and pointwise_l2_norm_sq sums their squares over ball_l2_norm_sq's
+grid, one point at a time.
 """
 
 import math
@@ -33,11 +36,9 @@ import numpy as np
 from scipy.integrate import quad
 
 from hypnorms.ballfield import (
-    _assoc,
-    _dphi_factor,
+    _angular_nodes,
     _dtrig,
     _norm_const,
-    _over_sin_factor,
     _quad_nodes,
     _trig,
     mode_indices,
@@ -142,6 +143,40 @@ def q_ladder_profile(ell: int, r: float):
         return float(p), float(flux / mp.sinh(r) ** 2), float(p * flux)
 
 
+def _assoc(ell: int, m: int, x):
+    """Pbar_ell^m(x), m >= 0, without the Condon-Shortley phase; 0 for m > ell."""
+    x = np.asarray(x, dtype=float)
+    if m > ell:
+        return np.zeros_like(x)
+    # (2m-1)!! (1 - x^2)^(m/2), with 1 - x^2 factored to keep digits near x = +-1
+    p_prev = float(math.prod(range(1, 2 * m, 2))) * np.sqrt((1.0 - x) * (1.0 + x)) ** m
+    if ell == m:
+        return p_prev
+    p = (2 * m + 1) * x * p_prev
+    for n in range(m + 2, ell + 1):
+        p, p_prev = ((2 * n - 1) * x * p - (n + m - 1) * p_prev) / (n - m), p
+    return p
+
+
+def _dphi_factor(ell: int, am: int, x):
+    # d/dphi Pbar_ell^am(cos phi)
+    if am == 0:
+        return -_assoc(ell, 1, x)
+    return 0.5 * ((ell + am) * (ell - am + 1) * _assoc(ell, am - 1, x) - _assoc(ell, am + 1, x))
+
+
+def _over_sin_factor(ell: int, am: int, x):
+    # Pbar_ell^am(cos phi) / sin phi for am >= 1, without dividing by sin phi
+    return (
+        _assoc(ell - 1, am + 1, x) + (ell + am - 1) * (ell + am) * _assoc(ell - 1, am - 1, x)
+    ) / (2 * am)
+
+
+def _grid(r, order):
+    # ball_l2_norm_sq's tensor grid: r, phi and theta nodes with their weights
+    return (*_quad_nodes(r, order), *_angular_nodes(order))
+
+
 def sph_harm(ell, m, phi, theta):
     """Real orthonormal Y_lm (ballfield convention), |m| <= ell."""
     return _norm_const(ell, m) * _assoc(ell, abs(m), np.cos(phi)) * _trig(m, theta)
@@ -180,7 +215,7 @@ def covector_at(expansion, r, phi, theta):
 
 def pointwise_l2_norm_sq(expansion, r, order):
     """ball_l2_norm_sq on the same tensor grid, sampled point by point."""
-    r_nodes, r_w, phi_nodes, phi_w, theta_nodes, theta_w = _quad_nodes(r, order)
+    r_nodes, r_w, phi_nodes, phi_w, theta_nodes, theta_w = _grid(r, order)
     total = 0.0
     for ri, wr in zip(r_nodes, r_w):
         for phij, wphi in zip(phi_nodes, phi_w):
@@ -201,7 +236,7 @@ def _mesh_tables(modes, phi_nodes, theta_nodes):
 def full_mesh_psi_gram(lmax, r, order):
     """Gram matrix of the Psi_lm, ell <= lmax, summed over the full 3-D grid."""
     modes = mode_indices(lmax)
-    r_nodes, r_w, phi_nodes, phi_w, theta_nodes, theta_w = _quad_nodes(r, order)
+    r_nodes, r_w, phi_nodes, phi_w, theta_nodes, theta_w = _grid(r, order)
     Y, _, _ = _mesh_tables(modes, phi_nodes, theta_nodes)
     wang = (phi_w * np.sin(phi_nodes))[:, None] * theta_w
     A = np.einsum("aij,bij,ij->ab", Y, Y, wang)
@@ -213,7 +248,7 @@ def full_mesh_psi_gram(lmax, r, order):
 
 def full_mesh_omega_gram(modes, r, order):
     """Gram matrix of the omega_lm over the given modes (ell >= 1), full 3-D grid."""
-    r_nodes, r_w, phi_nodes, phi_w, theta_nodes, theta_w = _quad_nodes(r, order)
+    r_nodes, r_w, phi_nodes, phi_w, theta_nodes, theta_w = _grid(r, order)
     Y, dY, G = _mesh_tables(modes, phi_nodes, theta_nodes)
     wang = (phi_w * np.sin(phi_nodes))[:, None] * theta_w
     A = np.einsum("aij,bij,ij->ab", Y, Y, wang)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.special import lpmv
 
+from hypnorms import ballfield
 from hypnorms.ballfield import (
     HarmonicExpansion,
     ball_l2_norm_sq,
@@ -21,10 +22,14 @@ from hypnorms.ballfield import (
     mode_indices,
     omega_gram,
     psi_gram,
+    _angular_grams,
+    _angular_nodes,
+    _legendre_table,
     _omega_gram,
 )
 from hypnorms.radial import dpsi, mode_norm, nu, psi
 from quad_oracles import (
+    _assoc,
     covector_at,
     full_mesh_omega_gram,
     full_mesh_psi_gram,
@@ -352,6 +357,82 @@ class TestSeparableGram:
         # sinh^2 of the outer radial nodes overflows; nan/inf entries used to come back
         with pytest.raises(ValueError, match="nonfinite"):
             gram(1, 800.0, order=4)
+
+
+class TestAngularCache:
+    """The angular factor is built once per (mode list, order) and shared read-only."""
+
+    @staticmethod
+    def grams(rng, lmax, order, r):
+        expansion = random_expansion(rng, lmax)
+        return (omega_gram(lmax, r, order)[1], psi_gram(lmax, r, order)[1],
+                ball_l2_norm_sq(expansion, r, order))
+
+    @staticmethod
+    def assert_same(a, b):
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]) and a[2] == b[2]
+
+    def test_cached_equals_rebuilt_and_uncached(self, monkeypatch):
+        rng = np.random.default_rng(28)
+        shapes = [(int(rng.integers(1, 7)), int(rng.integers(4, 40)), float(rng.uniform(0.1, 4)))
+                  for _ in range(6)]
+        for lmax, order, r in shapes:
+            seed = int(rng.integers(2**31))
+            first = self.grams(np.random.default_rng(seed), lmax, order, r)
+            hit = self.grams(np.random.default_rng(seed), lmax, order, r)
+            _angular_grams.cache_clear()
+            rebuilt = self.grams(np.random.default_rng(seed), lmax, order, r)
+            with monkeypatch.context() as m:
+                m.setattr(ballfield, "_angular_grams", _angular_grams.__wrapped__)
+                uncached = self.grams(np.random.default_rng(seed), lmax, order, r)
+            for other in (hit, rebuilt, uncached):
+                self.assert_same(first, other)
+
+    def test_built_once_across_radii(self):
+        _angular_grams.cache_clear()
+        for r in (0.3, 1.1, 2.7):
+            omega_gram(3, r, order=20)
+        info = _angular_grams.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_psi_path_builds_the_same_a(self):
+        modes = tuple(mode_indices(5, lmin=1))
+        a_only, none = _angular_grams.__wrapped__(modes, 30, False)
+        A, B = _angular_grams.__wrapped__(modes, 30, True)
+        assert none is None and B is not None
+        assert np.array_equal(a_only, A)
+
+    def test_cached_arrays_are_read_only(self):
+        A, B = _angular_grams(tuple(mode_indices(2, lmin=1)), 24, True)
+        for cached in (A, B):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0, 0] = 1.0
+        G = omega_gram(2, 1.0, order=24)[1]  # a caller's Gram is its own
+        G[0, 0] = 0.0
+
+    def test_size_is_bounded(self):
+        for lmax in range(1, 5):
+            for order in range(4, 9):
+                omega_gram(lmax, 0.7, order=order)
+        assert _angular_grams.cache_info().currsize <= 16
+
+    @pytest.mark.parametrize("call", [
+        lambda: omega_gram(2, 1.0, order=24.0),
+        lambda: psi_gram(2, 1.0, order=24.0),
+        lambda: ball_l2_norm_sq(unit_mode(2, 1), 1.0, order=24.0),
+    ], ids=["omega_gram", "psi_gram", "ball_l2_norm_sq"])
+    def test_float_order_raises_before_the_cache(self, call):
+        _angular_grams.cache_clear()
+        with pytest.raises(ValueError, match="quadrature order"):
+            call()
+        assert _angular_grams.cache_info().misses == 0
+
+    @pytest.mark.parametrize("order", [4, 24, 48, 256])
+    def test_legendre_table_matches_the_oracle(self, order):
+        x = np.cos(_angular_nodes(order)[0])
+        table = _legendre_table(41, x)
+        assert all(np.array_equal(table[ell, m], _assoc(ell, m, x))
+                   for ell in range(42) for m in range(43))
 
 
 class TestDfBound:

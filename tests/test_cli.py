@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -622,3 +623,17 @@ class TestEntryPoint:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr != ""
+
+
+class TestBlasThreads:
+    def test_main_runs_openblas_on_one_thread(self, monkeypatch, capsys):
+        # setenv first, so that the teardown removes the value main sets
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "unset")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        assert run_cli(capsys, "verify", "homalg")[0] == 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+    def test_a_preset_thread_count_is_kept(self, monkeypatch, capsys):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert run_cli(capsys, "verify", "homalg")[0] == 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
