@@ -65,6 +65,12 @@ FLOAT_COMMANDS = [
     ["verify", "dfbound", "--seed", "4"],
     ["nu", "--r", "0.01..10", "--log-grid"],
 ]
+# The ends of the family grids, where a rewrite that rounds differently would
+# show: filling n at 2^53 - 1 and 2^63 - 1, gluing n up to its cap 10^5.
+GRID_ENDS = [
+    ["family", "filling", "--n", "2,3,9007199254740991,9223372036854775807"],
+    ["family", "gluing", "--n", "99990..100000"],
+]
 # Usage errors: exit 2 and empty stdout, several from the integer rule.
 USAGE_ERRORS = [
     ["family", "gluing", "--n", "0"],
@@ -92,7 +98,8 @@ USAGE_ERRORS = [
     ["verify", "ball", "--r", "1"],
     ["verify", "tube", "--quad-order", "257"],
 ]
-INVOCATIONS = BENCHMARK + README + FLAGS_FIRST + TOL_OVERRIDES + FLOAT_COMMANDS + USAGE_ERRORS
+INVOCATIONS = (BENCHMARK + README + FLAGS_FIRST + TOL_OVERRIDES + FLOAT_COMMANDS + GRID_ENDS
+               + USAGE_ERRORS)
 
 
 def run(tree: Path, argv: list[str]) -> tuple[int, str]:

@@ -297,7 +297,8 @@ def ball_l2_norm_sq(expansion: HarmonicExpansion, r: float, order: int = 48) -> 
     a^T G a of the expansion's nonzero coefficients a_lm (ell >= 1) in the
     Gram matrix G of their modes on that grid, assembled from per-ell radial
     and per-factor angular Grams as in omega_gram; a nonfinite result
-    raises ValueError.
+    raises ValueError, as does a result that underflows to 0.0 (G is
+    positive definite, so only the zero expansion has norm 0).
     """
     if not isinstance(expansion, HarmonicExpansion):
         raise TypeError(
@@ -311,6 +312,8 @@ def ball_l2_norm_sq(expansion: HarmonicExpansion, r: float, order: int = 48) -> 
     value = float(coeffs @ _omega_gram(modes, r, order) @ coeffs)
     if not math.isfinite(value):
         raise ValueError(f"nonfinite L2 norm {value} on B_{r} at quadrature order {order}")
+    if value == 0.0:
+        raise ValueError(f"L2 norm on B_{r} at quadrature order {order} underflows to 0.0")
     return value
 
 

@@ -21,6 +21,7 @@ therefore upper semicontinuous only.  Both branches stay below 5/sqrt(inj).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from collections.abc import Mapping, Set
@@ -103,8 +104,12 @@ def thm_main_bounds(d: NormDatum) -> MainBounds:
     return MainBounds(lower, upper, lower > upper)
 
 
+@functools.cache
 def branch_constant() -> float:
-    """sqrt(MU / nu(MU/2)) = 4.78, supnorm_factor's constant below inj = MU/2."""
+    """sqrt(MU / nu(MU/2)) = 4.78, supnorm_factor's constant below inj = MU/2.
+
+    Computed on the first call and kept, not at import.
+    """
     return math.sqrt(MU / nu(MU / 2.0))
 
 

@@ -183,11 +183,16 @@ def mode_norm(ell: int, r: float) -> float:
     over [0, r] is the boundary flux psi_ell(r) sinh^2(r) psi_ell'(r) =
     ell(ell+1) psi_ell(r) Q_ell(coth r), both factors read from profile().
     No sinh^2 is formed, so N_ell(r) ~ ell(ell+1) r stays finite until the
-    flux leaves the float range, where ValueError is raised.
+    flux leaves the float range, where ValueError is raised, as it is when
+    the value underflows to 0.0.
     """
     checked_int(ell, 1, MAX_ELL, what="ell")  # the ell = 0 field vanishes
-    p, _, flux = profile(ell, checked_real(r, what="r", gt=0))
-    return p * flux
+    r = checked_real(r, what="r", gt=0)
+    p, _, flux = profile(ell, r)
+    value = p * flux
+    if value == 0.0:
+        raise ValueError(f"mode_norm({ell}, {r}) underflows to 0.0")
+    return value
 
 
 def nu(r: float) -> float:
@@ -200,12 +205,15 @@ def nu(r: float) -> float:
     steps down by 2.1e-15 relative as the ladder changes direction (psi's
     step, module docstring); ~ 4 pi r^3 / 3 as r -> 0 and 6 pi (r - 1) +
     o(1) as r -> infinity.  Finite for every r up to ~9e306, where 6 pi r
-    leaves the float range and ValueError is raised.
+    leaves the float range and ValueError is raised; so it is for r > 0
+    below ~1e-108, where the value underflows to 0.0.
     """
     p, _, flux = profile(1, r)
     value = 6.0 * math.pi * p * (flux / 2.0)
     if math.isinf(value):
         raise ValueError(f"nu({r}) exceeds the float range")
+    if value == 0.0 and r > 0:
+        raise ValueError(f"nu({r}) underflows to 0.0")
     return value
 
 

@@ -20,7 +20,7 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .families import FillingFamilyParams, filling_chart
+from .families import filling_chart
 from .fibering import (
     X064_RELATOR,
     Word,
@@ -126,7 +126,7 @@ def suite_tube(order: int = 24) -> list[Check]:
         for e in (0.05, 0.3, 1.0)
         for R in (0.4, 1.2, 2.5)
     ]
-    filling = [filling_chart(FillingFamilyParams(), n) for n in (10, 10**3, 10**6)]
+    filling = [filling_chart(n) for n in (10, 10**3, 10**6)]
     vol_err = 0.0
     norm_err = 0.0
     for t_ in charts:

@@ -263,6 +263,13 @@ class TestQuadrature:
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="nonfinite L2 norm"):
             ball_l2_norm_sq(unit_mode(1, 0), 800.0, order=4)
 
+    def test_underflow_raises(self):
+        # returned 0.0, where check_df_bound raises on the same expansion and radius
+        with pytest.raises(ValueError, match="float range"):
+            check_df_bound(unit_mode(1, 0), 1e-120)
+        with pytest.raises(ValueError, match="underflows to 0.0"):
+            ball_l2_norm_sq(unit_mode(1, 0), 1e-120, order=8)
+
     def test_rejects_other_types(self):
         # the expansion itself is the input; its coefficient dict or a pointwise field is not
         for field in (dict(unit_mode(1, 0).coefficients), lambda r, phi, theta: (0.0, 0.0, 0.0)):

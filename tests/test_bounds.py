@@ -19,6 +19,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
+from hypnorms import bounds
 from hypnorms.bounds import (
     SANDWICH_REL_TOL,
     MainBounds,
@@ -252,6 +253,12 @@ class TestSupnormFactor:
         lhs = 1.0 / math.sqrt(nu(0.145))
         rhs = math.sqrt(0.29 / nu(0.145)) / math.sqrt(0.29)
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    def test_branch_constant_is_computed_once(self, monkeypatch):
+        first = branch_constant()
+        monkeypatch.setattr(bounds, "nu", None)  # a recomputation would call None
+        assert branch_constant() == first
+        assert supnorm_factor(0.01, True) == first / math.sqrt(0.01)
 
     def test_branch_constant_is_the_thin_side_constant(self):
         # the nu table's branch-constant check and the thin branch read one expression

@@ -21,7 +21,7 @@ import pytest
 
 from hypnorms import quadrature
 from hypnorms.ballfield import _angular_grams
-from hypnorms.families import FillingFamilyParams, filling_chart
+from hypnorms.families import filling_chart
 from hypnorms.tubefield import TubeChart, competitor_margin
 from hypnorms.verify import suite_ball, suite_dfbound, suite_tube
 
@@ -34,7 +34,7 @@ MARGIN_FLOOR = 5.0485e-4
 WEIGHT_SENSITIVE = ("omega-diagonal", "parseval", "tube-volume", "tube-form-norm")
 
 CHARTS = [TubeChart(e, R) for e in (0.05, 0.3, 1.0) for R in (0.4, 1.2, 2.5)]
-CHARTS += [filling_chart(FillingFamilyParams(), n) for n in (10, 10**3, 10**6)]
+CHARTS += [filling_chart(n) for n in (10, 10**3, 10**6)]
 
 
 def by_name(checks):

@@ -15,6 +15,7 @@ from hypnorms.families import (
     GluingFamilyParams,
     GluingPoint,
     cover_family,
+    filling_chart,
     filling_family,
     gluing_family,
 )
@@ -90,42 +91,45 @@ class TestCoverFamily:
 
 
 class TestFillingParams:
-    def test_positivity(self):
-        with pytest.raises(ValueError):
-            FillingFamilyParams(th_alpha=0.0)
-        with pytest.raises(ValueError):
-            FillingFamilyParams(c2=-1.0)
-        with pytest.raises(ValueError):
-            FillingFamilyParams(vol_w=0.0)
-
     def test_defaults(self):
-        p = FillingFamilyParams()
-        assert p.vol_w == pytest.approx(9.67280773079, abs=0)
-        assert p.c1 == p.c2 == 1.0
+        assert FillingFamilyParams().vol_w == 9.67280773079
+
+    @pytest.mark.parametrize("args, kwargs", [((9.0,), {}), ((), {"vol_w": 9.0}),
+                                              ((), {"th_alpha": 2.0}), ((), {"c1": 2.0})])
+    def test_takes_no_arguments(self, args, kwargs):
+        with pytest.raises(TypeError):
+            FillingFamilyParams(*args, **kwargs)
 
 
 class TestFillingFamily:
     def test_model_fields(self):
-        p = FillingFamilyParams()
-        pt = filling_family(p, 10)
+        pt = filling_family(FillingFamilyParams(), 10)
         assert isinstance(pt, FillingPoint)
-        assert pt.datum.thurston == pytest.approx(10.0 + 1.0 - 2.0, abs=0)
-        assert pt.datum.inj * 10**2 == pytest.approx(p.c1, abs=0)
-        assert pt.datum.vol == p.vol_w
+        assert pt.datum.thurston == 9.0
+        assert pt.datum.inj == 1.0 / 10**2
+        assert pt.datum.vol == 9.67280773079
         assert pt.ratio == pytest.approx(pt.harmonic_lower / pt.datum.thurston, rel=1e-15)
 
     def test_harmonic_lower_is_tube_bound(self):
-        p = FillingFamilyParams(c1=2.0, c2=3.0)
         n = 25
-        pt = filling_family(p, n)
-        chart = TubeChart(epsilon=2.0 * p.c1 / n**2, R=math.asinh(p.c2 * n))
+        pt = filling_family(FillingFamilyParams(), n)
+        chart = TubeChart(epsilon=2.0 / n**2, R=math.asinh(n))
         assert pt.harmonic_lower == pytest.approx(tube_form_norm(chart), rel=1e-12)
 
     def test_thurston_domain_error(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="model needs n >= 2"):
             filling_family(FillingFamilyParams(), 1)  # thurston = 0 exactly
-        with pytest.raises(ValueError):
-            filling_family(FillingFamilyParams(th_alpha=0.1, th_beta=0.5), 10)
+
+    def test_thurston_past_two_to_the_53(self):
+        # n * 1.0 + 1.0 - 2.0 rounded n first and gave 2^53 - 2 at n = 2^53 + 1
+        pt = filling_family(FillingFamilyParams(), 2**53 + 1)
+        assert pt.datum.thurston == 2.0**53
+        assert pt.ratio == pt.harmonic_lower / 2.0**53
+
+    @pytest.mark.parametrize("n", [2, 25, 10**6, 2**63 - 1])
+    def test_chart_keeps_the_scaled_bits(self, n):
+        # eps = 2/n^2 and R = asinh n, bit for bit as with unit length and depth scales
+        assert filling_chart(n) == TubeChart(2.0 * (1.0 / float(n) ** 2), math.asinh(1.0 * n))
 
     def test_sqrt_log_band(self):
         # frozen band for the default constants; limiting value is sqrt(pi)
@@ -155,31 +159,19 @@ class TestFillingFamily:
 
 class TestGluingParams:
     def test_defaults(self):
-        p = GluingFamilyParams()
-        assert p.vol_block == pytest.approx(7.51768989647, abs=0)
-        assert p.lam == pytest.approx(GROWTH_RATE, abs=0)
-        assert p.th_unit == 1.0
+        assert GluingFamilyParams().vol_block == 7.51768989647
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GluingFamilyParams(vol_block=0.0)
-        with pytest.raises(ValueError):
-            GluingFamilyParams(lam=1.0)
-        with pytest.raises(ValueError):
-            GluingFamilyParams(th_unit=0.0)
+    @pytest.mark.parametrize("args, kwargs", [((7.5,), {}), ((), {"vol_block": 7.5}),
+                                              ((), {"lam": 3.0}), ((), {"th_unit": 2.0})])
+    def test_takes_no_arguments(self, args, kwargs):
+        with pytest.raises(TypeError):
+            GluingFamilyParams(*args, **kwargs)
 
 
 class TestGluingFamily:
-    @pytest.mark.parametrize("params", [dict(vol_block=1e-320), dict(vol_block=1e308),
-                                        dict(vol_block=1e-10, lam=1e300)])
-    def test_row_past_float_range_raises(self, params):
-        # vol_block = 1e-320 gave rate_ln = rate_paper = inf, 1e308 gave vol = inf
-        with pytest.raises(ValueError, match="float range"):
-            gluing_family(GluingFamilyParams(**params), 5)
-
     def test_volume_linear(self):
-        p = GluingFamilyParams()
-        assert gluing_family(p, 7).vol == pytest.approx(7 * p.vol_block, rel=1e-15)
+        assert gluing_family(GluingFamilyParams(), 7).vol == pytest.approx(7 * 7.51768989647,
+                                                                           rel=1e-15)
 
     def test_log_norm_from_exact_entries(self):
         p = GluingFamilyParams()
@@ -189,11 +181,6 @@ class TestGluingFamily:
             math.log(coeffs.a + coeffs.c), rel=1e-15
         )
         assert isinstance(pt, GluingPoint)
-
-    def test_th_unit_shifts_log(self):
-        a = gluing_family(GluingFamilyParams(), 40).log_th_lower
-        b = gluing_family(GluingFamilyParams(th_unit=math.e), 40).log_th_lower
-        assert b - a == pytest.approx(1.0, rel=1e-12)
 
     def test_rate_ln_at_100(self):
         pt = gluing_family(GluingFamilyParams(), 100)

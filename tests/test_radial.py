@@ -250,7 +250,8 @@ class TestRecurrence:
 
 
 class TestPastFloatRange:
-    """The flux ~ ell(ell+1) r leaves the float range near r = 1e305."""
+    """The flux ~ ell(ell+1) r leaves the float range near r = 1e305; nu and
+    the mode norms underflow at tiny radii."""
 
     @pytest.mark.parametrize("ell, r", [(1, 1.7e308), (2, 1.7e308), (40, 1e306)])
     @pytest.mark.parametrize("fn", [psi, dpsi, profile, mode_norm, profiles])
@@ -262,6 +263,17 @@ class TestPastFloatRange:
     def test_finite_below_the_edge(self, ell, r):
         # N_ell(r) = ell(ell+1) r + O(1) here
         assert rel_err(mode_norm(ell, r), ell * (ell + 1) * r) < 1e-15
+
+    @pytest.mark.parametrize("call", [lambda: nu(1e-109), lambda: nu(5e-324),
+                                      lambda: mode_norm(3, 1e-100), lambda: mode_norm(40, 1e-5)])
+    def test_underflow_raises(self, call):
+        # nu(1e-109) and mode_norm(3, 1e-100) returned 0.0 for a positive radius
+        with pytest.raises(ValueError, match="underflows to 0.0"):
+            call()
+
+    def test_subnormal_value_stays(self):
+        # only 0.0 raises; nu(1e-108) rounds to the smallest subnormal
+        assert nu(1e-108) > 0.0
 
 
 class TestModeNorm:

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypnorms import ballfield, bounds, families, radial, tubefield
+from hypnorms import ballfield, bounds, radial, tubefield
 
 ONE = ballfield.HarmonicExpansion({(1, 0): 1.0}, 1)
 CHART = tubefield.TubeChart(0.3, 1.2)
@@ -63,15 +63,6 @@ ENTRY_POINTS = [
     ("NormDatum.thurston", lambda x: datum(thurston=x), "thurston", {"ge": 0}, 2.0),
     ("NormDatum.harmonic", datum_with_harmonic, "harmonic", {"ge": 0}, 2.0),
     ("supnorm_factor.inj", lambda x: bounds.supnorm_factor(x, True), "inj", {"gt": 0}, 2.0),
-    *((f"FillingFamilyParams.{name}", lambda x, name=name: families.FillingFamilyParams(
-        **{name: x}), name, {"gt": 0}, 2.0)
-      for name in ("th_alpha", "th_beta", "c1", "c2", "vol_w")),
-    ("GluingFamilyParams.vol_block", lambda x: families.GluingFamilyParams(vol_block=x),
-     "vol_block", {"gt": 0}, 2.0),
-    ("GluingFamilyParams.lam", lambda x: families.GluingFamilyParams(lam=x), "lam", {"gt": 1},
-     2.0),
-    ("GluingFamilyParams.th_unit", lambda x: families.GluingFamilyParams(th_unit=x), "th_unit",
-     {"gt": 0}, 2.0),
 ]
 IDS = [e[0] for e in ENTRY_POINTS]
 OPTIONAL = {"NormDatum.harmonic"}  # None is its documented default
@@ -101,8 +92,7 @@ def _cases():
 @pytest.mark.parametrize("call, what, bad", _cases())
 def test_rule(call, what, bad):
     # nu(True) answered for r = 1, nu("1") raised TypeError from math, nu(10**400)
-    # OverflowError, nu(10**5000) a ValueError from repr() naming no argument, and
-    # GluingFamilyParams(vol_block=nan) was accepted
+    # OverflowError, and nu(10**5000) a ValueError from repr() naming no argument
     with pytest.raises(ValueError, match=f"^{re.escape(what)} must be a finite real"):
         call(bad)
 
@@ -139,8 +129,6 @@ def test_records_store_python_floats():
     d = datum(vol=np.float32(0.1), inj=Fraction(1, 10), thurston=0)
     assert [type(v) for v in (d.vol, d.inj, d.thurston)] == [float] * 3
     assert d.vol == float(np.float32(0.1)) and d.harmonic is None
-    p = families.GluingFamilyParams(vol_block=Fraction(15, 2), lam=3)
-    assert (p.vol_block, p.lam) == (7.5, 3.0) and type(p.lam) is float
     e = ballfield.HarmonicExpansion({(1, 0): 2, (1, 1): Fraction(1, 4)}, 1)
     assert e.coefficients == {(1, 0): 2.0, (1, 1): 0.25}
     assert {type(a) for a in e.coefficients.values()} == {float}
