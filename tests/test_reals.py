@@ -8,8 +8,13 @@ message names, its range (gt: > bound, ge: >= bound, lt: < bound) and a value
 inside it.  Each entry is fed a bool, a string, a complex, nan, +-inf, an
 int past the float range, one too long for repr, the float just past each
 bound, and None where None is not the argument's default.
+
+The filling and gluing families' model parameters are fixed constants: each
+value the rule once fed them, and one it admitted, is refused at the
+constructor, so no value reaches a row unchecked.
 """
 
+import dataclasses
 import math
 import pickle
 import re
@@ -18,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypnorms import ballfield, bounds, radial, tubefield
+from hypnorms import ballfield, bounds, families, radial, tubefield
 
 ONE = ballfield.HarmonicExpansion({(1, 0): 1.0}, 1)
 CHART = tubefield.TubeChart(0.3, 1.2)
@@ -112,6 +117,39 @@ def test_other_reals_read_as_floats(entry, call, what, bounds_, good):
     others += [int(good)] if good == int(good) else []
     for x in others:
         assert pickle.dumps(call(x)) == expected, x
+
+
+# (constructor, former parameter, the range its validator enforced)
+FIXED = [(families.FillingFamilyParams, name, {"gt": 0})
+         for name in ("th_alpha", "th_beta", "c1", "c2", "vol_w")]
+FIXED += [(families.GluingFamilyParams, "vol_block", {"gt": 0}),
+          (families.GluingFamilyParams, "lam", {"gt": 1}),
+          (families.GluingFamilyParams, "th_unit", {"gt": 0})]
+
+
+def _fixed_cases():
+    for cls, name, bounds_ in FIXED:
+        for x in [True, "1", 1 + 0j, math.nan, math.inf, -math.inf, 10**400, HUGE,
+                  *_past(bounds_), None, 2.0]:
+            label = "10**5000" if x == HUGE else repr(x)
+            yield pytest.param(cls, name, x, id=f"{cls.__name__}.{name}-{label}"[:60])
+
+
+@pytest.mark.parametrize("cls, name, x", _fixed_cases())
+def test_fixed_model_constant_admits_no_value(cls, name, x):
+    # the validators went with the parameters; GluingFamilyParams(vol_block=nan)
+    # was once accepted, and no value may now get past the constructor
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+        cls(**{name: x})
+
+
+@pytest.mark.parametrize("cls, name", [(families.FillingFamilyParams, "vol_w"),
+                                       (families.GluingFamilyParams, "vol_block")])
+def test_fixed_volume_cannot_be_reassigned(cls, name):
+    p = cls()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(p, name, math.nan)
+    assert type(getattr(p, name)) is float and math.isfinite(getattr(p, name))
 
 
 def test_message_states_the_range():
