@@ -16,9 +16,9 @@ handedness, or the composition order, so we search:
   * both composition orders (apply leftmost twist first or last).
 
 Writes every solution found to stdout; the first one is frozen into
-src/hypnorms/data/twist_classes.txt by hand.  If the chain search found
-nothing we would fall back to an unconstrained meet-in-the-middle sweep,
-but it does not come to that (see output).
+homalg.TWIST_CLASSES by hand.  If the chain search found nothing we would
+fall back to an unconstrained meet-in-the-middle sweep, but it does not
+come to that (see output).
 
 Run from the repository root with the package importable:
 

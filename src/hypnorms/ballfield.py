@@ -246,21 +246,30 @@ def _radial_gram(table, idx, weights):
     return _weighted_gram(table, weights)[np.ix_(idx, idx)]
 
 
+def _positive_diagonal(name: str, lmax: int, r: float, order: int, G):
+    # a Gram matrix is positive definite, so a 0.0 on its diagonal is underflow
+    if not np.diagonal(G).all():
+        raise ValueError(f"{name}({lmax}, {r}) at quadrature order {order} underflows to 0.0")
+    return G
+
+
 def psi_gram(lmax: int, r: float, order: int = 48):
     """Gram matrix of the Psi_lm, ell <= lmax, in L^2(B_r).
 
     Returns (modes, matrix).  On the tensor grid of ball_l2_norm_sq the
     integral of Psi_a Psi_b separates into a radial Gram of psi_ell against
     sinh^2 r dr (one profiles call per radial node) times the angular Gram
-    of the Y_lm.  Raises ValueError for lmax outside [0, MAX_ELL] and when the
-    sinh^2 weights overflow (r past ~355).
+    of the Y_lm.  Raises ValueError for lmax outside [0, MAX_ELL], when the
+    sinh^2 weights overflow (r past ~355) and when a diagonal entry
+    underflows to 0.0 (tiny r).
     """
     modes = mode_indices(lmax)
     r_nodes, r_w = _quad_nodes(r, order)
     w_sinh = _radial_weights(r_nodes, r_w, r, order)
     A, _ = _angular_grams(tuple(modes), order, False)
     psi_tab, _, idx = _radial_tables(modes, r_nodes)
-    return modes, _radial_gram(psi_tab, idx, w_sinh) * A
+    G = _radial_gram(psi_tab, idx, w_sinh) * A
+    return modes, _positive_diagonal("psi_gram", lmax, r, order, G)
 
 
 def _omega_gram(modes, r: float, order: int):
@@ -282,11 +291,12 @@ def omega_gram(lmax: int, r: float, order: int = 48):
     psi_ell' against sinh^2 r dr and of psi_ell against dr, one profiles
     call per radial node, times the angular Grams A of the Y_lm and B of their
     gradients, each assembled from phi- and theta-factor Grams.  Raises
-    ValueError for lmax outside [1, MAX_ELL] and when the sinh^2 weights
-    overflow (r past ~355).
+    ValueError for lmax outside [1, MAX_ELL], when the sinh^2 weights
+    overflow (r past ~355) and when a diagonal entry underflows to 0.0
+    (tiny r).
     """
     modes = mode_indices(lmax, lmin=1)
-    return modes, _omega_gram(modes, r, order)
+    return modes, _positive_diagonal("omega_gram", lmax, r, order, _omega_gram(modes, r, order))
 
 
 def ball_l2_norm_sq(expansion: HarmonicExpansion, r: float, order: int = 48) -> float:

@@ -85,14 +85,6 @@ class Word:
             i, j = i + 1, j - 1
         return Word(ls[i:j + 1])
 
-    def inverse(self) -> "Word":
-        return Word(tuple(-x for x in reversed(self.letters)))
-
-    def __mul__(self, other: "Word") -> "Word":
-        if not isinstance(other, Word):
-            return NotImplemented
-        return Word(self.letters + other.letters).reduce()
-
 
 def parse_word(s: str) -> Word:
     """Parse a word over a, b, A, B with optional caret exponents.
@@ -143,22 +135,6 @@ class Character:
         checked_ints((p, q), "character", 2)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-
-    @property
-    def primitive(self) -> tuple[int, int]:
-        """gcd-normalized representative of the same ray pair."""
-        g = math.gcd(self.p, self.q)
-        if g == 0:
-            return (0, 0)
-        return (self.p // g, self.q // g)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.p == 0 and self.q == 0
-
-    def value(self, w: Word) -> int:
-        sa, sb = exponent_sums(w)
-        return self.p * sa + self.q * sb
 
 
 def exponent_sums(w: Word) -> tuple[int, int]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from importlib import resources
+from types import MappingProxyType
 from typing import Iterable, NamedTuple
 
 from ._args import checked_int, checked_ints
@@ -38,6 +38,7 @@ __all__ = [
     "INVARIANT_BLOCK",
     "GROWTH_RATE",
     "TWIST_WORD",
+    "TWIST_CLASSES",
     "MAX_POWER",
     "MAX_MV_INDEX",
     "symplectic_check",
@@ -46,7 +47,6 @@ __all__ = [
     "lattice_intersection",
     "mv_intersection",
     "mv_generator",
-    "load_twist_classes",
     "twist_word_matrix",
 ]
 
@@ -319,29 +319,26 @@ def mv_generator(n: int) -> tuple[int, int, int, int]:
 # The composed twist word, leftmost letter = leftmost matrix factor.
 TWIST_WORD = (("a", 1), ("d", -1), ("c", 1), ("b", -1), ("d", 1), ("c", -1), ("e", -1))
 
-
-def load_twist_classes() -> dict[str, tuple[int, ...]]:
-    """Homology classes of the five twist curves, from the frozen fixture.
-
-    The assignment was derived by exhaustive search (see
-    scripts/derive_twist_classes.py) and is pinned in data/twist_classes.txt
-    together with the handedness and composition-order conventions.
-    """
-    text = resources.files("hypnorms").joinpath("data/twist_classes.txt").read_text()
-    classes: dict[str, tuple[int, ...]] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        name, *entries = line.split()
-        classes[name] = tuple(int(x) for x in entries)
-    return classes
+# Homology classes of the twist curves a..e in the basis e1..e4, found by
+# scripts/derive_twist_classes.py: an exhaustive search over class vectors
+# with entries in {-1, 0, 1} in the 5-chain intersection pattern (adjacent
+# curves pair to +-1, others to 0), over both twist handednesses and both
+# composition orders.  A transvection does not see the sign of its curve, so
+# each class is normalized to a positive first nonzero entry.  The search
+# also finds a second, non-chain-geometric solution under the reversed order;
+# only f_* = MONODROMY is contractual, and this is the geometric chain.
+TWIST_CLASSES = MappingProxyType({
+    "a": (1, 0, 0, 0),
+    "b": (0, 1, 0, 0),
+    "c": (1, 0, -1, 0),
+    "d": (0, 0, 0, 1),
+    "e": (0, 0, 1, 0),
+})
 
 
 def twist_word_matrix() -> IntMat:
-    """Homology action of TWIST_WORD on the frozen classes; equals MONODROMY."""
-    classes = load_twist_classes()
+    """Homology action of TWIST_WORD on TWIST_CLASSES; equals MONODROMY."""
     result = IntMat.identity(SYMPLECTIC_FORM.n)
     for name, expo in TWIST_WORD:
-        result = result @ transvection(classes[name], expo)
+        result = result @ transvection(TWIST_CLASSES[name], expo)
     return result

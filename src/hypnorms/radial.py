@@ -147,9 +147,11 @@ def profiles(lmax: int, r: float) -> tuple[list, list, list]:
 
     One Legendre-Q ladder in ell, run backward below r = 3.5 and forward
     from there on (module docstring); a value at a given ell does not
-    depend on lmax.  r = 0 gives the limits.  Raises ValueError for lmax
-    outside [0, MAX_ELL], for r not a finite real >= 0, and when a value
-    would leave the float range (the flux ~ ell(ell+1) r overflows near r = 1e305).
+    depend on lmax.  r = 0 gives the limits.  At tiny r a high-degree entry
+    can underflow to 0.0 (psi_ell ~ r^ell); psi and dpsi raise there.
+    Raises ValueError for lmax outside [0, MAX_ELL], for r not a finite real
+    >= 0, and when a value would leave the float range (the flux ~
+    ell(ell+1) r overflows near r = 1e305).
     """
     checked_int(lmax, 0, MAX_ELL, what="lmax")
     r = checked_real(r, what="r", ge=0)
@@ -160,19 +162,27 @@ def profiles(lmax: int, r: float) -> tuple[list, list, list]:
 
 
 def profile(ell: int, r: float) -> tuple[float, float, float]:
-    """(psi_ell(r), psi_ell'(r), sinh^2(r) psi_ell'(r)), read from profiles()."""
+    """(psi_ell(r), psi_ell'(r), sinh^2(r) psi_ell'(r)) from profiles(); any may underflow to 0."""
     psi_, dpsi_, flux = profiles(ell, r)
     return psi_[ell], dpsi_[ell], flux[ell]
 
 
+def _nonzero(value: float, name: str, ell: int, r: float) -> float:
+    # psi_ell and psi_ell' are positive for ell >= 1 and r > 0: a 0.0 below the
+    # seam is underflow at tiny r; past r ~ 355 psi' ~ r e^(-2r) reads 0.0, its limit
+    if value == 0.0 and ell >= 1 and 0 < r < _SEAM:
+        raise ValueError(f"{name}({ell}, {r}) underflows to 0.0")
+    return value
+
+
 def psi(ell: int, r: float) -> float:
-    """psi_ell(r), read from profile()."""
-    return profile(ell, r)[0]
+    """psi_ell(r), read from profile(); ValueError where it underflows to 0.0 at tiny r > 0."""
+    return _nonzero(profile(ell, r)[0], "psi", ell, r)
 
 
 def dpsi(ell: int, r: float) -> float:
-    """d psi_ell / dr, read from profile()."""
-    return profile(ell, r)[1]
+    """d psi_ell / dr, read from profile(); ValueError where it underflows to 0.0 at tiny r > 0."""
+    return _nonzero(profile(ell, r)[1], "dpsi", ell, r)
 
 
 def mode_norm(ell: int, r: float) -> float:

@@ -359,6 +359,19 @@ class TestSeparableGram:
         with pytest.raises(ValueError, match="integer"):
             mode_indices(lmax, lmin=lmin)
 
+    @pytest.mark.parametrize("call", [lambda: omega_gram(1, 1e-200, order=4),
+                                      lambda: psi_gram(1, 1e-200, order=4),
+                                      lambda: omega_gram(8, 1e-30, order=48)])
+    def test_underflowed_diagonal_raises(self, call):
+        # all-zero matrices, or zero diagonal entries, came back for a positive radius
+        with pytest.raises(ValueError, match="underflows to 0.0"):
+            call()
+
+    def test_tiny_diagonal_stays(self):
+        # the smallest diagonal entry is about 1e-264, far below 1 but not 0.0
+        _, G = omega_gram(40, 0.001, order=256)
+        assert 0.0 < np.diagonal(G).min() < 1e-260
+
     @pytest.mark.parametrize("gram", [omega_gram, psi_gram])
     def test_past_sinh_overflow_raises(self, gram):
         # sinh^2 of the outer radial nodes overflows; nan/inf entries used to come back

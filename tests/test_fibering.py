@@ -139,11 +139,6 @@ class TestWord:
     def test_cyc_reduce_matches_pair_at_a_time(self, w):
         assert w.cyc_reduce() == _cyc_reduce_oracle(w)
 
-    def test_inverse(self):
-        w = parse_word("abA")
-        assert (w * w.inverse()).letters == ()
-        assert str(w.inverse()) == "aBA"
-
     def test_str_round_trip(self):
         w = parse_word("aabaBB")
         assert parse_word(str(w)) == w
@@ -152,13 +147,14 @@ class TestWord:
     @settings(max_examples=200)
     def test_exponent_sums_homomorphism(self, u, v):
         su, sv = exponent_sums(u), exponent_sums(v)
-        sp = exponent_sums(u * v)
+        sp = exponent_sums(Word(u.letters + v.letters).reduce())
         assert sp == (su[0] + sv[0], su[1] + sv[1])
 
     @given(words())
     @settings(max_examples=200)
     def test_inverse_kills_sums(self, w):
-        assert exponent_sums(w * w.inverse()) == (0, 0)
+        inverse = tuple(-x for x in reversed(w.letters))
+        assert exponent_sums(Word(w.letters + inverse).reduce()) == (0, 0)
 
     @given(words())
     @settings(max_examples=200)
@@ -200,21 +196,6 @@ class TestParseWord:
 
 
 class TestCharacter:
-    def test_primitive_normalization(self):
-        assert Character(2, 4).primitive == (1, 2)
-        assert Character(-2, -4).primitive == (-1, -2)
-        assert Character(0, 6).primitive == (0, 1)
-        assert Character(5, 0).primitive == (1, 0)
-
-    def test_zero_character(self):
-        z = Character(0, 0)
-        assert z.is_zero
-        assert z.primitive == (0, 0)
-
-    def test_value_on_word(self):
-        assert Character(2, -1).value(parse_word("ab")) == 1
-        assert Character(1, 1).value(X064_RELATOR) == 0
-
     def test_rejects_non_integers(self):
         with pytest.raises(ValueError):
             Character(1.0, 2)
@@ -297,7 +278,8 @@ class TestBrownStatus:
         w = w.cyc_reduce()
         if not w.letters:
             return
-        assert brown_status(w, chi) is brown_status(w.inverse(), chi)
+        inverse = Word(tuple(-x for x in reversed(w.letters)))
+        assert brown_status(w, chi) is brown_status(inverse, chi)
 
 
 class TestFiberedCharacters:
@@ -309,7 +291,7 @@ class TestFiberedCharacters:
 
     def test_results_are_primitive_and_fibered(self):
         for chi in fibered_characters(X064_RELATOR, 6):
-            assert (chi.p, chi.q) == chi.primitive
+            assert math.gcd(chi.p, chi.q) == 1
             assert brown_status(X064_RELATOR, chi) is BrownStatus.BOTH_DIRECTIONS
 
     def test_negation_closed(self):

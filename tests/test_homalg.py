@@ -12,13 +12,13 @@ from hypnorms.homalg import (
     INVARIANT_BLOCK,
     MONODROMY,
     SYMPLECTIC_FORM,
+    TWIST_CLASSES,
     TWIST_WORD,
     FbarPower,
     IntMat,
     Lattice,
     fbar_power,
     lattice_intersection,
-    load_twist_classes,
     mv_generator,
     mv_intersection,
     symplectic_check,
@@ -153,10 +153,19 @@ class TestTransvection:
         assert twist_word_matrix() == MONODROMY
 
     def test_frozen_classes(self):
-        classes = load_twist_classes()
-        assert set(classes) == {"a", "b", "c", "d", "e"}
-        assert all(len(v) == 4 for v in classes.values())
+        assert set(TWIST_CLASSES) == {"a", "b", "c", "d", "e"}
+        assert all(len(v) == 4 for v in TWIST_CLASSES.values())
         assert len(TWIST_WORD) == 7
+        # the chain found by scripts/derive_twist_classes.py, read-only
+        assert dict(TWIST_CLASSES) == {
+            "a": (1, 0, 0, 0),
+            "b": (0, 1, 0, 0),
+            "c": (1, 0, -1, 0),
+            "d": (0, 0, 0, 1),
+            "e": (0, 0, 1, 0),
+        }
+        with pytest.raises(TypeError):
+            TWIST_CLASSES["a"] = (0, 1, 0, 0)
 
 
 class TestFbarPower:

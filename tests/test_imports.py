@@ -1,15 +1,16 @@
-"""Imports: the package loads no scipy module, the commands and library
-calls that do no array work load no numpy, the CLI and the ball module
-load no tube module, every export resolves, and every import is used.
+"""Imports: importing the package loads no submodule, the package loads no
+scipy module, the commands and library calls that do no array work load no
+numpy, the CLI and the ball module load no tube module, every export
+resolves, and every import is used.
 
-scipy is a test-only dependency (the quadrature and lpmv oracles).  The
-package re-exports its names lazily, and numpy is imported only by ballfield
-and by the functions that build or read arrays (quadrature's rule and grid,
-the tube integrals, the float suites, float log grids), so `import
-hypnorms`, `import hypnorms.cli`, the exact layer (polytope norms, the cover
-and gluing families, MV lattices, the fibering scan), the closed tube forms,
-and every command but `verify ball/tube/dfbound` and `nu --log-grid` run on
-the standard library alone.
+scipy is a test-only dependency (the quadrature and lpmv oracles).  Each
+name is imported from the submodule that defines it, and numpy is imported
+only by ballfield and by the functions that build or read arrays
+(quadrature's rule and grid, the tube integrals, the float suites, float log
+grids), so `import hypnorms`, `import hypnorms.cli`, the exact layer
+(polytope norms, the cover and gluing families, MV lattices, the fibering
+scan), the closed tube forms, and every command but `verify
+ball/tube/dfbound` and `nu --log-grid` run on the standard library alone.
 """
 
 import ast
@@ -60,6 +61,14 @@ def fresh_python(code: str, *argv: str) -> str:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
                           text=True, check=True).stdout
+
+
+def test_package_import_loads_no_submodule():
+    code = (
+        "import sys; before = set(sys.modules); import hypnorms; "
+        "print(sorted(set(sys.modules) - before))"
+    )
+    assert fresh_python(code).strip() == "['hypnorms']"
 
 
 def test_cli_import_loads_no_scipy():
@@ -137,7 +146,6 @@ def test_expansion_field_is_the_identity():
 
     e = HarmonicExpansion({(1, 0): 1.0}, truncation=1)
     assert expansion_field(e) is e
-    assert "expansion_field" not in hypnorms.__all__
 
 
 def test_submodules_found():
@@ -149,17 +157,6 @@ def test_every_export_resolves(name):
     module = hypnorms if name == "__init__" else importlib.import_module(f"hypnorms.{name}")
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
-
-
-def test_star_import_binds_every_export():
-    namespace = {}
-    exec("from hypnorms import *", namespace)
-    assert sorted(set(namespace) - {"__builtins__"}) == sorted(hypnorms.__all__)
-
-
-def test_unknown_export_is_an_attribute_error():
-    with pytest.raises(AttributeError, match="no_such_name"):
-        hypnorms.no_such_name
 
 
 @pytest.mark.parametrize("name", ["__init__"] + SUBMODULES)

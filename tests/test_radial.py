@@ -265,15 +265,36 @@ class TestPastFloatRange:
         assert rel_err(mode_norm(ell, r), ell * (ell + 1) * r) < 1e-15
 
     @pytest.mark.parametrize("call", [lambda: nu(1e-109), lambda: nu(5e-324),
-                                      lambda: mode_norm(3, 1e-100), lambda: mode_norm(40, 1e-5)])
+                                      lambda: mode_norm(3, 1e-100), lambda: mode_norm(40, 1e-5),
+                                      lambda: psi(3, 1e-200), lambda: dpsi(3, 1e-200)])
     def test_underflow_raises(self, call):
-        # nu(1e-109) and mode_norm(3, 1e-100) returned 0.0 for a positive radius
+        # each returned 0.0 for a positive radius
         with pytest.raises(ValueError, match="underflows to 0.0"):
             call()
 
     def test_subnormal_value_stays(self):
         # only 0.0 raises; nu(1e-108) rounds to the smallest subnormal
         assert nu(1e-108) > 0.0
+        assert 0.0 < psi(3, 1e-103) < 2.2250738585072014e-308
+        assert 0.0 < dpsi(3, 1e-155) < 2.2250738585072014e-308
+
+    def test_each_value_is_checked_on_its_own(self):
+        # at r = 1e-90 the degree-3 flux underflows, but psi_3 ~ 8 r^3 / 35 is right
+        p, d, flux = profile(3, 1e-90)
+        assert flux == 0.0
+        assert psi(3, 1e-90) == p == pytest.approx(8 / 35 * 1e-270, rel=1e-12)
+        assert dpsi(3, 1e-90) == d > 0.0
+
+    def test_ladder_keeps_underflowed_entries(self):
+        # profiles and profile return the whole ladder; a high degree may read 0.0
+        psi_, dpsi_, _ = profiles(40, 1e-10)
+        assert psi_[40] == dpsi_[40] == 0.0 and psi_[1] > 0.0
+        assert profile(3, 1e-200) == (0.0, 0.0, 0.0)
+
+    def test_degree_zero_and_the_center_stay(self):
+        for r in (0.0, 1e-200):
+            assert (psi(0, r), dpsi(0, r)) == (1.0, 0.0)
+        assert (psi(3, 0.0), dpsi(3, 0.0)) == (0.0, 0.0)
 
 
 class TestModeNorm:
