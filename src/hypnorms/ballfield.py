@@ -129,7 +129,7 @@ def _dtrig(m: int, theta):
 
 
 # The identity, kept only because benchmark/fields.py calls ball_l2_norm_sq
-# through it; ROADMAP item 1 deletes it together with that call.
+# through it; ROADMAP item 2 deletes it together with that call.
 def expansion_field(expansion: HarmonicExpansion) -> HarmonicExpansion:
     return expansion
 
@@ -258,10 +258,11 @@ def psi_gram(lmax: int, r: float, order: int = 48):
 
     Returns (modes, matrix).  On the tensor grid of ball_l2_norm_sq the
     integral of Psi_a Psi_b separates into a radial Gram of psi_ell against
-    sinh^2 r dr (one profiles call per radial node) times the angular Gram
-    of the Y_lm.  Raises ValueError for lmax outside [0, MAX_ELL], when the
-    sinh^2 weights overflow (r past ~355) and when a diagonal entry
-    underflows to 0.0 (tiny r).
+    sinh^2 r dr (one profiles ladder per radial node; after omega_gram at
+    the same lmax, r and an order up to 64 these are cache hits) times the
+    angular Gram of the Y_lm.  Raises ValueError for lmax outside [0,
+    MAX_ELL], when the sinh^2 weights overflow (r past ~355) and when a
+    diagonal entry underflows to 0.0 (tiny r).
     """
     modes = mode_indices(lmax)
     r_nodes, r_w = _quad_nodes(r, order)
@@ -289,11 +290,12 @@ def omega_gram(lmax: int, r: float, order: int = 48):
     Returns (modes, matrix).  With the coframe components of omega_lm the
     integrand separates, so the matrix is R1 * A + R0 * B: radial Grams of
     psi_ell' against sinh^2 r dr and of psi_ell against dr, one profiles
-    call per radial node, times the angular Grams A of the Y_lm and B of their
-    gradients, each assembled from phi- and theta-factor Grams.  Raises
-    ValueError for lmax outside [1, MAX_ELL], when the sinh^2 weights
-    overflow (r past ~355) and when a diagonal entry underflows to 0.0
-    (tiny r).
+    ladder per radial node (kept in its cache, which psi_gram at the same
+    lmax, r and an order up to 64 reads), times the angular Grams A of the
+    Y_lm and B of their gradients, each assembled from phi- and
+    theta-factor Grams.  Raises ValueError for lmax outside [1, MAX_ELL],
+    when the sinh^2 weights overflow (r past ~355) and when a diagonal
+    entry underflows to 0.0 (tiny r).
     """
     modes = mode_indices(lmax, lmin=1)
     return modes, _positive_diagonal("omega_gram", lmax, r, order, _omega_gram(modes, r, order))

@@ -63,10 +63,19 @@ backward ratios give psi_1 and flux_1 without the csch^2 cancellation that
 costs the closed form ~2 log10(1/r) digits as r -> 0.  Against that closed
 form at 120 digits, over 5,000 log-uniform radii in [1e-6, 700], the worst
 relative error of nu is 2.2e-15.
+
+The backward loop reads n, 2n + 1 and n + 1 as floats from a table that
+reaches the deepest start, rung 381 at the float just below the seam; the
+ints convert exactly, so the ratios are those of the int counters.  Each
+ladder is climbed once per (lmax, r): profiles validates its arguments on
+every call, then keeps the ladder of the validated (lmax, r) as read-only
+tuples in a cache of the last 64.  An entry holds 3 (lmax + 1) floats,
+about 4 KB at lmax = MAX_ELL, so at most about 260 KB for all 64.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 from ._args import checked_int, checked_real
@@ -97,6 +106,17 @@ def _coth_csch2(r: float) -> tuple[float, float]:
     return (1.0 + q) / one_minus_q, 4.0 * q / one_minus_q**2
 
 
+def _miller_start(r: float) -> int:
+    # the rung where the backward ratios start: MAX_ELL + 10 + 20/ln coth(r/2)
+    return MAX_ELL + 10 + (int(20.0 / math.log1p(2.0 / math.expm1(r))) if r > 0 else 0)
+
+
+# (n, 2n + 1, n + 1) as floats for every rung the backward loop visits; the
+# start deepens with r, to rung 381 at the float below the seam
+_MILLER = tuple((float(n), 2.0 * n + 1.0, n + 1.0)
+                for n in range(_miller_start(math.nextafter(_SEAM, 0.0)) + 1))
+
+
 def _backward(lmax: int, r: float) -> tuple[list, list, list]:
     # Miller's method on the ratios sigma_n = Q_n / (t Q_(n-1)), t = tanh r:
     # sigma_n = n / ((2n + 1) - (n + 1) t^2 sigma_(n+1)) from sigma = 0 at a
@@ -104,24 +124,24 @@ def _backward(lmax: int, r: float) -> tuple[list, list, list]:
     # coth(r/2)^-2 per step), then Q_0 = r fixes the scale.
     t = math.tanh(r)
     t2 = t * t
-    depth = 20.0 / math.log1p(2.0 / math.expm1(r)) if r > 0 else 0.0
-    sigma = [0.0] * (lmax + 1)
     s = 0.0
-    for n in range(MAX_ELL + 10 + int(depth), 0, -1):
-        s = n / ((2 * n + 1) - (n + 1) * t2 * s)
-        if n <= lmax:
-            sigma[n] = s
+    for n, a, b in _MILLER[_miller_start(r):lmax:-1]:
+        s = n / (a - b * t2 * s)
+    sigma = []  # sigma_lmax, ..., sigma_1
+    for n, a, b in _MILLER[lmax:0:-1]:
+        s = n / (a - b * t2 * s)
+        sigma.append(s)
     sh = math.sinh(r)
     scale = (r / sh) * (t / sh) if r > 0 else 1.0  # r t / sinh^2 r, 1 at r = 0
     psi, dpsi, flux = [1.0], [0.0], [0.0]
     # q = Q_(ell-1) and v = t^(ell-1) sigma_1 ... sigma_(ell-1) = q / r, kept
     # apart so that psi' keeps its digits where r t underflows
     q, v = r, 1.0
-    for ell in range(1, lmax + 1):
+    for ell, s in enumerate(reversed(sigma), 1):
         c = ell * (ell + 1)
-        u = v * sigma[ell]
-        psi.append(ell * (q * (1.0 - sigma[ell])))
-        q = q * (t * sigma[ell])
+        u = v * s
+        psi.append(ell * (q * (1.0 - s)))
+        q = q * (t * s)
         dpsi.append(c * (scale * u))
         flux.append(c * q)
         v = u * t
@@ -142,7 +162,18 @@ def _forward(lmax: int, r: float) -> tuple[list, list, list]:
     return psi[: lmax + 1], dpsi[: lmax + 1], flux[: lmax + 1]
 
 
-def profiles(lmax: int, r: float) -> tuple[list, list, list]:
+def _ladder(lmax: int, r: float) -> tuple[tuple, tuple, tuple]:
+    # the ladder for a validated (lmax, r), checked finite, as tuples
+    psi, dpsi, flux = (_backward if r < _SEAM else _forward)(lmax, r)
+    if not all(map(math.isfinite, psi + dpsi + flux)):
+        raise ValueError(f"radial profiles up to degree {lmax} at r = {r} exceed the float range")
+    return tuple(psi), tuple(dpsi), tuple(flux)
+
+
+_cached_ladder = functools.lru_cache(maxsize=64)(_ladder)
+
+
+def profiles(lmax: int, r: float) -> tuple[tuple, tuple, tuple]:
     """psi_ell(r), psi_ell'(r) and sinh^2(r) psi_ell'(r) for ell = 0..lmax.
 
     One Legendre-Q ladder in ell, run backward below r = 3.5 and forward
@@ -152,13 +183,17 @@ def profiles(lmax: int, r: float) -> tuple[list, list, list]:
     Raises ValueError for lmax outside [0, MAX_ELL], for r not a finite real
     >= 0, and when a value would leave the float range (the flux ~
     ell(ell+1) r overflows near r = 1e305).
+
+    The three sequences are tuples of lmax + 1 floats.  The arguments are
+    validated on every call; the ladder of a validated (lmax, r) is then
+    read from a cache of the last 64 keyed by (lmax, r), about 4 KB per
+    lmax = 40 entry, so psi, dpsi and mode_norm at one radius, or psi_gram
+    after omega_gram on the same nodes, climb it once.  r = 0 is not
+    cached: 0.0 and -0.0 are one key, yet the entries carry the sign of r.
     """
     checked_int(lmax, 0, MAX_ELL, what="lmax")
     r = checked_real(r, what="r", ge=0)
-    out = (_backward if r < _SEAM else _forward)(lmax, r)
-    if not all(math.isfinite(v) for values in out for v in values):
-        raise ValueError(f"radial profiles up to degree {lmax} at r = {r} exceed the float range")
-    return out
+    return (_cached_ladder if r else _ladder)(lmax, r)
 
 
 def profile(ell: int, r: float) -> tuple[float, float, float]:
@@ -228,5 +263,5 @@ def nu(r: float) -> float:
 
 
 # An alias of nu, kept only because benchmark/fields.py imports it; ROADMAP
-# item 1 deletes the alias together with that import.
+# item 2 deletes the alias together with that import.
 nu_closed = nu

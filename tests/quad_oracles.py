@@ -7,6 +7,9 @@ quadrature, so agreement tests compare two independent routes;
 nu_integrand is the elementary degree-one integrand, with its own Taylor
 branch below NU_TAYLOR_SWITCH.  series_profile sums the defining 2F1
 series and q_ladder_profile runs the ladder in mpmath at raised precision.
+int_counter_backward is the library's float backward ladder as it was
+before its loop read float coefficients from a table, kept to pin that
+rewrite bit for bit.
 
 The library assembles its ball Gram matrices from factor Grams and
 evaluates tube fields on one broadcast grid.  full_mesh_psi_gram,
@@ -44,7 +47,7 @@ from hypnorms.ballfield import (
     mode_indices,
 )
 from hypnorms.quadrature import gauss_legendre, theta_grid
-from hypnorms.radial import dpsi, profiles, psi
+from hypnorms.radial import MAX_ELL, dpsi, profiles, psi
 
 QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-10, limit=200)
 
@@ -141,6 +144,38 @@ def q_ladder_profile(ell: int, r: float):
         p = ell * (q_prev - x * q)
         flux = ell * (ell + 1) * q
         return float(p), float(flux / mp.sinh(r) ** 2), float(p * flux)
+
+
+def int_counter_backward(lmax: int, r: float) -> tuple[list, list, list]:
+    """profiles(lmax, r) for 0 <= r < 3.5 from the backward ladder with int counters.
+
+    The library's Miller loop reads n, 2n + 1 and n + 1 as floats from a
+    table; this copy of the loop it replaced mixes the int counters into
+    every step instead.  Python converts those small ints to float exactly,
+    so the two must agree bit for bit.
+    """
+    t = math.tanh(r)
+    t2 = t * t
+    depth = 20.0 / math.log1p(2.0 / math.expm1(r)) if r > 0 else 0.0
+    sigma = [0.0] * (lmax + 1)
+    s = 0.0
+    for n in range(MAX_ELL + 10 + int(depth), 0, -1):
+        s = n / ((2 * n + 1) - (n + 1) * t2 * s)
+        if n <= lmax:
+            sigma[n] = s
+    sh = math.sinh(r)
+    scale = (r / sh) * (t / sh) if r > 0 else 1.0
+    psi_, dpsi_, flux = [1.0], [0.0], [0.0]
+    q, v = r, 1.0
+    for ell in range(1, lmax + 1):
+        c = ell * (ell + 1)
+        u = v * sigma[ell]
+        psi_.append(ell * (q * (1.0 - sigma[ell])))
+        q = q * (t * sigma[ell])
+        dpsi_.append(c * (scale * u))
+        flux.append(c * q)
+        v = u * t
+    return psi_, dpsi_, flux
 
 
 def _assoc(ell: int, m: int, x):

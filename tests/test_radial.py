@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hypnorms import radial
 from hypnorms.cli import main as cli_main
 from hypnorms.radial import (
+    MAX_ELL,
     dpsi,
     mode_norm,
     nu,
@@ -24,6 +26,7 @@ from hypnorms.radial import (
     psi,
 )
 from quad_oracles import (
+    int_counter_backward,
     mode_norm_quad,
     nu_integrand,
     nu_quad,
@@ -244,9 +247,76 @@ class TestRecurrence:
     @pytest.mark.parametrize("fn", [profiles, profile, psi, dpsi, mode_norm])
     @pytest.mark.parametrize("ell", [True, 1.5, 2.0], ids=["bool", "float", "whole-float"])
     def test_degree_is_an_integer(self, fn, ell):
-        # psi(True, r) was psi(1, r); psi(1.5, r) failed inside the ladder with TypeError
+        # psi(True, r) was psi(1, r); psi(1.5, r) failed inside the ladder with TypeError.
+        # The ladder cache first holds the int key that ell equals or truncates
+        # to (True == 1 and 2.0 == 2 hash alike), so validation must precede it.
+        fn(int(ell), 1.0)
         with pytest.raises(ValueError, match="integer"):
             fn(ell, 1.0)
+
+
+def _signs(ladder):
+    # every entry's sign bit, which == cannot see on zeros
+    return [[math.copysign(1.0, v) for v in values] for values in ladder]
+
+
+class TestLadderCache:
+    """profiles keeps the last ladders by (lmax, r); keys that compare and
+    hash equal must not return another argument's values."""
+
+    @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_signed_zero(self, first, second):
+        # 0.0 == -0.0 hash alike, but the entries carry the sign of r
+        radial._cached_ladder.cache_clear()
+        fresh = profiles(2, second)
+        radial._cached_ladder.cache_clear()
+        profiles(2, first)
+        got = profiles(2, second)
+        assert got == fresh
+        assert _signs(got) == _signs(fresh)
+        assert _signs(profiles(2, first)) != _signs(got)
+
+    def test_bools_raise_after_the_equal_key_is_cached(self):
+        # True == 1 == 1.0 share a hash with the cached (1, 1.0)
+        profiles(1, 1.0)
+        for args in [(True, 1.0), (1, True)]:
+            with pytest.raises(ValueError, match="lmax|r must"):
+                profiles(*args)
+
+    @pytest.mark.parametrize("lmax", [0, 1, 40])
+    @pytest.mark.parametrize("r", [0.0, 1.0, math.nextafter(SWITCH, 0.0), SWITCH, 9.0, 700.0])
+    def test_lengths(self, lmax, r):
+        # each sequence has lmax + 1 entries, on a miss and on a hit
+        radial._cached_ladder.cache_clear()
+        for _ in range(2):
+            assert [len(values) for values in profiles(lmax, r)] == [lmax + 1] * 3
+
+    def test_entries_are_read_only(self):
+        p, _, _ = profiles(3, 1.0)
+        with pytest.raises(TypeError):
+            p[1] = 0.0
+
+    @pytest.mark.parametrize("lmax", range(MAX_ELL + 1))
+    def test_backward_matches_the_int_counter_loop(self, lmax):
+        rng = np.random.default_rng(31 + lmax)
+        radii = [0.0, 1e-300, math.nextafter(SWITCH, 0.0), *rng.uniform(0.0, SWITCH, 24)]
+        for r in map(float, radii):
+            want = tuple(map(tuple, int_counter_backward(lmax, r)))
+            radial._cached_ladder.cache_clear()
+            assert profiles(lmax, r) == want  # a miss
+            assert profiles(lmax, r) == want  # a hit
+            assert _signs(profiles(lmax, r)) == _signs(want)
+
+    def test_coefficients_reach_the_deepest_start(self):
+        # the start deepens with r up to the seam; a table too short would be
+        # sliced silently and start the ladder shallower
+        below = math.nextafter(SWITCH, 0.0)
+        deepest = MAX_ELL + 10 + int(20.0 / math.log1p(2.0 / math.expm1(below)))
+        assert deepest == 381
+        assert radial._miller_start(below) == deepest
+        assert max(map(radial._miller_start, np.linspace(0.0, below, 1001))) == deepest
+        assert len(radial._MILLER) == deepest + 1
+        assert radial._MILLER == tuple((n, 2 * n + 1, n + 1) for n in range(deepest + 1))
 
 
 class TestPastFloatRange:
