@@ -40,8 +40,7 @@ __all__ = [
 
 # letter encoding: a = +1, a^-1 = -1, b = +2, b^-1 = -2
 _LETTER_OF_CHAR = {"a": 1, "A": -1, "b": 2, "B": -2}
-_CHAR_OF_LETTER = {1: "a", -1: "A", 2: "b", -2: "B"}
-_LETTERS = frozenset(_CHAR_OF_LETTER)
+_LETTERS = frozenset(_LETTER_OF_CHAR.values())
 
 MAX_BOUND = 400  # fibered_characters scans (2 bound + 1)^2 characters, ~1 s at the cap
 
@@ -60,12 +59,6 @@ class Word:
         if not _LETTERS.issuperset(letters):
             raise ValueError("letters must be one of the ints +1, -1, +2, -2")
         object.__setattr__(self, "letters", letters)
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __str__(self) -> str:
-        return "".join(_CHAR_OF_LETTER[x] for x in self.letters)
 
     def reduce(self) -> "Word":
         """Freely reduced form: adjacent inverse pairs cancelled out."""

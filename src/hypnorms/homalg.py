@@ -3,8 +3,9 @@
 Everything here is arbitrary-precision integer arithmetic over Z^4, the
 first homology of a genus-2 surface: the symplectic intersection form,
 Dehn-twist transvections, the homology action of the composed twist word
-driving the gluing construction, and the rank-1 Mayer-Vietoris
-intersection lattices whose generators grow like powers of (3+sqrt 5)/2.
+driving the gluing construction, and the rank-1 Mayer-Vietoris meets,
+read off the integer kernel of one 2x2 matrix, whose generators grow
+like powers of (3+sqrt 5)/2.
 
 Conventions:
 
@@ -12,10 +13,6 @@ Conventions:
   rightmost factor acting first (ordinary function composition).
 * A positive twist about a primitive class c sends x to x + <x, c> c
   with <x, c> = x^T J c.
-* Lattices are canonicalized in column-style Hermite normal form: basis
-  vectors ordered by pivot position, pivots positive, off-pivot entries
-  in each pivot row reduced into [0, pivot).  Equality of lattices is
-  then equality of bases.
 * Integer arguments follow the package's integer rule (README, Conventions).
 """
 
@@ -30,7 +27,6 @@ from ._args import checked_int, checked_ints
 
 __all__ = [
     "IntMat",
-    "Lattice",
     "FbarPower",
     "SYMPLECTIC_FORM",
     "MONODROMY",
@@ -44,7 +40,6 @@ __all__ = [
     "symplectic_check",
     "transvection",
     "fbar_power",
-    "lattice_intersection",
     "mv_intersection",
     "mv_generator",
     "twist_word_matrix",
@@ -121,7 +116,7 @@ INVARIANT_BLOCK = IntMat(((3, -1), (1, 0)))
 # Dominant eigenvalue of INVARIANT_BLOCK; root of t^2 - 3t + 1.
 GROWTH_RATE = (3.0 + math.sqrt(5.0)) / 2.0
 
-MAX_POWER, MAX_MV_INDEX = 10**5, 10**4  # caps on n: ~0.02 s and ~0.2 s of work there
+MAX_POWER, MAX_MV_INDEX = 10**5, 10**4  # caps on n: ~0.02 s and ~3 ms of work there
 
 
 def symplectic_check(mat: IntMat, form: IntMat) -> bool:
@@ -174,135 +169,33 @@ def fbar_power(n: int) -> FbarPower:
     return FbarPower(m.rows[0][0], m.rows[0][1], m.rows[1][0], m.rows[1][1])
 
 
-def _row_hnf(rows: Iterable[Iterable[int]]) -> list[list[int]]:
-    """Row-style Hermite normal form; zero rows dropped.
-
-    Pivots positive, entries above each pivot reduced into [0, pivot).
-    Only unimodular row operations are used, so the nonzero rows span the
-    same lattice as the input rows.
-    """
-    work = [list(r) for r in rows]
-    m = len(work)
-    ncols = len(work[0]) if work else 0
-    r = 0
-    for c in range(ncols):
-        if r == m:
-            break
-        pivot_found = False
-        while True:
-            nz = [i for i in range(r, m) if work[i][c] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(work[i][c]))
-            if i0 != r:
-                work[r], work[i0] = work[i0], work[r]
-            if work[r][c] < 0:
-                work[r] = [-x for x in work[r]]
-            pivot = work[r][c]
-            clean = True
-            for i in range(r + 1, m):
-                if work[i][c]:
-                    q = work[i][c] // pivot
-                    work[i] = [x - q * y for x, y in zip(work[i], work[r])]
-                    if work[i][c]:
-                        clean = False
-            if clean:
-                pivot_found = True
-                break
-        if pivot_found:
-            pivot = work[r][c]
-            for i in range(r):
-                q = work[i][c] // pivot
-                if q:
-                    work[i] = [x - q * y for x, y in zip(work[i], work[r])]
-            r += 1
-    return work[:r]
-
-
-@dataclass(frozen=True)
-class Lattice:
-    """Sublattice of Z^dim, stored in canonical Hermite-reduced form.
-
-    Accepts any generating set (dependent or redundant vectors collapse);
-    two lattices are equal iff their canonical bases are equal.
-    """
-
-    basis: tuple[tuple[int, ...], ...]
-    dim: int
-
-    def __init__(self, vectors: Iterable[Iterable[int]], dim: int | None = None):
-        vecs = [checked_ints(v, "lattice vector") for v in vectors]
-        if dim is None:
-            if not vecs:
-                raise ValueError("an empty generating set needs an explicit dim")
-            dim = len(vecs[0])
-        checked_int(dim, 1, what="dim")
-        if any(len(v) != dim for v in vecs):
-            raise ValueError("generating vectors of mixed dimension")
-        basis = tuple(tuple(row) for row in _row_hnf(vecs))
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "dim", dim)
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
-
-    def contains(self, vector: Iterable[int]) -> bool:
-        """Exact membership test by back-substitution on the echelon basis."""
-        v = checked_ints(vector, "vector", self.dim)
-        for b in self.basis:
-            p = next(i for i, x in enumerate(b) if x)
-            if v[p] % b[p]:
-                return False
-            q = v[p] // b[p]
-            if q:
-                v = [x - q * y for x, y in zip(v, b)]
-        return not any(v)
-
-
-def lattice_intersection(first: Lattice, second: Lattice) -> Lattice:
-    """Exact intersection of two sublattices of the same Z^dim.
-
-    A vector lies in the intersection iff it is U x = W y for integer
-    coefficient vectors x, y, i.e. (x, y) is in the integer kernel of the
-    stacked matrix [U | -W].  The kernel is read off the Hermite form of
-    that matrix's transpose augmented with an identity block: rows whose
-    left block vanishes carry kernel coefficients in the right block.
-    """
-    if first.dim != second.dim:
-        raise ValueError("lattices live in different ambient dimensions")
-    if not first.basis or not second.basis:
-        return Lattice((), dim=first.dim)
-    r1 = first.rank
-    stacked = [list(u) for u in first.basis] + [[-x for x in w] for w in second.basis]
-    k = len(stacked)
-    aug = [list(stacked[i]) + [int(i == j) for j in range(k)] for i in range(k)]
-    gens = []
-    for row in _row_hnf(aug):
-        if any(row[: first.dim]):
-            continue
-        coeffs = row[first.dim : first.dim + r1]
-        gens.append(
-            tuple(
-                sum(c * b[j] for c, b in zip(coeffs, first.basis))
-                for j in range(first.dim)
-            )
-        )
-    return Lattice(gens, dim=first.dim)
-
-
 _E1 = (1, 0, 0, 0)
-_E3 = (0, 0, 1, 0)
 _E4 = (0, 0, 0, 1)
 
 
-def mv_intersection(n: int) -> Lattice:
-    """Invariant plane <e1, e3> meet the n-th pushforward of <e1, e4>, n <= MAX_MV_INDEX."""
+def mv_intersection(n: int) -> tuple[tuple[int, ...], ...]:
+    """Basis of the invariant plane <e1, e3> meet F^n <e1, e4>, F = COHOMOLOGY_ACTION.
+
+    F is unimodular, so w1 = F^n e1 and w4 = F^n e4 are a basis of the
+    pushed lattice, and the meet is {x w1 + y w4 : M (x, y)^T = 0} for the
+    2x2 matrix M = [[p, q], [r, s]] of their coordinates 1 and 3 (0-based).
+    It has rank 2 - rank M: no vector when M is invertible, (w1, w4) when
+    M = 0, and otherwise the one generator x w1 + y w4 from the primitive
+    kernel vector (x, y), signed so that its first nonzero entry is
+    positive.  n <= MAX_MV_INDEX.
+    """
     fn = COHOMOLOGY_ACTION.power(checked_int(n, 0, MAX_MV_INDEX, what="n"))
-    return lattice_intersection(
-        Lattice((_E1, _E3)),
-        Lattice((fn.vec(_E1), fn.vec(_E4))),
-    )
+    w1, w4 = fn.vec(_E1), fn.vec(_E4)
+    (p, q), (r, s) = (w1[1], w4[1]), (w1[3], w4[3])
+    if p * s != q * r:
+        return ()
+    if not (p or q or r or s):
+        return (w1, w4)
+    if not (p or q):
+        p, q = r, s
+    g = math.gcd(p, q)
+    v = tuple((q * a - p * b) // g for a, b in zip(w1, w4))
+    return (v if next(filter(None, v)) > 0 else tuple(-a for a in v),)
 
 
 def mv_generator(n: int) -> tuple[int, int, int, int]:

@@ -48,9 +48,6 @@ ENTRY_POINTS = [
     ("IntMat.vec", lambda x: homalg.MONODROMY.vec((x, 0, 0, 0)), "vector", None, None),
     ("transvection.gamma", lambda x: homalg.transvection((1, x, 0, 0), 1), "gamma", None, None),
     ("transvection.sign", lambda x: homalg.transvection(E1, x), "sign", -1, 1),
-    ("Lattice.vectors", lambda x: homalg.Lattice(((x, 0),)), "lattice vector", None, None),
-    ("Lattice.dim", lambda x: homalg.Lattice((), dim=x), "dim", 1, None),
-    ("Lattice.contains", lambda x: homalg.Lattice((E1,)).contains((x, 0, 0, 0)), "vector", None, None),
     ("fbar_power", homalg.fbar_power, "n", 0, 10**5),
     ("mv_generator", homalg.mv_generator, "n", 0, 10**5),
     ("mv_intersection", homalg.mv_intersection, "n", 0, 10**4),
