@@ -1,5 +1,6 @@
 """Exact integer algebra: symplectic form, transvections, Mayer-Vietoris meets."""
 
+import itertools
 import math
 
 import pytest
@@ -208,6 +209,18 @@ def _permutation(images) -> IntMat:
     return IntMat(tuple(tuple(int(images[j] == i) for j in range(4)) for i in range(4)))
 
 
+def _unit(i: int) -> tuple[int, ...]:
+    return tuple(int(i == j) for j in range(4))
+
+
+def _action_inverse() -> IntMat:
+    """F^-1 for F = MONODROMY^T: M^T J M = J and J^2 = -1 give F^-1 = -J M J."""
+    prod = (SYMPLECTIC_FORM @ MONODROMY @ SYMPLECTIC_FORM).rows
+    inv = IntMat(tuple(tuple(-x for x in row) for row in prod))
+    assert COHOMOLOGY_ACTION @ inv == IntMat.identity(4)
+    return inv
+
+
 class TestMvIntersection:
     def test_against_small_coefficient_search(self):
         # independent oracle: enumerate small integer combinations of the
@@ -256,6 +269,36 @@ class TestMvIntersection:
     def test_rank_one_kernel_and_sign(self, monkeypatch, rows, meet):
         monkeypatch.setattr("hypnorms.homalg.COHOMOLOGY_ACTION", IntMat(rows))
         assert mv_intersection(1) == meet
+
+    @pytest.mark.parametrize("images", list(itertools.permutations(range(4))),
+                             ids=lambda images: "".join(map(str, images)))
+    def test_every_coordinate_permutation(self, monkeypatch, images):
+        # F = +-P sends <e1, e4> to the plane of the unit vectors e(images[0]+1)
+        # and e(images[3]+1); its meet with <e1, e3> is spanned by the unit
+        # vectors the two planes share, so all three ranks occur
+        shared = {_unit(i) for i in {0, 2} & {images[0], images[3]}}
+        for sign in (1, -1):
+            rows = tuple(tuple(sign * x for x in row) for row in _permutation(images).rows)
+            monkeypatch.setattr("hypnorms.homalg.COHOMOLOGY_ACTION", IntMat(rows))
+            meet = mv_intersection(1)
+            assert len(meet) == len(shared)
+            if len(meet) == 1:
+                assert meet == tuple(shared)  # the sign is normalized for F = -P too
+            else:
+                assert {tuple(map(abs, v)) for v in meet} == shared
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 30, 61, 200, 2000, 10**4])
+    def test_generator_lies_in_both_lattices(self, n):
+        # membership checked by pulling back with F^-n, not by the 2x2 kernel:
+        # the generator is in <e1, e3>, and F^-n maps it into <e1, e4>.  Both
+        # lattices are saturated (F is unimodular), so their meet is too, and a
+        # primitive vector of a saturated rank-1 lattice generates it.
+        (gen,) = mv_intersection(n)
+        assert gen[1] == gen[3] == 0
+        assert math.gcd(*gen) == 1
+        assert next(filter(None, gen)) > 0
+        back = _action_inverse().power(n).vec(gen)
+        assert back[1] == back[2] == 0
 
 
 class TestMvGenerator:
