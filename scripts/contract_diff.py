@@ -57,10 +57,12 @@ TOL_OVERRIDES = [
 # quadrature rule and CPU-picked numpy kernels, so they are compared tree
 # against tree here rather than pinned in goldens.
 FLOAT_COMMANDS = [
+    ["verify", "ball", "--quad-order", "4"],
     ["verify", "ball", "--quad-order", "8"],
     ["verify", "ball", "--quad-order", "16"],
     ["verify", "ball", "--quad-order", "48", "--seed", "5"],
     ["verify", "ball", "--seed", "3"],
+    ["verify", "ball", "--quad-order", "256"],
     ["verify", "tube", "--quad-order", "48"],
     ["verify", "dfbound", "--seed", "4"],
     ["nu", "--r", "0.01..10", "--log-grid"],

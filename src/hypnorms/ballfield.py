@@ -35,10 +35,11 @@ An expansion's differential is integrated, never sampled: ball_l2_norm_sq
 reads the L^2 norm off the Gram matrix of its modes.
 
 Every Gram is a radial factor times an angular factor, and the angular
-factor does not depend on r.  It is built once per (mode list, quadrature
-order) and kept read-only in a cache of 16 entries; an entry holds 16 n^2
-bytes for n modes, about 1.7 MB for all 16 at lmax = 8 and at most about
-720 MB at lmax = MAX_ELL.
+factor does not depend on r.  psi_gram, omega_gram and ball_l2_norm_sq all
+go through _gram: its angular pair (A, B) is built once per (mode list,
+quadrature order) and kept read-only in a cache of 16 entries; an entry
+holds 16 n^2 bytes for n <= 1681 modes, about 1.7 MB for all 16 at lmax = 8
+and at most about 720 MB at lmax = MAX_ELL.
 """
 
 from __future__ import annotations
@@ -134,16 +135,6 @@ def expansion_field(expansion: HarmonicExpansion) -> HarmonicExpansion:
     return expansion
 
 
-def _quad_nodes(r: float, order: int):
-    # the radial Gauss-Legendre nodes and weights on [0, r]; checks r, then order
-    return gauss_legendre(0.0, checked_real(r, what="r", gt=0), order)
-
-
-def _angular_nodes(order: int):
-    # the colatitude Gauss-Legendre nodes and weights on [0, pi], then the theta grid
-    return (*gauss_legendre(0.0, math.pi, order), *theta_grid(order))
-
-
 def _weighted_gram(rows, weights):
     # sum_k w_k rows[a, k] rows[b, k]
     return (rows * weights) @ rows.T
@@ -164,13 +155,11 @@ def _legendre_table(lmax: int, x):
     return table
 
 
-def _phi_factors(pbar, ell: int, am: int, gradients: bool):
-    # N_lm times Pbar_l^am and, with gradients, times d/dphi Pbar_l^am and
-    # Pbar_l^am / sin(phi) (zero for am = 0), by the rewrites in the module docstring
+def _phi_factors(pbar, ell: int, am: int):
+    # N_lm times Pbar_l^am, d/dphi Pbar_l^am and Pbar_l^am / sin(phi) (zero
+    # for am = 0), by the rewrites in the module docstring
     n = _norm_const(ell, am)
     value = n * pbar[ell, am]
-    if not gradients:
-        return (value,)
     if am == 0:
         return value, n * -pbar[ell, 1], np.zeros(pbar.shape[-1])
     dphi = 0.5 * ((ell + am) * (ell - am + 1) * pbar[ell, am - 1] - pbar[ell, am + 1])
@@ -180,43 +169,41 @@ def _phi_factors(pbar, ell: int, am: int, gradients: bool):
 
 
 @functools.lru_cache(maxsize=16)
-def _angular_grams(modes: tuple, order: int, gradients: bool):
+def _angular_grams(modes: tuple, order: int):
     """Angular Gram matrices (A, B) of the modes on the (phi, theta) grid of order.
 
     A_ab = int Y_a Y_b and B_ab = int (dY_a/dphi dY_b/dphi + (1/sin^2 phi)
-    dY_a/dtheta dY_b/dtheta) against sin(phi) dphi dtheta; B is None unless
-    gradients.  Each Y_lm is a phi factor N_lm Pbar_l^|m| times a theta factor
-    trig_m, so every integral over the tensor grid is the entrywise product of
-    a phi-Gram and a theta-Gram.  The phi factors are read off one Legendre
-    table, once per (ell, |m|).
+    dY_a/dtheta dY_b/dtheta) against sin(phi) dphi dtheta.  Each Y_lm is a
+    phi factor N_lm Pbar_l^|m| times a theta factor trig_m, so every
+    integral over the tensor grid is the entrywise product of a phi-Gram and
+    a theta-Gram.  The phi factors are read off one Legendre table, once per
+    (ell, |m|).
 
-    Neither matrix depends on r, so each is built once per key and kept
-    read-only.  Callers pass modes as a tuple and an order that _quad_nodes
-    has checked, since 24.0 would share the key of 24.  One entry holds
-    16 n^2 bytes for n = len(modes) <= 1680, so the 16 entries hold at most
-    about 720 MB at lmax = MAX_ELL; at lmax = 8, the most any caller uses,
-    they hold about 1.7 MB.
+    Neither matrix depends on r, so the pair is built once per key and kept
+    read-only; every entry holds both, psi_gram's too.  Callers pass modes
+    as a tuple and an order that gauss_legendre has checked, since 24.0
+    would share the key of 24.  One entry holds 16 n^2 bytes for
+    n = len(modes) <= 1681, so the 16 entries hold at most about 720 MB at
+    lmax = MAX_ELL; at lmax = 8, the most any caller uses, they hold about
+    1.7 MB.
     """
-    phi_nodes, phi_w, theta_nodes, theta_w = _angular_nodes(order)
+    phi_nodes, phi_w = gauss_legendre(0.0, math.pi, order)
+    theta_nodes, theta_w = theta_grid(order)
     x = np.cos(phi_nodes)
     pbar = _legendre_table(max(ell for ell, _ in modes), x)
     phi_tabs = {}
     for ell, m in modes:
         if (ell, abs(m)) not in phi_tabs:
-            phi_tabs[ell, abs(m)] = _phi_factors(pbar, ell, abs(m), gradients)
+            phi_tabs[ell, abs(m)] = _phi_factors(pbar, ell, abs(m))
     w_phi = phi_w * np.sin(phi_nodes)
     T = np.array([_trig(m, theta_nodes) for _, m in modes])
-    theta_gram = _weighted_gram(T, theta_w)
-    P, *grads = map(np.array, zip(*(phi_tabs[ell, abs(m)] for ell, m in modes)))
-    A = _weighted_gram(P, w_phi) * theta_gram
-    A.flags.writeable = False
-    if not gradients:
-        return A, None
-    dP, S = grads
     dT = np.array([_dtrig(m, theta_nodes) for _, m in modes])
+    theta_gram = _weighted_gram(T, theta_w)
+    P, dP, S = map(np.array, zip(*(phi_tabs[ell, abs(m)] for ell, m in modes)))
+    A = _weighted_gram(P, w_phi) * theta_gram
     B = (_weighted_gram(dP, w_phi) * theta_gram
          + _weighted_gram(S, w_phi) * _weighted_gram(dT, theta_w))
-    B.flags.writeable = False
+    A.flags.writeable = B.flags.writeable = False
     return A, B
 
 
@@ -253,6 +240,19 @@ def _positive_diagonal(name: str, lmax: int, r: float, order: int, G):
     return G
 
 
+def _gram(modes, r: float, order: int, omega: bool):
+    # the Gram matrix of the Psi_lm of the modes, or with omega of their
+    # omega_lm (all ell >= 1), on ball_l2_norm_sq's grid; checks r, then
+    # order, before the cache
+    r_nodes, r_w = gauss_legendre(0.0, checked_real(r, what="r", gt=0), order)
+    w_sinh = _radial_weights(r_nodes, r_w, r, order)
+    A, B = _angular_grams(tuple(modes), order)
+    psi_tab, dpsi_tab, idx = _radial_tables(modes, r_nodes)
+    if not omega:
+        return _radial_gram(psi_tab, idx, w_sinh) * A
+    return _radial_gram(dpsi_tab, idx, w_sinh) * A + _radial_gram(psi_tab, idx, r_w) * B
+
+
 def psi_gram(lmax: int, r: float, order: int = 48):
     """Gram matrix of the Psi_lm, ell <= lmax, in L^2(B_r).
 
@@ -265,23 +265,7 @@ def psi_gram(lmax: int, r: float, order: int = 48):
     diagonal entry underflows to 0.0 (tiny r).
     """
     modes = mode_indices(lmax)
-    r_nodes, r_w = _quad_nodes(r, order)
-    w_sinh = _radial_weights(r_nodes, r_w, r, order)
-    A, _ = _angular_grams(tuple(modes), order, False)
-    psi_tab, _, idx = _radial_tables(modes, r_nodes)
-    G = _radial_gram(psi_tab, idx, w_sinh) * A
-    return modes, _positive_diagonal("psi_gram", lmax, r, order, G)
-
-
-def _omega_gram(modes, r: float, order: int):
-    # Gram matrix of the omega_lm over the given (ell, m), all ell >= 1
-    r_nodes, r_w = _quad_nodes(r, order)
-    w_sinh = _radial_weights(r_nodes, r_w, r, order)
-    A, B = _angular_grams(tuple(modes), order, True)
-    psi_tab, dpsi_tab, idx = _radial_tables(modes, r_nodes)
-    R1 = _radial_gram(dpsi_tab, idx, w_sinh)
-    R0 = _radial_gram(psi_tab, idx, r_w)
-    return R1 * A + R0 * B
+    return modes, _positive_diagonal("psi_gram", lmax, r, order, _gram(modes, r, order, False))
 
 
 def omega_gram(lmax: int, r: float, order: int = 48):
@@ -298,7 +282,7 @@ def omega_gram(lmax: int, r: float, order: int = 48):
     entry underflows to 0.0 (tiny r).
     """
     modes = mode_indices(lmax, lmin=1)
-    return modes, _positive_diagonal("omega_gram", lmax, r, order, _omega_gram(modes, r, order))
+    return modes, _positive_diagonal("omega_gram", lmax, r, order, _gram(modes, r, order, True))
 
 
 def ball_l2_norm_sq(expansion: HarmonicExpansion, r: float, order: int = 48) -> float:
@@ -317,11 +301,11 @@ def ball_l2_norm_sq(expansion: HarmonicExpansion, r: float, order: int = 48) -> 
             f"ball_l2_norm_sq needs a HarmonicExpansion, got {type(expansion).__name__}")
     terms = [((ell, m), a) for (ell, m), a in expansion.items() if a != 0.0 and ell >= 1]
     if not terms:
-        _quad_nodes(r, order)  # validates r and order
+        gauss_legendre(0.0, checked_real(r, what="r", gt=0), order)  # checks r, then order
         return 0.0
     modes = [mode for mode, _ in terms]
     coeffs = np.array([a for _, a in terms])
-    value = float(coeffs @ _omega_gram(modes, r, order) @ coeffs)
+    value = float(coeffs @ _gram(modes, r, order, True) @ coeffs)
     if not math.isfinite(value):
         raise ValueError(f"nonfinite L2 norm {value} on B_{r} at quadrature order {order}")
     if value == 0.0:

@@ -31,7 +31,7 @@ import math
 import operator
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from ._args import checked_int, checked_real
 from .bounds import NormDatum, branch_constant
@@ -47,7 +47,7 @@ from .quadrature import MAX_ORDER
 from .radial import nu
 from .verify import SUITES, Check
 
-__all__ = ["main", "cmd_nu"]
+__all__ = ["main"]
 
 # the flags only some commands read, by argparse dest; each is left out of
 # the parsed arguments unless given
@@ -192,7 +192,7 @@ def _emit(command: str, rows: list[dict], checks: list[Check], fmt: str) -> None
     sys.stdout.write(buf.getvalue())
 
 
-def cmd_nu(r: str, log_grid=False) -> tuple[list[dict], list[Check]]:
+def _nu_rows(r: str, log_grid=False) -> tuple[list[dict], list[Check]]:
     """Norm-density table on the radii of the grid r, plus the two branch-constant checks."""
     grid = _parse_grid(r, log=log_grid)
     if not all(math.isfinite(r) and r > 0 for r in grid):
@@ -242,16 +242,7 @@ def _covers_rows(degrees: str) -> tuple[list[dict], list[Check]]:
     for d, datum in zip(grid, fam):
         ratio = datum.thurston / (datum.harmonic * math.sqrt(datum.vol))
         ratios.append(ratio)
-        rows.append(
-            {
-                "degree": d,
-                "vol": datum.vol,
-                "inj": datum.inj,
-                "thurston": datum.thurston,
-                "harmonic": datum.harmonic,
-                "ratio": ratio,
-            }
-        )
+        rows.append({"degree": d, **asdict(datum), "ratio": ratio})
     spread = max(ratios) / min(ratios) - 1.0
     checks = [
         Check("cover-ratio-constant", "thurston/(harmonic sqrt(vol)) constant over degrees",
@@ -308,15 +299,7 @@ def _gluing_rows(n: str, log_grid=False) -> tuple[list[dict], list[Check]]:
         except ValueError as e:
             raise UsageError(str(e))
         last = pt
-        rows.append(
-            {
-                "n": n,
-                "vol": pt.vol,
-                "log_th_lower": pt.log_th_lower,
-                "rate_ln": pt.rate_ln,
-                "rate_paper": pt.rate_paper,
-            }
-        )
+        rows.append({"n": n, **pt._asdict()})
     checks = [
         Check("gluing-rate-ln", "log_th_lower/vol near ln(lam)/vol_block at the last n",
               last.rate_ln, 0.002, lambda v, t: abs(v - 0.128) <= t),
@@ -326,7 +309,7 @@ def _gluing_rows(n: str, log_grid=False) -> tuple[list[dict], list[Check]]:
 
 # each command by name; a suite returns its checks alone, the others (rows, checks)
 _COMMANDS = {
-    "nu": cmd_nu,
+    "nu": _nu_rows,
     **{f"verify {name}": suite for name, suite in SUITES.items()},
     "family covers": _covers_rows,
     "family filling": _filling_rows,

@@ -42,7 +42,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CoverFamilyParams:
-    """A base datum with measured harmonic norm, and the cover degrees."""
+    """A base datum with measured harmonic norm, and the cover degrees (each < 2^63)."""
 
     base: NormDatum
     degrees: tuple[int, ...]
@@ -52,7 +52,7 @@ class CoverFamilyParams:
         # reads any other iterable of ints and refuses the rest
         if not isinstance(degrees, (tuple, list)):
             degrees = checked_ints(degrees, "cover degrees")
-        degrees = tuple(checked_int(d, 1, what="cover degree") for d in degrees)
+        degrees = tuple(checked_int(d, 1, 2**63 - 1, what="cover degree") for d in degrees)
         if base.harmonic is None:
             raise ValueError("cover base needs a harmonic norm")
         if not degrees or degrees[0] != 1:

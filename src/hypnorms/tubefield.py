@@ -129,7 +129,12 @@ def tube_l2_norm_sq(
     theta_nodes, _ = theta_grid(order)
     with np.errstate(all="ignore"):  # the result check below reports any overflow or nan
         grid = r_nodes[:, None, None], theta_nodes[None, :, None], z_nodes[None, None, :]
-        a, b, c = (np.asarray(w, dtype=float) for w in field(*grid))
+        components = field(*grid)
+        try:
+            a, b, c = (np.asarray(w, dtype=float) for w in components)
+        except OverflowError:  # an int past the float range
+            raise ValueError(f"nonfinite L2 norm on the tube {t} at quadrature order {order}: "
+                             "a field value overflows a float") from None
         n_theta = np.broadcast_shapes((1, 1, 1), a.shape, b.shape, c.shape)[1]
         sh = np.sinh(r_nodes)[:, None, None]
         ch = np.cosh(r_nodes)[:, None, None]

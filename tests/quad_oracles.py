@@ -38,14 +38,7 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 
-from hypnorms.ballfield import (
-    _angular_nodes,
-    _dtrig,
-    _norm_const,
-    _quad_nodes,
-    _trig,
-    mode_indices,
-)
+from hypnorms.ballfield import _dtrig, _norm_const, _trig, mode_indices
 from hypnorms.quadrature import gauss_legendre, theta_grid
 from hypnorms.radial import MAX_ELL, dpsi, profiles, psi
 
@@ -209,7 +202,8 @@ def _over_sin_factor(ell: int, am: int, x):
 
 def _grid(r, order):
     # ball_l2_norm_sq's tensor grid: r, phi and theta nodes with their weights
-    return (*_quad_nodes(r, order), *_angular_nodes(order))
+    return (*gauss_legendre(0.0, r, order), *gauss_legendre(0.0, math.pi, order),
+            *theta_grid(order))
 
 
 def sph_harm(ell, m, phi, theta):

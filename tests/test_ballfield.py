@@ -23,10 +23,10 @@ from hypnorms.ballfield import (
     omega_gram,
     psi_gram,
     _angular_grams,
-    _angular_nodes,
+    _gram,
     _legendre_table,
-    _omega_gram,
 )
+from hypnorms.quadrature import gauss_legendre
 from hypnorms.radial import dpsi, mode_norm, nu, psi
 from quad_oracles import (
     _assoc,
@@ -335,7 +335,7 @@ class TestSeparableGram:
     @pytest.mark.parametrize("r", [0.2, 2.1])
     def test_mode_list_without_low_degrees(self, r):
         modes = mode_indices(5, lmin=3)
-        G = _omega_gram(modes, r, 30)
+        G = _gram(modes, r, 30, True)
         assert _gram_gap(G, full_mesh_omega_gram(modes, r, 30)) <= 1e-13
 
     @pytest.mark.parametrize("gram, lmax", [(omega_gram, 0), (omega_gram, 41),
@@ -415,15 +415,19 @@ class TestAngularCache:
         info = _angular_grams.cache_info()
         assert (info.misses, info.hits) == (1, 2)
 
-    def test_psi_path_builds_the_same_a(self):
-        modes = tuple(mode_indices(5, lmin=1))
-        a_only, none = _angular_grams.__wrapped__(modes, 30, False)
-        A, B = _angular_grams.__wrapped__(modes, 30, True)
-        assert none is None and B is not None
-        assert np.array_equal(a_only, A)
+    def test_psi_gram_builds_one_entry_across_radii(self):
+        _angular_grams.cache_clear()
+        for r in (0.3, 1.1, 2.7):
+            psi_gram(3, r, order=20)
+        info = _angular_grams.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        A, B = _angular_grams(tuple(mode_indices(3)), 20)
+        for cached in (A, B):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0, 0] = 1.0
 
     def test_cached_arrays_are_read_only(self):
-        A, B = _angular_grams(tuple(mode_indices(2, lmin=1)), 24, True)
+        A, B = _angular_grams(tuple(mode_indices(2, lmin=1)), 24)
         for cached in (A, B):
             with pytest.raises(ValueError, match="read-only"):
                 cached[0, 0] = 1.0
@@ -449,7 +453,7 @@ class TestAngularCache:
 
     @pytest.mark.parametrize("order", [4, 24, 48, 256])
     def test_legendre_table_matches_the_oracle(self, order):
-        x = np.cos(_angular_nodes(order)[0])
+        x = np.cos(gauss_legendre(0.0, math.pi, order)[0])
         table = _legendre_table(41, x)
         assert all(np.array_equal(table[ell, m], _assoc(ell, m, x))
                    for ell in range(42) for m in range(43))

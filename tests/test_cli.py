@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypnorms import verify
-from hypnorms.cli import _FLAGS, _PARAMS, UsageError, _parse_grid, _parse_tols, cmd_nu, main
+from hypnorms.cli import _FLAGS, _PARAMS, UsageError, _nu_rows, _parse_grid, _parse_tols, main
 from hypnorms.radial import nu
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
@@ -446,7 +446,7 @@ class TestFamilyCommand:
 
     def test_branch_sup_is_the_geomspace_max(self):
         # the sup grid's stdlib form keeps the value of the sup over np.geomspace
-        _, checks = cmd_nu("1")
+        _, checks = _nu_rows("1")
         sup = {c.name: c.value for c in checks}["branch-sup"]
         assert sup == max(math.sqrt(e / nu(e)) for e in np.geomspace(0.145, 50.0, 120))
 

@@ -1,6 +1,7 @@
 """Cover, filling, and gluing family models and their asymptotic laws."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +48,17 @@ class TestCoverParams:
         # int() would truncate 2.7 to degree 2 and read True as degree 1
         with pytest.raises(ValueError, match="must be an int"):
             CoverFamilyParams(BASE, degrees)
+
+
+    @pytest.mark.parametrize("d", [2**63, 10**400], ids=["2**63", "10**400"])
+    def test_degree_past_64_bits_raises(self, d):
+        # cover_family(CoverFamilyParams(BASE, (1, 10**400))) raised OverflowError
+        with pytest.raises(ValueError, match=re.escape("cover degree must be an integer in [1, ")):
+            cover_family(CoverFamilyParams(BASE, (1, d)))
+
+    def test_largest_degree_is_finite(self):
+        fam = cover_family(CoverFamilyParams(BASE, (1, 2**63 - 1)))
+        assert fam[1].vol == fam[1].thurston == 2.0**63
 
 
 class TestCoverFamily:

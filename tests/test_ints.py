@@ -34,7 +34,8 @@ ENTRY_POINTS = [
     ("quadrature.gauss_legendre", lambda x: quadrature.gauss_legendre(0.0, 1.0, x),
      "quadrature order", 4, 256),
     ("quadrature.theta_grid", quadrature.theta_grid, "quadrature order", 4, 256),
-    ("CoverFamilyParams", lambda x: families.CoverFamilyParams(BASE, (x,)), "cover degree", 1, None),
+    ("CoverFamilyParams", lambda x: families.CoverFamilyParams(BASE, (1, x)), "cover degree", 1,
+     2**63 - 1),
     ("gluing_family", lambda x: families.gluing_family(families.GluingFamilyParams(), x), "n", 1, 10**5),
     ("filling_family", lambda x: families.filling_family(families.FillingFamilyParams(), x),
      "n", 1, 2**63 - 1),
@@ -78,7 +79,7 @@ def test_range_ends_are_admitted(entry, call, what, lo, hi):
     # the caps themselves are admitted; only fibered_characters at 400 takes long (~1 s)
     for x in {lo, hi} - {None}:
         if entry in ("CoverFamilyParams", "filling_family") and x == 1:
-            continue  # the degree list must start at 1, and n = 1 is out of the filling model
+            continue  # degrees (1, 1) do not increase, and n = 1 is out of the filling model
         call(x)
 
 

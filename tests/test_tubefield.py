@@ -293,6 +293,13 @@ class TestNonfiniteIntegral:
         with pytest.raises(ValueError, match="nonfinite L2 norm"):
             tube_l2_norm_sq(TubeChart(0.3, 1.2), lambda r, theta, z: (np.nan, 0.0, 1.0))
 
+    @pytest.mark.parametrize("w", [10**400, np.array([10**400], dtype=object)],
+                             ids=["int", "object-array"])
+    def test_int_past_the_float_range(self, w):
+        # np.asarray(w, dtype=float) raised OverflowError
+        with pytest.raises(ValueError, match="nonfinite L2 norm"):
+            tube_l2_norm_sq(TubeChart(0.3, 1.2), lambda r, theta, z: (0.0, 0.0, w))
+
     def test_huge_competitor(self):
         # returned inf
         with pytest.raises(ValueError, match="nonfinite L2 norm"):
